@@ -128,20 +128,27 @@ def _series_vec(z: np.ndarray, max_terms: int = 300):
 # Asymptotic series
 # ---------------------------------------------------------------------------
 
-_UK_CACHE = [1.0]
-_VK_CACHE = [1.0]
+_ASYM_TERMS = 60
 
 
-def _uk_vk(n: int):
-    while len(_UK_CACHE) <= n:
-        k = len(_UK_CACHE)
-        u = _UK_CACHE[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        _UK_CACHE.append(u)
-        _VK_CACHE.append(u * (6 * k + 1) / (1.0 - 6 * k))
-    return _UK_CACHE[: n + 1], _VK_CACHE[: n + 1]
+def _uk_vk_tables(n: int):
+    """u_k, v_k for k = 0..n (DLMF 9.7.2) as read-only arrays."""
+    uk, vk = [1.0], [1.0]
+    for k in range(1, n + 1):
+        u = uk[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
+        uk.append(u)
+        vk.append(u * (6 * k + 1) / (1.0 - 6 * k))
+    uk, vk = np.array(uk), np.array(vk)
+    uk.flags.writeable = False
+    vk.flags.writeable = False
+    return uk, vk
 
 
-def _asym_scaled_vec(z: np.ndarray, max_terms: int = 60):
+# built once at import, so concurrent callers only ever read them
+_UK, _VK = _uk_vk_tables(_ASYM_TERMS)
+
+
+def _asym_scaled_vec(z: np.ndarray):
     """Scaled full asymptotic series, |arg z| <= pi - delta.
 
     Returns (ai, aip, expo) with Ai = ai e^{expo}, expo = -Re zeta.
@@ -149,10 +156,9 @@ def _asym_scaled_vec(z: np.ndarray, max_terms: int = 60):
     """
     z = np.asarray(z, dtype=complex)
     zeta = (2.0 / 3.0) * z ** 1.5
-    uk, vk = _uk_vk(max_terms)
     # the series is asymptotic: sum each entry to its own optimal truncation
     # (terms grow beyond k ~ |zeta|); uk[k]/|zeta|^k is monotone before that
-    kstop = np.minimum(np.abs(zeta), float(max_terms)).astype(int)
+    kstop = np.minimum(np.abs(zeta), float(_ASYM_TERMS)).astype(int)
     s_ai = np.ones_like(z)
     s_aip = np.ones_like(z)
     term = np.ones_like(z)
@@ -161,9 +167,9 @@ def _asym_scaled_vec(z: np.ndarray, max_terms: int = 60):
     for k in range(1, kmax + 1):
         term = term * inv
         live = k <= kstop
-        s_ai += np.where(live, term * uk[k], 0.0)
-        s_aip += np.where(live, term * vk[k], 0.0)
-        if k % 8 == 0 and np.max(np.abs(term[live] if live.any() else term)) * uk[k] < 1e-18:
+        s_ai += np.where(live, term * _UK[k], 0.0)
+        s_aip += np.where(live, term * _VK[k], 0.0)
+        if k % 8 == 0 and np.max(np.abs(term[live] if live.any() else term)) * _UK[k] < 1e-18:
             break
     q = z ** 0.25
     ai = s_ai / (2.0 * math.sqrt(math.pi) * q)

@@ -34,11 +34,10 @@ import numpy as np
 from . import airy
 from . import pekeris as pk
 from .contours import ContourPath, DecayModel, Line, Ray, truncate
-from .quadrature import QuadOptions, QuadratureError, integrate, integrate_rounds
+from .quadrature import QuadOptions, QuadratureError, integrate
 
 C0 = 0.5                 # pole clearance of the vee vertices
 T_HONEST = 8.0           # |t_-| beyond which total_new uses the residue shift
-SQ_PI = math.sqrt(math.pi)
 
 DEFAULT_OPTS = QuadOptions(rel_tol=1e-9, abs_tol=1e-13,
                            max_subdivisions=4000, truncation_tail_tol=1e-12)
@@ -96,18 +95,6 @@ def _saddle_minus(x: float, y: float) -> float:
 # Integrand: exp(i Phi) times the caret factor, in log space
 # ---------------------------------------------------------------------------
 
-def _lit_log_caret(ts: np.ndarray, bc: pk.BoundaryKind) -> np.ndarray:
-    """log of the lit-sector asymptotic caret value (2pi/3 < arg t < 5pi/3)."""
-    ts = np.asarray(ts, dtype=complex)
-    base = 0.5 * np.log(-ts) - math.log(2.0 * SQ_PI) - 1j * (ts ** 3 / 12.0 - math.pi / 4.0)
-    if bc.kind == "dirichlet":
-        return base
-    if bc.kind == "neumann":
-        return base + 1j * math.pi
-    mu = bc.mu_hat
-    return base + np.log(-(ts / 2 - 1j * mu) / (ts / 2 + 1j * mu))
-
-
 class _CaretFactor:
     """Cached caret-factor log-evaluator for one field computation.
 
@@ -143,7 +130,7 @@ class _CaretFactor:
             self.rel_err = max(self.rel_err, float(np.max(lr)))
         rest = ~computed
         if np.any(rest):
-            out[rest] = _lit_log_caret(ts[rest], self.bc)
+            out[rest] = pk.caret_lit_log_asymptotic(ts[rest], self.bc)
         return out
 
 
@@ -239,14 +226,12 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     model = _truncation_model(x, y, vertex_scale)
     fin = truncate(path, model, opts.truncation_tail_tol)
     try:
-        res = integrate_rounds(_field_integrand(x, y, caret, extra_it), fin, opts)
+        res = integrate(_field_integrand(x, y, caret, extra_it), fin, opts)
     except QuadratureError as exc:
         # refinement bottoms out at the caret factor's own noise floor; only
-        # the outer driver's stall is acceptable (inner failures re-raise)
-        if not str(exc).startswith("round-based quadrature stalled"):
-            raise
+        # a stall is acceptable, and only near that floor
         res = exc.result
-        if res is None or res.error_estimate > max(
+        if exc.reason != "stalled" or res.error_estimate > max(
                 20.0 * caret.rel_err * abs(res.value), 100.0 * opts.abs_tol):
             raise
     err = (res.error_estimate + (caret.rel_err + asy_rel) * abs(res.value)

@@ -30,8 +30,7 @@ import numpy as np
 from . import airy
 from .contours import (ContourPath, DecayModel, Line, Ray,
                        path_point_distance, truncate)
-from .quadrature import (QuadOptions, QuadratureError, integrate,
-                         integrate_batch, integrate_rounds)
+from .quadrature import QuadOptions, QuadratureError, integrate, integrate_batch
 
 TWO_PI = 2.0 * math.pi
 EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))      # e^{i pi/3}
@@ -231,14 +230,22 @@ def caret_lit_asymptotic(t: complex, bc: BoundaryKind) -> complex:
     th = math.atan2(t.imag, t.real) % (2 * math.pi)
     if not (2 * math.pi / 3 < th < 5 * math.pi / 3):
         raise SectorError("lit asymptotics require arg t in (2pi/3, 5pi/3)")
+    return complex(np.exp(caret_lit_log_asymptotic(t, bc)))
+
+
+def caret_lit_log_asymptotic(ts, bc: BoundaryKind) -> np.ndarray:
+    """log of ``caret_lit_asymptotic``, vectorised and without the sector
+    check: log(sqrt(-t)/(2 sqrt(pi))) - i(t^3/12 - pi/4) plus the log of the
+    boundary-kind prefactor (1, -1 or -(t/2 - i mu)/(t/2 + i mu))."""
+    ts = np.asarray(ts, dtype=complex)
+    base = (0.5 * np.log(-ts) - math.log(2.0 * math.sqrt(math.pi))
+            - 1j * (ts ** 3 / 12.0 - math.pi / 4.0))
     if bc.kind == "dirichlet":
-        pref = 1.0
-    elif bc.kind == "neumann":
-        pref = -1.0
-    else:
-        pref = -(t / 2 - 1j * bc.mu_hat) / (t / 2 + 1j * bc.mu_hat)
-    base = np.sqrt(-t) / (2 * math.sqrt(math.pi)) * np.exp(-1j * (t ** 3 / 12 - math.pi / 4))
-    return complex(pref * base)
+        return base
+    if bc.kind == "neumann":
+        return base + 1j * math.pi
+    mu = bc.mu_hat
+    return base + np.log(-(ts / 2 - 1j * mu) / (ts / 2 + 1j * mu))
 
 
 def _lit_log_magnitude(t: complex) -> float:
@@ -259,21 +266,17 @@ def _ray_peak(A: float, B: float) -> float:
 
 
 def _integrate_floored(f, path, opts: QuadOptions, floor_raw: float):
-    """Round-based quadrature accepting a stall at the roundoff floor.
+    """Quadrature to the roundoff floor, accepting a stall near it.
 
     Panel-defect sums bottom out around eps * integrand peak accumulated
     over the refined panels; a stall within a generous multiple of that
     floor is an acceptable converged result with an honest error estimate.
     """
-    eff = QuadOptions(rel_tol=opts.rel_tol,
-                      abs_tol=max(opts.abs_tol, floor_raw),
-                      max_subdivisions=opts.max_subdivisions,
-                      truncation_tail_tol=opts.truncation_tail_tol)
     try:
-        return integrate_rounds(f, path, eff)
+        return integrate(f, path, opts, abs_floor=floor_raw)
     except QuadratureError as exc:
         res = exc.result
-        if res is not None and res.error_estimate <= max(
+        if exc.reason == "stalled" and res.error_estimate <= max(
                 1e4 * floor_raw, 1e-7 * abs(res.value), 100.0 * opts.abs_tol):
             return res
         raise
@@ -512,7 +515,7 @@ def _caret_saddle(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[comp
         w, expo = _reciprocal_weight(eta, bc)
         return w * np.exp(a * eta + expo - h(eta_star))
 
-    res = integrate_rounds(f, path, opts)
+    res = integrate(f, path, opts)
     pref = _reciprocal_prefactor(t, bc) * np.exp(h(eta_star))
     return complex(pref * res.value), abs(pref) * (res.error_estimate + 1e-14 * abs(res.value))
 

@@ -62,9 +62,9 @@ class VerificationReport:
 
 
 def _timed(fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = fn()
-    return out, time.time() - t0
+    return out, time.perf_counter() - t0
 
 
 _OMEGA = np.exp(2j * np.pi / 3)

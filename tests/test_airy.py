@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -161,3 +163,22 @@ def test_series_oracle_consistency():
         oa, oap = airy_series(z)
         assert mine.value == pytest.approx(oa, rel=2e-13, abs=1e-15)
         assert mine.derivative == pytest.approx(oap, rel=2e-13, abs=1e-15)
+
+
+def test_scaled_vec_threads_match_serial():
+    # every evaluation band, the far asymptotic band included
+    rng = np.random.default_rng(11)
+    chunks = [rng.uniform(-r, r, 200) + 1j * rng.uniform(-r, r, 200)
+              for r in (3.0, 6.0, 9.0, 20.0) for _ in range(3)]
+    serial = [ta.airy_scaled_vec(z) for z in chunks]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ta.airy_scaled_vec, z) for z in chunks * 2]
+            threaded = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for ref, got in zip(serial * 2, threaded):
+        for a, b in zip(ref, got):
+            assert np.array_equal(a, b)
