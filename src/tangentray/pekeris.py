@@ -2,7 +2,7 @@
 
 The caret function h(t) (p-hat for Dirichlet, q-hat for Neumann, V-hat for
 Robin) is meromorphic with a single simple pole at t = 0 of residue
-1/(2 pi i).  Four representations are implemented and cross-dispatched:
+1/(2 pi i).  Four representations are implemented:
 
 * residue series over the Airy-zero family (sector -pi/3 < arg t < 2pi/3),
 * reciprocal-Airy contour integral over L (all t != 0),
@@ -10,13 +10,16 @@ Robin) is meromorphic with a single simple pole at t = 0 of residue
   rotatable l2/l3 rays (large-argument workhorse in 2pi/3 < arg t < 5pi/3),
 * pole split 1/(2 pi i t) + entire(t) near the origin.
 
-Contour realisations are chosen by an explicit conditioning estimate: the
-peak of the integrand's exponent along each candidate ray is compared with
-the magnitude of the result; representations whose quadrature would lose
-the answer to cancellation are rejected.  Where every fixed-ray realisation
-is ill-conditioned (mid lit sector, where the caret function is
-exponentially small), the reciprocal-Airy integral is taken along a
-numerically traced steepest-descent path through its saddle.
+One planner (``_plan``) gives every t one route, and one executor per route
+evaluates all of a batch's members on that route; ``pekeris_caret`` is the
+batch of one and ``caret_log_many`` the log-form batch.  Contour routes are
+chosen by an explicit conditioning estimate: the peak of the integrand's
+exponent along each candidate ray is compared with the magnitude of the
+result; representations whose quadrature would lose the answer to
+cancellation are rejected.  Where every fixed-ray realisation is
+ill-conditioned (mid lit sector, where the caret function is exponentially
+small), the reciprocal-Airy integral is taken along a numerically traced
+steepest-descent path through its saddle.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import numpy as np
 from . import airy
 from .contours import (ContourPath, DecayModel, Line, Ray,
                        path_point_distance, truncate)
-from .quadrature import QuadOptions, QuadratureError, integrate, integrate_batch
+from .quadrature import (QuadOptions, QuadratureError, QuadResult, integrate,
+                         integrate_batch)
 
 TWO_PI = 2.0 * math.pi
 EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))      # e^{i pi/3}
@@ -41,9 +45,10 @@ OMEGA = complex(math.cos(2 * math.pi / 3.0), math.sin(2 * math.pi / 3.0))
 
 POLE_SPLIT_RADIUS = 0.05     # |t| below which the explicit pole term is split off
 SECTOR_GUARD = math.pi / 36  # stay this far inside the residue-series sector
-RESIDUE_CAP = 60             # dispatch-level cap on residue terms
+RESIDUE_CAP = 300            # residue terms before the series counts as unconverged
 L_CLEARANCE = 0.5            # vertex offset of the reciprocal-Airy contour
-COND_SAFE = 33.0             # max tolerated cancellation exponent
+COND_L = 16.0                # cancellation exponent up to which L is taken outright
+COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
 EPS_CANCEL = 3e-16           # unit roundoff proxy for cancellation floors
 
 
@@ -248,38 +253,48 @@ def caret_lit_log_asymptotic(ts, bc: BoundaryKind) -> np.ndarray:
     return base + np.log(-(ts / 2 - 1j * mu) / (ts / 2 + 1j * mu))
 
 
-def _lit_log_magnitude(t: complex) -> float:
+def _lit_log_magnitude(ts) -> np.ndarray:
     """ln |caret(t)| from the lit-sector model (used only for conditioning)."""
-    t = complex(t)
-    return (-1j * t ** 3 / 12).real + 0.5 * math.log(max(abs(t), 1e-9))
+    ts = np.asarray(ts, dtype=complex)
+    return (-1j * ts ** 3 / 12).real + 0.5 * np.log(np.maximum(np.abs(ts), 1e-9))
 
 
 # ---------------------------------------------------------------------------
 # Entire part p(t), q(t), V(t, mu) via the l2/l3 arms
 # ---------------------------------------------------------------------------
 
-def _ray_peak(A: float, B: float) -> float:
-    """Max of exp(A w - B w^{3/2}) along a ray: exponent 4A^3/(27B^2)."""
-    if A <= 0.0:
-        return 0.0
-    return 4.0 * A ** 3 / (27.0 * B ** 2)
+def _ray_peak(A, B):
+    """Max of exp(A w - B w^{3/2}) along a ray: exponent 4A^3/(27B^2), 0 for A <= 0."""
+    return 4.0 * np.maximum(A, 0.0) ** 3 / (27.0 * B ** 2)
 
 
-def _integrate_floored(f, path, opts: QuadOptions, floor_raw: float):
-    """Quadrature to the roundoff floor, accepting a stall near it.
+def _arm_peaks(ts, betas) -> np.ndarray:
+    """Peak exponents of e^{i t sigma} x Airy ratio along the rays at angles
+    ``betas``, shape (len(ts), len(betas))."""
+    ts = np.asarray(ts, dtype=complex)[:, None]
+    B = 4.0 / 3.0 * np.abs(np.cos(1.5 * np.asarray(betas)))
+    return _ray_peak(np.abs(ts) * np.cos(np.angle(ts) + betas + math.pi / 2), B)
+
+
+def _integrate_floored(fmat, path, opts: QuadOptions, floors, strict: bool = True):
+    """Batched quadrature to each member's roundoff floor, accepting a stall near it.
 
     Panel-defect sums bottom out around eps * integrand peak accumulated
-    over the refined panels; a stall within a generous multiple of that
-    floor is an acceptable converged result with an honest error estimate.
+    over the refined panels; a member whose error stays within a generous
+    multiple of that floor is an acceptable result with an honest error
+    estimate.  Returns (values, errors, accepted); with ``strict`` a member
+    that is not accepted raises ``QuadratureError`` ("stalled") instead.
     """
-    try:
-        return integrate(f, path, opts, abs_floor=floor_raw)
-    except QuadratureError as exc:
-        res = exc.result
-        if exc.reason == "stalled" and res.error_estimate <= max(
-                1e4 * floor_raw, 1e-7 * abs(res.value), 100.0 * opts.abs_tol):
-            return res
-        raise
+    vals, errs, evals = integrate_batch(fmat, path, opts, abs_floor=floors, strict=False)
+    # a converged member meets max(abs_tol, floor, rel_tol |v|), which this covers
+    accepted = errs <= np.maximum(np.maximum(100.0 * opts.abs_tol, 1e4 * floors),
+                                  max(opts.rel_tol, 1e-7) * np.abs(vals))
+    if strict and not accepted.all():
+        k = int(np.argmin(accepted))
+        raise QuadratureError(
+            f"member {k} stalled at error {errs[k]:.3e} for value {vals[k]:.6e}", "stalled",
+            QuadResult(complex(vals[k]), float(errs[k]), evals, path.truncation_radius))
+    return vals, errs, accepted
 
 
 def _arm_path(beta: float, t: complex, tail_tol: float, scale: float = 10.0,
@@ -296,6 +311,38 @@ def _arm_path(beta: float, t: complex, tail_tol: float, scale: float = 10.0,
     return truncate(path, model, tail_tol)
 
 
+def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
+            beta2: float = 2 * math.pi / 3, beta3: float = 0.0, shifts=None,
+            strict: bool = True):
+    """e^{-shift} times the entire part of each t, along l2/l3 rays at beta2
+    and beta3 that the batch shares (truncated for its largest |t|).
+
+    Returns (values, errors, accepted).  A member's error is the sum of both
+    arms' quadrature errors (before the 1/2pi, so with that much margin) plus
+    its cancellation floor, which also floors its quadrature targets.
+    """
+    shifts = np.zeros(ts.shape) if shifts is None else shifts
+    floors = np.exp(np.minimum(_arm_peaks(ts, [beta2, beta3]).max(axis=1) - shifts,
+                               700.0)) * EPS_CANCEL
+    t_ref = complex(ts[np.argmax(np.abs(ts))])
+    total = np.zeros(ts.shape, dtype=complex)
+    errs = np.zeros(ts.shape)
+    ok = np.ones(ts.shape, dtype=bool)
+    for beta, parts in ((beta2, ratio_l2_parts), (beta3, ratio_l3_parts)):
+        def fmat(s, parts=parts):
+            w, expo = parts(s, bc)
+            return w[None, :] * np.exp(1j * np.outer(ts, s) + expo[None, :]
+                                       - shifts[:, None])
+
+        path = _arm_path(beta, t_ref, opts.truncation_tail_tol)
+        v, e, accepted = _integrate_floored(fmat, path, opts, floors, strict)
+        # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
+        total -= v
+        errs += e
+        ok &= accepted
+    return total / TWO_PI, errs + floors, ok
+
+
 def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
                    opts: QuadOptions | None = None,
                    beta2: float = 2 * math.pi / 3, beta3: float = 0.0) -> complex:
@@ -304,30 +351,27 @@ def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
     Smooth across t = 0.  The l2/l3 rays may be rotated within their decay
     bands (pi/3, pi) and (-pi/3, pi/3) without changing the value.
     """
-    t = complex(t)
-    opts = opts or QuadOptions()
-    p2 = _arm_path(beta2, t, opts.truncation_tail_tol)
-    p3 = _arm_path(beta3, t, opts.truncation_tail_tol)
+    vals, _, _ = _entire(np.array([complex(t)]), bc, opts or QuadOptions(), beta2, beta3)
+    return complex(vals[0])
 
-    def f2(s):
-        w, expo = ratio_l2_parts(s, bc)
-        return w * np.exp(1j * t * s + expo)
 
-    def f3(s):
-        w, expo = ratio_l3_parts(s, bc)
-        return w * np.exp(1j * t * s + expo)
+# candidate l2/l3 ray angles of the forked form, without the rays whose
+# ratio decay rate (4/3)|cos(3 beta/2)| is below 0.05
+_FORK_GRIDS = tuple(g[4.0 / 3.0 * np.abs(np.cos(1.5 * g)) >= 5e-2] for g in (
+    np.linspace(math.pi / 3 + 0.12, math.pi - 0.02, 41),
+    np.linspace(-math.pi / 3 + 0.12, math.pi / 3 - 0.12, 41)))
 
-    th = math.atan2(t.imag, t.real)
 
-    def arm_floor(beta):
-        B = 4.0 / 3.0 * abs(math.cos(1.5 * beta))
-        A = abs(t) * math.cos(th + beta + math.pi / 2)
-        return math.exp(min(_ray_peak(A, B), 700.0)) * EPS_CANCEL
-
-    r2 = _integrate_floored(f2, p2, opts, arm_floor(beta2))
-    r3 = _integrate_floored(f3, p3, opts, arm_floor(beta3))
-    # l2 runs from infinity towards 0: negate the outward-ray quadrature
-    return (-r2.value - r3.value) / TWO_PI
+def _fork_rays(ts):
+    """Per t, the l2/l3 ray angles minimising the cancellation peaks of the
+    forked form: arrays (beta2, beta3, peak_exponent)."""
+    best = []
+    for grid in _FORK_GRIDS:
+        peaks = _arm_peaks(ts, grid)
+        i = np.argmin(peaks, axis=1)
+        best.append((grid[i], peaks[np.arange(i.size), i]))
+    (beta2, peak2), (beta3, peak3) = best
+    return beta2, beta3, np.maximum(peak2, peak3)
 
 
 def _forked_angles(t: complex) -> tuple[float, float, float]:
@@ -335,36 +379,22 @@ def _forked_angles(t: complex) -> tuple[float, float, float]:
 
     Returns (beta2, beta3, peak_exponent).
     """
-    th = math.atan2(t.imag, t.real)
-    b2_grid = np.linspace(math.pi / 3 + 0.12, math.pi - 0.02, 41)
-    b3_grid = np.linspace(-math.pi / 3 + 0.12, math.pi / 3 - 0.12, 41)
+    beta2, beta3, peak = _fork_rays(np.array([complex(t)]))
+    return float(beta2[0]), float(beta3[0]), float(peak[0])
 
-    def peak(beta):
-        B = 4.0 / 3.0 * abs(math.cos(1.5 * beta))
-        if B < 5e-2:
-            return math.inf
-        A = abs(t) * math.cos(th + beta + math.pi / 2)
-        return _ray_peak(A, B)
 
-    pk2 = [peak(b) for b in b2_grid]
-    pk3 = [peak(b) for b in b3_grid]
-    i2 = int(np.argmin(pk2))
-    i3 = int(np.argmin(pk3))
-    return float(b2_grid[i2]), float(b3_grid[i3]), max(pk2[i2], pk3[i3])
+def _forked(ts, bc: BoundaryKind, opts: QuadOptions, beta2: float, beta3: float,
+            shifts, strict: bool = True):
+    """Forked form e^{-shift} (1/(2 pi i t) + entire(t)): (values, errors, accepted)."""
+    vals, errs, ok = _entire(ts, bc, opts, beta2, beta3, shifts, strict)
+    vals = vals + np.exp(-shifts) / (TWO_PI * 1j * ts)
+    return vals, errs + 1e-13 * np.abs(vals), ok
 
 
 def _caret_forked(t: complex, bc: BoundaryKind, opts: QuadOptions,
                   beta2: float, beta3: float) -> tuple[complex, float]:
-    # cancellation floor from the optimised ray peaks
-    _, _, pk = _forked_angles(t)
-    floor = math.exp(min(pk, 700.0)) * EPS_CANCEL
-    eff = QuadOptions(rel_tol=opts.rel_tol,
-                      abs_tol=max(opts.abs_tol, floor),
-                      max_subdivisions=opts.max_subdivisions,
-                      truncation_tail_tol=opts.truncation_tail_tol)
-    value = pekeris_entire(t, bc, eff, beta2, beta3)
-    pole = 1.0 / (TWO_PI * 1j * t)
-    return value + pole, floor + 1e-13 * abs(value + pole)
+    vals, errs, _ = _forked(np.array([complex(t)]), bc, opts, beta2, beta3, np.zeros(1))
+    return complex(vals[0]), float(errs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +421,24 @@ def _reciprocal_prefactor(t, bc: BoundaryKind):
     return -1.0 / (4.0 * math.pi ** 2 * t)
 
 
+def _l_rates(ts) -> np.ndarray:
+    """Growth rate A of |e^{a eta}| (a = e^{-i pi/6} t) along the faster of
+    the two L rays: |e^{a eta}| ~ e^{A w} at distance w."""
+    r, th = np.abs(ts), np.angle(ts)
+    return np.maximum(r * np.cos(th + math.pi / 2), r * np.cos(th - 5 * math.pi / 6))
+
+
+def _plain_L_peaks(ts) -> np.ndarray:
+    """Peak exponent of e^{a eta}/denominator^2 along the standard L rays."""
+    return _ray_peak(_l_rates(ts), 4.0 / 3.0)
+
+
 def _l_path(ts, bc: BoundaryKind, tail_tol: float) -> ContourPath:
     """Truncated L contour with pole clearance for the given boundary kind.
 
     The truncation radius covers the worst |e^{a eta}| growth rate over the
     batch ``ts`` along each ray (a = e^{-i pi/6} t)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=complex))
-    th = np.angle(ts)
-    A_up = float(np.max(np.abs(ts) * np.cos(th + math.pi / 2)))
-    A_dn = float(np.max(np.abs(ts) * np.cos(th - 5 * math.pi / 6)))
-    A = max(A_up, A_dn, 0.0)
+    A = max(float(np.max(_l_rates(ts))), 0.0)
     vertex = L_CLEARANCE
     if bc.kind == "robin":
         roots = airy.robin_roots(3, bc.mu_hat)
@@ -418,29 +456,35 @@ def _l_path(ts, bc: BoundaryKind, tail_tol: float) -> ContourPath:
     return truncate(path, model, tail_tol)
 
 
-def _plain_L_peaks(t: complex) -> float:
-    """Peak exponent of e^{a eta}/denominator^2 along the standard L rays."""
-    th = math.atan2(t.imag, t.real)
-    A_up = abs(t) * math.cos(th + math.pi / 2)
-    A_dn = abs(t) * math.cos(th - 5 * math.pi / 6)
-    B = 4.0 / 3.0
-    return max(_ray_peak(A_up, B), _ray_peak(A_dn, B))
+def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions):
+    """Reciprocal-Airy contour L, integrated to each member's cancellation floor.
+
+    Members are grouped by their |e^{a eta}| growth rate so slow-decay
+    members do not force a long truncated path (and deep refinement) onto
+    the whole batch; each group shares one path."""
+    floors = np.exp(np.minimum(_plain_L_peaks(ts), 700.0)) * EPS_CANCEL
+    group = np.maximum(0, np.ceil(_l_rates(ts) / 1.5)).astype(int)
+    vals = np.empty(ts.shape, dtype=complex)
+    errs = np.empty(ts.shape)
+    for g in np.unique(group):
+        sel = np.nonzero(group == g)[0]
+        a = EMIP6 * ts[sel]
+
+        def fmat(eta, a=a):
+            w, expo = _reciprocal_weight(eta, bc)
+            return w[None, :] * np.exp(np.outer(a, eta) + expo[None, :])
+
+        path = _l_path(ts[sel], bc, opts.truncation_tail_tol)
+        v, e, _ = _integrate_floored(fmat, path, opts, floors[sel])
+        pref = _reciprocal_prefactor(ts[sel], bc)
+        vals[sel] = pref * v
+        errs[sel] = np.abs(pref) * (e + floors[sel])
+    return vals, errs, 0.0
 
 
 def _caret_reciprocal(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[complex, float]:
-    a = EMIP6 * t
-    path = _l_path(t, bc, opts.truncation_tail_tol)
-
-    def f(eta):
-        w, expo = _reciprocal_weight(eta, bc)
-        return w * np.exp(a * eta + expo)
-
-    # quadrature cannot do better than the cancellation floor set by the
-    # integrand's peak; stop there rather than erroring
-    floor_raw = math.exp(min(_plain_L_peaks(t), 700.0)) * EPS_CANCEL
-    res = _integrate_floored(f, path, opts, floor_raw)
-    pref = _reciprocal_prefactor(t, bc)
-    return pref * res.value, abs(pref) * (res.error_estimate + floor_raw)
+    vals, errs, _ = _run_reciprocal(np.array([complex(t)]), bc, opts)
+    return complex(vals[0]), float(errs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -543,266 +587,143 @@ def caret_fourier(t: complex, bc: BoundaryKind, tol: float = 1e-5) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Route planner and batch executors
 # ---------------------------------------------------------------------------
+
+def _run_residue(ts, bc: BoundaryKind, opts: QuadOptions):
+    vals, errs, _ = caret_residue_series(ts, bc)
+    return vals, errs, 0.0
+
+
+def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions):
+    """Traced steepest-descent path, one member at a time (each has its own)."""
+    vals = np.zeros(ts.shape, dtype=complex)
+    errs = np.full(ts.shape, np.inf)
+    for k, t in enumerate(ts):
+        try:
+            vals[k], errs[k] = _caret_saddle(complex(t), bc, opts)
+        except (SectorError, QuadratureError):
+            pass
+    return vals, errs, 0.0
+
+
+def _run_pole_split(ts, bc: BoundaryKind, opts: QuadOptions):
+    if np.any(ts == 0):
+        raise PoleError("the caret function has a pole at t = 0")
+    entire, _, _ = _entire(ts, bc, opts)
+    vals = 1.0 / (TWO_PI * 1j * ts) + entire
+    return vals, 1e-12 * np.abs(vals) + 1e-14, 0.0
+
+
+def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions):
+    """Forked contour, batched by direction.
+
+    Members of one 0.04-rad bin share the arms optimal for the bin's largest
+    |t|.  Each member is scaled by e^{-shift}, shift = max(0, ln|caret|
+    model), so rows stay representable where the caret function is
+    exponentially large.  Members the shared arms leave noisy (relative
+    error above 1e-6) or unaccepted are re-run, unscaled, on their own
+    optimal arms.
+    """
+    shifts = np.maximum(0.0, _lit_log_magnitude(ts))
+    vals = np.empty(ts.shape, dtype=complex)
+    errs = np.empty(ts.shape)
+    redo = np.empty(ts.shape, dtype=bool)
+    bins = np.round((np.angle(ts) % TWO_PI) / 0.04).astype(int)
+    for b in np.unique(bins):
+        sel = np.nonzero(bins == b)[0]
+        beta2, beta3, _ = _forked_angles(ts[sel][np.argmax(np.abs(ts[sel]))])
+        vals[sel], errs[sel], ok = _forked(ts[sel], bc, opts, beta2, beta3,
+                                           shifts[sel], strict=False)
+        redo[sel] = ~ok
+    idx = np.nonzero(redo | (errs > 1e-6 * np.maximum(np.abs(vals), 1e-300)))[0]
+    for k, beta2, beta3 in zip(idx, *_fork_rays(ts[idx])[:2]):
+        vals[k], errs[k] = _caret_forked(ts[k], bc, opts, beta2, beta3)
+    shifts[idx] = 0.0
+    return vals, errs, shifts
+
+
+# The routes in execution order: the two that can give up on a member (an
+# infinite error estimate) run before the routes the planner falls back to.
+ROUTES = ("residue_series", "traced_saddle", "pole_split",
+          "reciprocal_airy_contour", "forked_contour")
+_RESIDUE, _SADDLE, _POLE, _L, _FORKED = range(len(ROUTES))
+_EXECUTORS = (_run_residue, _run_saddle, _run_pole_split, _run_reciprocal, _run_forked)
+
+
+def _plan(ts, skip=frozenset()) -> np.ndarray:
+    """The route of each t, as an index into ``ROUTES``.
+
+    The pole split near the origin; the residue series in its sector;
+    elsewhere the reciprocal-Airy contour L while its cancellation exponent
+    (integrand peak over the lit-model |result|, in e-folds) is at most
+    ``COND_L``; then the better conditioned of L and the forked contour when
+    either is within ``COND_SAFE``; else the traced saddle path.  Routes in
+    ``skip`` have given up on these points and are passed over.
+    """
+    ts = np.asarray(ts, dtype=complex)
+    route = np.full(ts.shape, _L)
+    route[np.abs(ts) < POLE_SPLIT_RADIUS] = _POLE
+    if _RESIDUE not in skip:
+        route[(route == _L) & _in_residue_sector(ts)] = _RESIDUE
+    rest = np.nonzero(route == _L)[0]
+    lit = np.where(np.abs(ts[rest]) > 3.0, _lit_log_magnitude(ts[rest]), 0.0)
+    deficit = -np.minimum(lit, 0.0)
+    cond_plain = _plain_L_peaks(ts[rest]) + deficit
+    hard = np.nonzero(cond_plain > COND_L)[0]
+    if hard.size:
+        plain = cond_plain[hard]
+        forked = _fork_rays(ts[rest[hard]])[2] + deficit[hard]
+        fixed = np.where(plain <= forked, _L, _FORKED)
+        safe = (np.minimum(plain, forked) <= COND_SAFE) | (_SADDLE in skip)
+        route[rest[hard]] = np.where(safe, fixed, _SADDLE)
+    return route
+
+
+def _caret_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions):
+    """Plan every t, then run each route's executor once on all its members.
+
+    Returns (routes, values, errors, shifts); the caret function is
+    value * e^{shift}.  A member the residue series or the saddle path gives
+    up on is planned again without that route.
+    """
+    route = _plan(ts)
+    vals = np.zeros(ts.shape, dtype=complex)
+    errs = np.zeros(ts.shape)
+    shifts = np.zeros(ts.shape)
+    skip = set()
+    for r, run in enumerate(_EXECUTORS):
+        idx = np.nonzero(route == r)[0]
+        if idx.size == 0:
+            continue
+        vals[idx], errs[idx], shifts[idx] = run(ts[idx], bc, opts)
+        lost = idx[np.isinf(errs[idx])]
+        if lost.size and r in (_RESIDUE, _SADDLE):
+            skip.add(r)
+            route[lost] = _plan(ts[lost], skip)
+    return route, vals, errs, shifts
+
 
 def pekeris_caret(t: complex, bc: BoundaryKind = DIRICHLET,
                   opts: QuadOptions | None = None) -> CaretEval:
-    """Caret function with representation chosen by sector and conditioning."""
-    t = complex(t)
-    if t == 0:
-        raise PoleError("the caret function has a pole at t = 0")
-    opts = opts or QuadOptions()
-
-    if abs(t) < POLE_SPLIT_RADIUS:
-        value = 1.0 / (TWO_PI * 1j * t) + pekeris_entire(t, bc, opts)
-        return CaretEval(value, "pole_split", 1e-12 * abs(value) + 1e-14)
-
-    if _in_residue_sector(np.array([t]))[0]:
-        vals, errs, ok = caret_residue_series(t, bc, rel_tol=min(1e-11, opts.rel_tol))
-        if ok[0]:
-            return CaretEval(complex(vals[0]), "residue_series", float(errs[0]))
-
-    ln_result = _lit_log_magnitude(t) if abs(t) > 3.0 else 0.0
-    cond_plain = _plain_L_peaks(t) - min(ln_result, 0.0)
-    if abs(t) <= 3.0 or cond_plain <= 12.0:
-        value, err = _caret_reciprocal(t, bc, opts)
-        return CaretEval(value, "reciprocal_airy_contour", err)
-
-    beta2, beta3, pk = _forked_angles(t)
-    cond_forked = max(pk, 0.0) - min(ln_result, 0.0)
-    if min(cond_plain, cond_forked) <= COND_SAFE:
-        if cond_plain <= cond_forked:
-            value, err = _caret_reciprocal(t, bc, opts)
-            return CaretEval(value, "reciprocal_airy_contour", err)
-        value, err = _caret_forked(t, bc, opts, beta2, beta3)
-        return CaretEval(value, "forked_contour", err)
-
-    try:
-        value, err = _caret_saddle(t, bc, opts)
-        return CaretEval(value, "reciprocal_airy_contour", err)
-    except (SectorError, QuadratureError):
-        pass
-    # fall back to the better-conditioned fixed route with an honest error
-    if cond_plain <= cond_forked:
-        value, err = _caret_reciprocal(t, bc, opts)
-        return CaretEval(value, "reciprocal_airy_contour", err)
-    value, err = _caret_forked(t, bc, opts, beta2, beta3)
-    return CaretEval(value, "forked_contour", err)
-
-
-def caret_many(ts, bc: BoundaryKind = DIRICHLET, opts: QuadOptions | None = None,
-               rel_tol: float = 1e-10):
-    """Vectorised caret evaluation for quadrature nodes.
-
-    Residue-sector points are summed as one vectorised series; the remaining
-    points share a single truncated L contour and are integrated as a batch
-    (one integrand matrix per refined panel).  Points whose shared-contour
-    conditioning is poor fall back to the scalar dispatcher.
-
-    Returns (values, error_estimates).
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=complex))
-    opts = opts or QuadOptions()
-    out = np.zeros_like(ts)
-    err = np.zeros(ts.shape, dtype=float)
-
-    near = np.abs(ts) < POLE_SPLIT_RADIUS
-    for i in np.nonzero(near)[0]:
-        ev = pekeris_caret(complex(ts[i]), bc, opts)
-        out[i], err[i] = ev.value, ev.error_estimate
-
-    rest = ~near
-    res_mask = rest & _in_residue_sector(ts)
-    if np.any(res_mask):
-        vals, errs, ok = caret_residue_series(ts[res_mask], bc, rel_tol=rel_tol)
-        idx = np.nonzero(res_mask)[0]
-        good = idx[ok]
-        out[good] = vals[ok]
-        err[good] = errs[ok]
-        rest_idx = idx[~ok]
-    else:
-        rest_idx = np.array([], dtype=int)
-
-    contour_idx = np.concatenate([np.nonzero(rest & ~res_mask)[0], rest_idx])
-    if contour_idx.size == 0:
-        return out, err
-    tc = ts[contour_idx]
-    ln_res = np.array([_lit_log_magnitude(t) if abs(t) > 3 else 0.0 for t in tc])
-    peaks = np.array([_plain_L_peaks(t) for t in tc])
-    cond = peaks - np.minimum(ln_res, 0.0)
-    # deep refinement across a shared path is only worthwhile for mild peaks
-    batch = (cond <= 14.0) & (peaks <= 14.0)
-    if np.any(batch):
-        tb = tc[batch]
-        a = EMIP6 * tb
-        path = _l_path(tb, bc, opts.truncation_tail_tol)
-
-        def fmat(eta):
-            w, expo = _reciprocal_weight(eta, bc)
-            return w[None, :] * np.exp(np.outer(a, eta) + expo[None, :])
-
-        floors = np.exp(np.minimum([_plain_L_peaks(t) for t in tb], 700.0)) * EPS_CANCEL
-        vals, errs, _ = integrate_batch(fmat, path, opts, abs_floor=floors)
-        pref = _reciprocal_prefactor(tb, bc)
-        ii = contour_idx[batch]
-        out[ii] = pref * vals
-        err[ii] = np.abs(pref) * (errs + floors)
-    for i in contour_idx[~batch]:
-        ev = pekeris_caret(complex(ts[i]), bc, opts)
-        out[i], err[i] = ev.value, ev.error_estimate
-    return out, err
-
-
-# ---------------------------------------------------------------------------
-# Log-form evaluation for field integrands
-# ---------------------------------------------------------------------------
-
-def _forked_log_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions):
-    """log of the caret function for a batch of lit-sector points.
-
-    Points are binned by direction; each bin shares optimised l2/l3 arm
-    paths and one batched quadrature.  Each member is scaled by
-    e^{-shift_m} with shift_m = max(0, ln|caret|_model) so that rows stay
-    representable even where the caret function is exponentially large.
-
-    Returns (log_values, rel_errors).
-    """
-    ts = np.asarray(ts, dtype=complex)
-    out = np.empty(ts.shape, dtype=complex)
-    rel = np.zeros(ts.shape, dtype=float)
-    th = np.angle(ts) % (2.0 * math.pi)
-    bins = np.round(th / 0.04).astype(int)
-    for b in np.unique(bins):
-        sel = bins == b
-        tb = ts[sel]
-        t_ref = complex(tb[np.argmax(np.abs(tb))])
-        beta2, beta3, peak_ref = _forked_angles(t_ref)
-        shifts = np.array([max(0.0, _lit_log_magnitude(t)) for t in tb])
-        peaks = np.empty(tb.shape)
-        for i, t in enumerate(tb):
-            B2 = 4.0 / 3.0 * abs(math.cos(1.5 * beta2))
-            B3 = 4.0 / 3.0 * abs(math.cos(1.5 * beta3))
-            thi = math.atan2(t.imag, t.real)
-            A2 = abs(t) * math.cos(thi + beta2 + math.pi / 2)
-            A3 = abs(t) * math.cos(thi + beta3 + math.pi / 2)
-            peaks[i] = max(_ray_peak(A2, B2), _ray_peak(A3, B3))
-        floors = np.exp(np.minimum(peaks - shifts, 700.0)) * EPS_CANCEL
-        p2 = _arm_path(beta2, t_ref, opts.truncation_tail_tol)
-        p3 = _arm_path(beta3, t_ref, opts.truncation_tail_tol)
-
-        def f2(s, tb=tb, shifts=shifts):
-            w, expo = ratio_l2_parts(s, bc)
-            return w[None, :] * np.exp(1j * np.outer(tb, s) + expo[None, :]
-                                       - shifts[:, None])
-
-        def f3(s, tb=tb, shifts=shifts):
-            w, expo = ratio_l3_parts(s, bc)
-            return w[None, :] * np.exp(1j * np.outer(tb, s) + expo[None, :]
-                                       - shifts[:, None])
-
-        v2, e2, _ = integrate_batch(f2, p2, opts, abs_floor=floors, strict=False)
-        v3, e3, _ = integrate_batch(f3, p3, opts, abs_floor=floors, strict=False)
-        entire_scaled = (-v2 - v3) / TWO_PI
-        pole_scaled = np.exp(-shifts) / (TWO_PI * 1j * tb)
-        vals_scaled = entire_scaled + pole_scaled
-        with np.errstate(divide="ignore"):
-            lv = np.log(vals_scaled) + shifts
-        lr = (e2 + e3 + floors) / np.maximum(np.abs(vals_scaled), 1e-300)
-        # the shared-bin angles can be far from a member's own optimum;
-        # re-run noisy members through the scalar dispatcher
-        for k in np.nonzero(lr > 1e-6)[0]:
-            i = np.nonzero(sel)[0][k]
-            ev = pekeris_caret(complex(ts[i]), bc, opts)
-            with np.errstate(divide="ignore"):
-                lv[k] = np.log(ev.value)
-            lr[k] = ev.error_estimate / max(abs(ev.value), 1e-300)
-        out[sel] = lv
-        rel[sel] = lr
-    return out, rel
+    """Caret function with representation chosen by sector and conditioning
+    (the planner and executors of ``caret_log_many`` on a batch of one)."""
+    route, vals, errs, shifts = _caret_batch(np.array([complex(t)]), bc,
+                                             opts or QuadOptions())
+    scale = math.exp(shifts[0])
+    # the traced saddle path is a realisation of the reciprocal-Airy integral
+    label = ROUTES[_L if route[0] == _SADDLE else route[0]]
+    return CaretEval(complex(vals[0]) * scale, label, float(errs[0]) * scale)
 
 
 def caret_log_many(ts, bc: BoundaryKind = DIRICHLET,
                    opts: QuadOptions | None = None):
     """log of the caret function, vectorised and overflow-safe.
 
-    Dispatch: residue series in its sector; shared-L batch for mild
-    integrand peaks; direction-binned forked batches for the lit sector;
-    scalar traced-saddle route for members every fixed contour loses to
-    cancellation.  Returns (log_values, rel_errors).
+    Runs the same planner and executors as ``pekeris_caret`` on the whole
+    batch.  Returns (log_values, rel_errors).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=complex))
-    opts = opts or QuadOptions()
-    out = np.empty(ts.shape, dtype=complex)
-    rel = np.zeros(ts.shape, dtype=float)
-
-    near = np.abs(ts) < POLE_SPLIT_RADIUS
-    for i in np.nonzero(near)[0]:
-        ev = pekeris_caret(complex(ts[i]), bc, opts)
-        out[i] = np.log(ev.value)
-        rel[i] = ev.error_estimate / max(abs(ev.value), 1e-300)
-
-    todo = ~near
-    res_mask = todo & _in_residue_sector(ts)
-    if np.any(res_mask):
-        vals, errs, ok = caret_residue_series(ts[res_mask], bc, rel_tol=1e-12,
-                                              max_terms=300)
-        idx = np.nonzero(res_mask)[0]
-        with np.errstate(divide="ignore"):
-            out[idx[ok]] = np.log(vals[ok])
-        rel[idx[ok]] = errs[ok] / np.maximum(np.abs(vals[ok]), 1e-300)
-        todo[idx[ok]] = False
-        res_mask = np.zeros_like(res_mask)
-
-    idx = np.nonzero(todo)[0]
-    if idx.size == 0:
-        return out, rel
-    tc = ts[idx]
-    ln_res = np.array([_lit_log_magnitude(t) if abs(t) > 3 else 0.0 for t in tc])
-    peaks = np.array([_plain_L_peaks(t) for t in tc])
-    cond = peaks - np.minimum(ln_res, 0.0)
-    lmask = (cond <= 16.0) & (peaks <= 16.0)
-    if np.any(lmask):
-        tb_all = tc[lmask]
-        idx_all = idx[lmask]
-        peaks_all = peaks[lmask]
-        # group by |e^{a eta}| growth rate so slow-decay members do not force
-        # a long truncated path (and deep refinement) onto the whole batch
-        th = np.angle(tb_all)
-        rate = np.maximum(np.abs(tb_all) * np.cos(th + math.pi / 2),
-                          np.abs(tb_all) * np.cos(th - 5 * math.pi / 6))
-        group = np.maximum(0, np.ceil(rate / 1.5)).astype(int)
-        for gk in np.unique(group):
-            sel = group == gk
-            tb = tb_all[sel]
-            a = EMIP6 * tb
-            path = _l_path(tb, bc, opts.truncation_tail_tol)
-
-            def fmat(eta, a=a):
-                w, expo = _reciprocal_weight(eta, bc)
-                return w[None, :] * np.exp(np.outer(a, eta) + expo[None, :])
-
-            floors = np.exp(np.minimum(peaks_all[sel], 700.0)) * EPS_CANCEL
-            vals, errs, _ = integrate_batch(fmat, path, opts, abs_floor=floors,
-                                            strict=False)
-            pref = _reciprocal_prefactor(tb, bc)
-            with np.errstate(divide="ignore"):
-                out[idx_all[sel]] = np.log(pref * vals)
-            rel[idx_all[sel]] = (errs + floors) / np.maximum(np.abs(vals), 1e-300)
-
-    rest = idx[~lmask]
-    if rest.size:
-        tf = ts[rest]
-        fk_peaks = np.array([_forked_angles(t)[2] for t in tf])
-        fk_cond = fk_peaks - np.minimum(ln_res[~lmask], 0.0)
-        good = fk_cond <= COND_SAFE
-        if np.any(good):
-            lv, lr = _forked_log_batch(tf[good], bc, opts)
-            out[rest[good]] = lv
-            rel[rest[good]] = lr
-        for i in rest[~good]:
-            ev = pekeris_caret(complex(ts[i]), bc, opts)
-            with np.errstate(divide="ignore"):
-                out[i] = np.log(ev.value)
-            rel[i] = ev.error_estimate / max(abs(ev.value), 1e-300)
-    return out, rel
+    _, vals, errs, shifts = _caret_batch(ts, bc, opts or QuadOptions())
+    with np.errstate(divide="ignore"):
+        return np.log(vals) + shifts, errs / np.maximum(np.abs(vals), 1e-300)

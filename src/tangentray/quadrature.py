@@ -75,10 +75,12 @@ class QuadratureError(RuntimeError):
       tolerance target; ``result`` holds the best value and its error sum,
     * ``"nonfinite"``: the integrand returned inf or nan on a node,
     * ``"untruncated"``: the path still has infinite rays,
-    * ``"shape"``: the integrand returned an array of the wrong shape.
+    * ``"shape"``: the integrand returned an array of the wrong shape,
+    * ``"integrand"``: the integrand itself raised ``QuadratureError`` (a
+      nested quadrature failed); that failure is not this integral's stall.
     """
 
-    REASONS = ("stalled", "nonfinite", "untruncated", "shape")
+    REASONS = ("stalled", "nonfinite", "untruncated", "shape", "integrand")
 
     def __init__(self, message: str, reason: str, result: "QuadResult | None" = None):
         if reason not in self.REASONS:
@@ -183,7 +185,10 @@ def _evaluate(fmat, table, seg, u0, u1, members: int | None):
     """K15 values and |K15 - G7| defects, both (members, P), from one call."""
     z, jac = _nodes(table, seg, u0, u1)
     nodes = z.ravel()
-    fz = np.asarray(fmat(nodes), dtype=complex)
+    try:
+        fz = np.asarray(fmat(nodes), dtype=complex)
+    except QuadratureError as exc:
+        raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
     if fz.ndim == 1:
         fz = fz[None, :]
     if fz.ndim != 2 or fz.shape[1] != nodes.size or members not in (None, fz.shape[0]):

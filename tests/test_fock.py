@@ -5,6 +5,7 @@ import pytest
 
 from tangentray import airy, fock
 from tangentray import pekeris as pk
+from tangentray.quadrature import QuadratureError, QuadResult
 
 D = fock.ProblemConfig(pk.DIRICHLET)
 
@@ -103,3 +104,15 @@ def test_field_error_estimates_reported():
     a = fock.scattered_new(fock.FockPoint(0.7, 1.3), D)
     assert a.error_estimate > 0
     assert a.error_estimate < 1e-6
+
+
+def test_caret_failure_is_not_a_field_stall(monkeypatch):
+    # a stall inside the caret factor must not pass for the field integral's
+    # own stall, whose best result would then be the inner caret integral
+    def stalled(*args, **kwargs):
+        raise QuadratureError("x", "stalled", QuadResult(123.0, 0.0, 15))
+
+    monkeypatch.setattr(pk, "caret_log_many", stalled)
+    with pytest.raises(QuadratureError) as info:
+        fock.scattered_new(fock.FockPoint(-1.0, 0.5), D)
+    assert info.value.reason == "integrand"

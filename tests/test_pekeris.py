@@ -158,21 +158,46 @@ def test_robin_residue_vs_reciprocal():
             assert abs(complex(v_res[0]) - v_rec) < 1e-8
 
 
-def test_caret_many_matches_scalar():
-    ts = np.array([0.4 * np.exp(0.3j), -1.5 + 0.2j, 3 * np.exp(-0.9j),
-                   -7.0 + 0j, 0.02 + 0.01j])
-    vals, errs = pk.caret_many(ts, pk.DIRICHLET)
-    for t, v in zip(ts, vals):
-        ref = pk.pekeris_caret(complex(t)).value
-        assert abs(v - ref) <= 1e-9 * max(1.0, abs(ref))
-
-
 def test_caret_log_many_matches_scalar():
     ts = np.array([-10.07 - 1.5j, -9.5 + 0.3j, 2.0 + 1.0j, -4.0 + 0j])
     lv, lr = pk.caret_log_many(ts, pk.DIRICHLET)
     for t, l in zip(ts, lv):
         ref = np.log(pk.pekeris_caret(complex(t)).value)
         assert abs(l - ref) < 1e-6
+    # one batch mixing the residue sector, L, the forked form and the pole split
+    ts = np.array([0.4 * np.exp(0.3j), -1.5 + 0.2j, 3 * np.exp(-0.9j),
+                   -7.0 + 0j, 0.02 + 0.01j])
+    lv, lr = pk.caret_log_many(ts, pk.DIRICHLET)
+    for t, v in zip(ts, np.exp(lv)):
+        ref = pk.pekeris_caret(complex(t)).value
+        assert abs(v - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_one_batch_covers_every_route():
+    ts = np.array([0.01, 1 + 0.5j, 5 * np.exp(2.3j), -12.0,
+                   -7.174067330673176 - 3.5401635463588197j])
+    routes = [pk.ROUTES[r] for r in pk._plan(ts)]
+    assert routes == ["pole_split", "residue_series", "reciprocal_airy_contour",
+                      "forked_contour", "traced_saddle"]
+    lv, lr = pk.caret_log_many(ts, pk.DIRICHLET)
+    for t, route, l, rel in zip(ts, routes, lv, lr):
+        ev = pk.pekeris_caret(complex(t))
+        # the traced saddle path reports itself as the reciprocal-Airy integral
+        assert ev.representation_used == route.replace(
+            "traced_saddle", "reciprocal_airy_contour")
+        assert abs(l - np.log(ev.value)) < 1e-12
+        assert rel == pytest.approx(ev.error_estimate / abs(ev.value), rel=1e-12)
+
+
+def test_forked_error_estimate_covers_arm_quadrature():
+    # a lit-sector point where the forked form's cancellation floor alone
+    # under-states its deviation from the reciprocal-Airy integral
+    t = -3.1715064951724337 - 5.0932844561323165j
+    opts = QuadOptions()
+    b2, b3, _ = pk._forked_angles(t)
+    v_f, e_f = pk._caret_forked(t, pk.DIRICHLET, opts, b2, b3)
+    v_r, e_r = pk._caret_reciprocal(t, pk.DIRICHLET, opts)
+    assert abs(v_f - v_r) <= e_f + e_r
 
 
 def test_arm_ratio_decay_bound():
