@@ -419,7 +419,6 @@ class _ZeroTable:
 
 
 _TABLE = _ZeroTable()
-DEFAULT_TABLE_SIZE = 50
 
 
 def ai_zero(n: int) -> float:

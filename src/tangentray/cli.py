@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, QuadratureError, airy.RootContinuationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -340,27 +340,6 @@ def named_contour(name: str, clearance: float = 0.5) -> ContourPath:
     raise ContourError(f"unknown contour name {name!r}; valid: {_NAMES}")
 
 
-def vee_path(vertex: complex, angle_in: float, angle_out: float,
-             name: str | None = None) -> ContourPath:
-    """Two-ray path: in from infinity at ``angle_in`` to ``vertex``, out at
-    ``angle_out``.  Used for translated saddle-adapted contours."""
-    return ContourPath((Ray(vertex, angle_in, inward=True),
-                        Ray(vertex, angle_out, inward=False)), name=name)
-
-
-def polyline_path(points: list[complex], angle_in: float, angle_out: float,
-                  name: str | None = None) -> ContourPath:
-    """In-ray, straight polyline through ``points``, out-ray."""
-    if not points:
-        raise ContourError("polyline needs at least one point")
-    segs: list[Segment] = [Ray(points[0], angle_in, inward=True)]
-    for a, b in zip(points[:-1], points[1:]):
-        if a != b:
-            segs.append(Line(a, b))
-    segs.append(Ray(points[-1], angle_out, inward=False))
-    return ContourPath(tuple(segs), name=name)
-
-
 def path_point_distance(path: ContourPath, z: complex, probe_radius: float = 50.0) -> float:
     """Distance from ``z`` to the (possibly truncated) path; rays are probed
     out to ``probe_radius``.  Used for pole-clearance checks."""

@@ -33,8 +33,7 @@ import numpy as np
 from . import airy
 from .contours import (ContourPath, DecayModel, Line, Ray,
                        path_point_distance, truncate)
-from .quadrature import (QuadOptions, QuadratureError, QuadResult, integrate,
-                         integrate_batch)
+from .quadrature import QuadOptions, QuadratureError, integrate, integrate_batch
 
 TWO_PI = 2.0 * math.pi
 EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))      # e^{i pi/3}
@@ -276,27 +275,6 @@ def _arm_peaks(ts, betas) -> np.ndarray:
     return _ray_peak(np.abs(ts) * np.cos(np.angle(ts) + betas + math.pi / 2), B)
 
 
-def _integrate_floored(fmat, path, opts: QuadOptions, floors, strict: bool = True):
-    """Batched quadrature to each member's roundoff floor, accepting a stall near it.
-
-    Panel-defect sums bottom out around eps * integrand peak accumulated
-    over the refined panels; a member whose error stays within a generous
-    multiple of that floor is an acceptable result with an honest error
-    estimate.  Returns (values, errors, accepted); with ``strict`` a member
-    that is not accepted raises ``QuadratureError`` ("stalled") instead.
-    """
-    vals, errs, evals = integrate_batch(fmat, path, opts, abs_floor=floors, strict=False)
-    # a converged member meets max(abs_tol, floor, rel_tol |v|), which this covers
-    accepted = errs <= np.maximum(np.maximum(100.0 * opts.abs_tol, 1e4 * floors),
-                                  max(opts.rel_tol, 1e-7) * np.abs(vals))
-    if strict and not accepted.all():
-        k = int(np.argmin(accepted))
-        raise QuadratureError(
-            f"member {k} stalled at error {errs[k]:.3e} for value {vals[k]:.6e}", "stalled",
-            QuadResult(complex(vals[k]), float(errs[k]), evals, path.truncation_radius))
-    return vals, errs, accepted
-
-
 def _arm_path(beta: float, t: complex, tail_tol: float, scale: float = 10.0,
               origin: complex = 0.0) -> ContourPath:
     """Truncated ray from ``origin`` at angle beta for an e^{i t sigma} x
@@ -319,7 +297,7 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
 
     Returns (values, errors, accepted).  A member's error is the sum of both
     arms' quadrature errors (before the 1/2pi, so with that much margin) plus
-    its cancellation floor, which also floors its quadrature targets.
+    its cancellation floor, which is also its roundoff floor in the driver.
     """
     shifts = np.zeros(ts.shape) if shifts is None else shifts
     floors = np.exp(np.minimum(_arm_peaks(ts, [beta2, beta3]).max(axis=1) - shifts,
@@ -335,7 +313,7 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
                                        - shifts[:, None])
 
         path = _arm_path(beta, t_ref, opts.truncation_tail_tol)
-        v, e, accepted = _integrate_floored(fmat, path, opts, floors, strict)
+        v, e, _, accepted = integrate_batch(fmat, path, opts, floors, strict)
         # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
         total -= v
         errs += e
@@ -475,7 +453,7 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions):
             return w[None, :] * np.exp(np.outer(a, eta) + expo[None, :])
 
         path = _l_path(ts[sel], bc, opts.truncation_tail_tol)
-        v, e, _ = _integrate_floored(fmat, path, opts, floors[sel])
+        v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
         pref = _reciprocal_prefactor(ts[sel], bc)
         vals[sel] = pref * v
         errs[sel] = np.abs(pref) * (e + floors[sel])

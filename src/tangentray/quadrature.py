@@ -9,6 +9,10 @@ holding more than its share of the defect is bisected, and the nodes of all
 new panels go to the integrand in a single call.  The cost is then dominated
 by a few large vectorised special-function evaluations instead of one small
 call per panel.  ``integrate`` is the one-member case of ``integrate_batch``.
+
+The driver alone decides whether a result is accepted: it met its tolerance
+target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
+floor the caller declared.  Anything else has stalled.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ class QuadratureError(RuntimeError):
 
     ``reason`` is one of ``REASONS``:
 
-    * ``"stalled"``: refinement stopped (panel or round cap) above the
-      tolerance target; ``result`` holds the best value and its error sum,
+    * ``"stalled"``: refinement stopped (panel or round cap) above both the
+      tolerance target and ``FLOOR_FACTOR`` times the declared roundoff
+      floor; ``result`` holds that member's best value and its error sum,
     * ``"nonfinite"``: the integrand returned inf or nan on a node,
     * ``"untruncated"``: the path still has infinite rays,
     * ``"shape"``: the integrand returned an array of the wrong shape,
@@ -122,6 +127,10 @@ class QuadResult:
 
 # backstop only: 200 bisections shrink a panel far below double precision
 _MAX_ROUNDS = 200
+# a member stopped by a cap is still accepted within this multiple of the
+# roundoff floor its caller declares (panel-defect sums bottom out around
+# eps x integrand peak accumulated over the refined panels)
+FLOOR_FACTOR = 1e4
 
 
 def _segment_table(path: ContourPath):
@@ -204,13 +213,21 @@ def _evaluate(fmat, table, seg, u0, u1, members: int | None):
     return k15, np.abs(k15 - g7)
 
 
-def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int | None):
-    """The adaptive core: (values, errors, evaluations, rounds, converged).
+def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int | None,
+           strict: bool):
+    """The adaptive core and its one acceptance rule.
 
     Each member is measured against its own target
     ``max(abs_tol, abs_floor_i, rel_tol |value_i|)``; a panel is bisected when
     its defect exceeds 1/(4P) of that target for some member (the worst panel
-    when none does).
+    when none does).  Refinement stops when every member meets its target or
+    at the panel or round cap.  A member is accepted if it met its target, or
+    if its error is within ``FLOOR_FACTOR`` times its declared roundoff floor
+    ``abs_floor_i`` (floor-limited, QUADPACK's roundoff status).  With
+    ``strict`` the first member not accepted raises ``QuadratureError``
+    ("stalled") with its best result.
+
+    Returns (values, errors, evaluations, rounds, accepted).
     """
     table = _segment_table(path)
     seg, u0, u1 = _initial_panels(path)
@@ -223,10 +240,9 @@ def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int |
         err_total = errs.sum(axis=1)
         target = np.maximum(np.maximum(opts.abs_tol, abs_floor),
                             opts.rel_tol * np.abs(total))
-        if np.all(err_total <= target):
-            return total, err_total, evals, rounds, True
-        if seg.size >= opts.max_subdivisions or rounds == _MAX_ROUNDS:
-            return total, err_total, evals, rounds, False
+        converged = err_total <= target
+        if converged.all() or seg.size >= opts.max_subdivisions or rounds == _MAX_ROUNDS:
+            break
         ratio = np.max(errs / target[:, None], axis=0)
         refine = ratio > 1.0 / (4.0 * seg.size)
         if not refine.any():
@@ -245,13 +261,15 @@ def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int |
         u1 = np.concatenate((u1[keep], new_u1))
         vals = np.concatenate((vals[:, keep], new_vals), axis=1)
         errs = np.concatenate((errs[:, keep], new_errs), axis=1)
-
-
-def _stalled(total, err_total, evals, rounds, path) -> QuadratureError:
-    v, e = complex(total[0]), float(err_total[0])
-    return QuadratureError(
-        f"tolerance not reached after {rounds} rounds: error {e:.3e} for value {v:.6e}",
-        "stalled", QuadResult(v, e, evals, path.truncation_radius, rounds))
+    accepted = converged | (err_total <= FLOOR_FACTOR * abs_floor)
+    if strict and not accepted.all():
+        k = int(np.argmin(accepted))
+        v, e = complex(total[k]), float(err_total[k])
+        raise QuadratureError(
+            f"member {k}: tolerance not reached after {rounds} rounds: "
+            f"error {e:.3e} for value {v:.6e}",
+            "stalled", QuadResult(v, e, evals, path.truncation_radius, rounds))
+    return total, err_total, evals, rounds, accepted
 
 
 def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
@@ -259,14 +277,11 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     """Adaptively integrate ``f(t: ndarray(n,)) -> ndarray(n,)`` along the
     finite ``path``.
 
-    The one-member case of ``integrate_batch``: refinement stops when the
-    summed Kronrod-Gauss defect meets ``max(abs_tol, abs_floor,
-    rel_tol |value|)``.  Deterministic for fixed inputs.  A stall raises
-    ``QuadratureError`` with reason ``"stalled"`` and the best result.
+    The strict one-member case of ``integrate_batch``.  Deterministic for
+    fixed inputs.  A result that is not accepted raises ``QuadratureError``
+    with reason ``"stalled"`` and the best result.
     """
-    total, err_total, evals, rounds, ok = _adapt(f, path, opts, abs_floor, 1)
-    if not ok:
-        raise _stalled(total, err_total, evals, rounds, path)
+    total, err_total, evals, rounds, _ = _adapt(f, path, opts, abs_floor, 1, True)
     return QuadResult(complex(total[0]), float(err_total[0]), evals,
                       path.truncation_radius, rounds)
 
@@ -276,19 +291,17 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions(),
     """Integrate a family of integrands sharing one path.
 
     ``fmat(t: ndarray(n,)) -> ndarray(m, n)`` returns all family members on
-    the given nodes.  Refinement is driven by the worst panel across the
-    family, each member's error measured against its own tolerance target
-    ``max(abs_tol, rel_tol * |value_i|, abs_floor_i)`` (``abs_floor`` may be
-    an array of per-member cancellation floors).  With ``strict=False`` a
-    refinement stall returns the best values with their honest error sums
-    instead of raising (callers fold the errors into their estimates).
+    the given nodes; ``abs_floor`` may be an array of per-member roundoff
+    floors.  Each round bisects every panel whose defect exceeds 1/(4P) of
+    some member's target, and ``_adapt`` decides acceptance.  With
+    ``strict`` the first member not accepted raises ``QuadratureError``
+    ("stalled") with its best result; with ``strict=False`` the best values
+    and their honest error sums come back with ``accepted`` false for it.
 
-    Returns ``(values (m,), errors (m,), evaluations)``.
+    Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
     """
-    total, err_total, evals, rounds, ok = _adapt(fmat, path, opts, abs_floor, None)
-    if not ok and strict:
-        raise _stalled(total, err_total, evals, rounds, path)
-    return total, err_total, evals
+    total, err_total, evals, _, accepted = _adapt(fmat, path, opts, abs_floor, None, strict)
+    return total, err_total, evals, accepted
 
 
 # Former name of the round-based driver, kept as an alias of ``integrate``

@@ -69,6 +69,15 @@ def test_bad_range_is_usage_error():
         cli.main(["table", "--tre-range", "junk"])
 
 
+def test_failed_impedance_root_is_an_error_line(capsys):
+    # the impedance-root continuation fails near arg mu_hat = -pi/3
+    args = ["table", "--bc", "robin", "--mu-re", "1.07", "--mu-im", "-2.70",
+            "--tre-range", "1:2:2", "--tim-range", "1:1:1"]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

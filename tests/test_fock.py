@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,3 +117,21 @@ def test_caret_failure_is_not_a_field_stall(monkeypatch):
     with pytest.raises(QuadratureError) as info:
         fock.scattered_new(fock.FockPoint(-1.0, 0.5), D)
     assert info.value.reason == "integrand"
+
+
+def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
+    # caret values at their usual panel cap but reported with relative error
+    # 1, and a one-panel cap on the field integral: the field declares no
+    # roundoff floor, so caret noise must not let its stall pass
+    many = pk.caret_log_many
+    cap = fock.DEFAULT_OPTS.max_subdivisions
+
+    def noisy(ts, bc, opts):
+        lv, lr = many(ts, bc, dataclasses.replace(opts, max_subdivisions=cap))
+        return lv, np.ones_like(lr)
+
+    monkeypatch.setattr(pk, "caret_log_many", noisy)
+    opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=1)
+    with pytest.raises(QuadratureError) as info:
+        fock.scattered_new(fock.FockPoint(-1.0, 0.5), D, opts)
+    assert info.value.reason == "stalled"

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangentray.contours import Arc, ContourPath, DecayModel, Line, named_contour, truncate
-from tangentray.quadrature import (_WG, _WK, _XK, QuadOptions, QuadratureError, _initial_panels,
-                                   _nodes, _segment_table, integrate, integrate_batch)
+from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, QuadOptions, QuadratureError,
+                                   _initial_panels, _nodes, _segment_table, integrate,
+                                   integrate_batch)
 
 from _oracles import AI0
 
@@ -126,9 +127,10 @@ def test_stall_is_typed_with_finite_best_result():
     final_panels = (best.evaluations // 15 + 8) // 2
     assert cap <= final_panels < 2 * cap
     # strict=False hands back the same best values instead of raising
-    vals, errs, evals = integrate_batch(f, path, opts, strict=False)
+    vals, errs, evals, accepted = integrate_batch(f, path, opts, strict=False)
     assert vals[0] == best.value and errs[0] == best.error_estimate
     assert evals == best.evaluations
+    assert not accepted[0]
 
 
 def test_integrate_is_member_zero_of_batch():
@@ -136,7 +138,8 @@ def test_integrate_is_member_zero_of_batch():
     path = gamma0_truncated()
     res = integrate(f, path, TIGHT)
     for fmat in (lambda t: f(t)[None, :], lambda t: np.stack((f(t), f(t)))):
-        vals, errs, evals = integrate_batch(fmat, path, TIGHT)
+        vals, errs, evals, accepted = integrate_batch(fmat, path, TIGHT)
+        assert accepted.all()
         assert vals[0] == res.value
         assert errs[0] == res.error_estimate
         assert evals == res.evaluations
@@ -202,7 +205,45 @@ def test_batch_matches_scalar():
     def fmat(t):
         return np.exp(1j * t[None, :] ** 3 / 3) * np.exp(coeffs[:, None] * t[None, :] / 5)
 
-    vals, errs, _ = integrate_batch(fmat, path, TIGHT)
+    vals, errs, _, _ = integrate_batch(fmat, path, TIGHT)
     for c, v in zip(coeffs, vals):
         ref = integrate(lambda t: np.exp(1j * t ** 3 / 3 + c * t / 5), path, TIGHT).value
         assert abs(v - ref) < 1e-11
+
+
+# member 0 converges; member 1 oscillates too fast for the 40-panel cap and
+# ends with an error of about 1.2e-2
+_CAPPED_PATH = ContourPath((Line(0.0, 16.0),))
+_CAPPED_OPTS = QuadOptions(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=40)
+
+
+def _capped_pair(t):
+    return np.stack((np.exp(1j * t), np.exp(1j * 60 * t)))
+
+
+def test_capped_member_within_floor_factor_is_accepted():
+    floors = np.array([0.0, 1e-5])
+    vals, errs, _, accepted = integrate_batch(_capped_pair, _CAPPED_PATH, _CAPPED_OPTS,
+                                              floors, strict=False)
+    # member 1 misses its target but ends within FLOOR_FACTOR x its floor
+    assert errs[1] > max(_CAPPED_OPTS.abs_tol, floors[1], _CAPPED_OPTS.rel_tol * abs(vals[1]))
+    assert errs[1] <= FLOOR_FACTOR * floors[1]
+    assert accepted.all()
+    strict_vals, _, _, strict_accepted = integrate_batch(_capped_pair, _CAPPED_PATH,
+                                                         _CAPPED_OPTS, floors)
+    assert np.array_equal(strict_vals, vals) and strict_accepted.all()
+
+
+def test_capped_member_above_floor_factor_stalls():
+    floors = np.array([0.0, 1e-7])
+    vals, errs, evals, accepted = integrate_batch(_capped_pair, _CAPPED_PATH, _CAPPED_OPTS,
+                                                  floors, strict=False)
+    assert errs[1] > FLOOR_FACTOR * floors[1]
+    assert accepted.tolist() == [True, False]
+    with pytest.raises(QuadratureError) as exc:
+        integrate_batch(_capped_pair, _CAPPED_PATH, _CAPPED_OPTS, floors)
+    assert exc.value.reason == "stalled"
+    assert "member 1" in str(exc.value)
+    best = exc.value.result
+    assert best.value == vals[1] and best.error_estimate == errs[1]
+    assert best.evaluations == evals
