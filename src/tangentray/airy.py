@@ -2,12 +2,19 @@
 
 Evaluation strategy (vectorised over numpy arrays):
 
-* Maclaurin series for small |z| (two standard solutions combined with the
-  exact constants Ai(0) = 3^{-2/3}/Gamma(2/3), Ai'(0) = -3^{-1/3}/Gamma(1/3)).
-* A Gaussian-weighted integral representation on the band where the series
-  loses digits to cancellation (Re zeta large but |z| too small for the
-  asymptotic series), with zeta = (2/3) z^{3/2}:
-      Ai(z) = e^{-zeta}/(2 pi) * int e^{-sqrt(z) u^2 + i u^3/3} du.
+* For |z| <= 8.5, a Taylor expansion about the nearest centre z0 of a square
+  lattice of spacing 0.5 (so |z - z0| <= 0.354), summed to a fixed 20 terms
+  whose coefficients follow from the Airy equation Ai'' = z Ai:
+      c_{k+2} = (z0 c_k + c_{k-1}) / ((k+1)(k+2)),  c_0 = Ai(z0), c_1 = Ai'(z0)
+  (Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM 2007;
+  DLMF 9.17).  A point's value depends only on the point, never on the rest
+  of its batch.
+* The centre values are built once at import, with zeta = (2/3) z^{3/2}: by
+  the Maclaurin series in long double where Re zeta(z0) <= 2.5, and where
+  the series would lose digits to cancellation by the Gaussian-weighted
+  integral representation
+      Ai(z) = e^{-zeta}/(2 pi) * int e^{-sqrt(z) u^2 + i u^3/3} du;
+  the centres beyond |z| = 8.5 take the far expansions below.
 * The full asymptotic series in u_k, v_k for large |z| away from the
   negative real axis.
 * Near the negative real axis, the connection formula A0 + A1 + A2 = 0
@@ -30,10 +37,10 @@ import numpy as np
 SERIES_RADIUS = 8.0        # precondition radius for airy_maclaurin
 ASYMPTOTIC_RADIUS = 7.0    # precondition radius for airy_asymptotic
 
-_FULL_ASY_RADIUS = 8.5     # internal: full u_k series beyond this radius
-_F64_SERIES_RADIUS = 3.5   # internal: float64 series is full-accuracy here
-_INTEGRAL_REZETA = 2.5     # internal: integral branch when Re zeta exceeds this
-_INTEGRAL_RADIUS = 6.0     # ... and |z| exceeds this
+_LATTICE_RADIUS = 8.5      # internal: Taylor lattice inside, far expansions beyond
+_LATTICE_STEP = 0.5        # internal: spacing of the lattice centres
+_TAYLOR_TERMS = 20         # internal: terms of every lattice Taylor sum
+_INTEGRAL_REZETA = 2.5     # internal: integral-built centres where Re zeta exceeds this
 # beyond the Stokes line arg = 2pi/3 the recessive exponential re-enters Ai;
 # routing through the connection formula keeps both rotated terms on complete
 # (recessive-free) asymptotic series
@@ -178,39 +185,129 @@ def _asym_scaled_vec(z: np.ndarray):
     return ai * phase, aip * phase, -zeta.real
 
 
+def _far_scaled_vec(z: np.ndarray):
+    """Scaled Ai, Ai' for |z| > _LATTICE_RADIUS: the asymptotic series, and
+    near the negative real axis the connection formula over the two rotated
+    sectors."""
+    ai = np.empty_like(z)
+    aip = np.empty_like(z)
+    expo = np.empty(z.shape, dtype=float)
+    conn = np.abs(np.angle(z)) > _CONNECTION_ARG
+    asym = ~conn
+    if np.any(asym):
+        ai[asym], aip[asym], expo[asym] = _asym_scaled_vec(z[asym])
+    if np.any(conn):
+        w = z[conn]
+        a1, ap1, e1 = _asym_scaled_vec(_OMEGA * w)
+        a2, ap2, e2 = _asym_scaled_vec(np.conj(_OMEGA) * w)
+        e = np.maximum(e1, e2)
+        a = -(_OMEGA * a1 * np.exp(e1 - e) + np.conj(_OMEGA) * a2 * np.exp(e2 - e))
+        ap = -(_OMEGA ** 2 * ap1 * np.exp(e1 - e) + np.conj(_OMEGA) ** 2 * ap2 * np.exp(e2 - e))
+        ai[conn], aip[conn], expo[conn] = a, ap, e
+    return ai, aip, expo
+
+
 # ---------------------------------------------------------------------------
-# Integral representation on the cancellation band
+# Integral representation (builds the lattice centres where Re zeta is large)
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# twice the nodes per panel at which the centre values start to lose digits
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
-def _integral_scaled_one(z: complex):
+def _integral_scaled_vec(z: np.ndarray):
     """Scaled Ai, Ai' via the Gaussian-cubic integral, Re sqrt(z) > 0.
 
     Ai(z) e^{zeta} = (1/2pi) int_{-U}^{U} e^{-sqrt(z) u^2 + i u^3/3} du
     with the same nodes giving Ai' through the factor i(i sqrt(z) + u).
+    Each z has its own U = sqrt(42 / Re sqrt(z)); all share one composite
+    Gauss-Legendre rule on [-1, 1], scaled by U, whose panel count resolves
+    the oscillation e^{i u^3/3} out to the largest U.
     """
-    sq = complex(z) ** 0.5
-    if sq.real <= 0.0:
+    z = np.asarray(z, dtype=complex)
+    sq = z ** 0.5
+    if np.any(sq.real <= 0.0):
         raise AiryDomainError("integral branch requires Re sqrt(z) > 0")
-    U = math.sqrt(42.0 / sq.real)
-    acc_ai = 0.0j
-    acc_aip = 0.0j
-    # a few fixed panels resolve the oscillation e^{i u^3/3} out to |u| = U
-    n_panels = max(4, int(math.ceil(U ** 3 / 12.0)))
-    edges = np.linspace(-U, U, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        um = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-        w = 0.5 * (b - a) * _GL_WEIGHTS
-        ex = np.exp(-sq * um * um + 1j * um ** 3 / 3.0)
-        acc_ai += np.sum(w * ex)
-        acc_aip += np.sum(w * ex * 1j * (1j * sq + um))
-    zeta = (2.0 / 3.0) * complex(z) ** 1.5
-    phase = complex(math.cos(-zeta.imag), math.sin(-zeta.imag))
+    U = np.sqrt(42.0 / sq.real)
+    n_panels = max(4, int(math.ceil(np.max(U) ** 3 / 12.0)))
+    half = 1.0 / n_panels
+    acc_ai = np.zeros_like(z)
+    acc_aip = np.zeros_like(z)
+    for k in range(n_panels):
+        u = U[:, None] * (-1.0 + half * (2 * k + 1 + _GL_NODES))
+        ex = np.exp(-sq[:, None] * u * u + 1j * u ** 3 / 3.0) * (half * _GL_WEIGHTS)
+        acc_ai += U * ex.sum(axis=1)
+        acc_aip += U * (ex * 1j * (1j * sq[:, None] + u)).sum(axis=1)
+    zeta = (2.0 / 3.0) * z ** 1.5
+    phase = np.exp(-1j * zeta.imag)
     return (acc_ai / (2.0 * math.pi) * phase,
             acc_aip / (2.0 * math.pi) * phase,
             -zeta.real)
+
+
+# ---------------------------------------------------------------------------
+# Taylor lattice for |z| <= _LATTICE_RADIUS
+# ---------------------------------------------------------------------------
+
+# centres at _LATTICE_STEP * (i + 1j j) for |i|, |j| <= _LATTICE_HALF: the
+# square that holds the nearest centre of every point of the disc
+_LATTICE_HALF = math.ceil(_LATTICE_RADIUS / _LATTICE_STEP)
+
+
+def _lattice_tables():
+    """Centres and Taylor coefficients (terms x centres) of the lattice, as
+    read-only arrays: Ai(z0 + h) = sum_k c_k h^k about centre z0.
+
+    The coefficients are unscaled: on the lattice square |Ai| and |Ai'| stay
+    within about e^{+-28}, and a stored scale would cost every evaluation two
+    more roundings (one in exp).
+    """
+    axis = _LATTICE_STEP * np.arange(-_LATTICE_HALF, _LATTICE_HALF + 1)
+    z0 = (axis[None, :] + 1j * axis[:, None]).ravel()
+    rezeta = ((2.0 / 3.0) * z0 ** 1.5).real
+    a = np.empty_like(z0)
+    ap = np.empty_like(z0)
+    expo = np.zeros(z0.shape)
+    far = np.abs(z0) > _LATTICE_RADIUS
+    # the long-double series' rounding error relative to Ai grows like
+    # e^{(2/3)|z|^{3/2} + Re zeta}; the integral's does not, but the integral
+    # needs Re sqrt(z) > 0
+    integral = ~far & (rezeta > _INTEGRAL_REZETA)
+    series = ~far & ~integral
+    sa, sap = _series_vec(z0[series].astype(np.clongdouble))
+    a[series], ap[series] = sa.astype(complex), sap.astype(complex)
+    a[integral], ap[integral], expo[integral] = _integral_scaled_vec(z0[integral])
+    a[far], ap[far], expo[far] = _far_scaled_vec(z0[far])
+    scale = np.exp(expo)    # exactly 1 at the series centres
+    coef = np.empty((_TAYLOR_TERMS, z0.size), dtype=complex)
+    coef[0], coef[1] = a * scale, ap * scale
+    coef[2] = z0 * coef[0] / 2.0
+    for k in range(1, _TAYLOR_TERMS - 2):
+        coef[k + 2] = (z0 * coef[k] + coef[k - 1]) / ((k + 1) * (k + 2))
+    z0.flags.writeable = False
+    coef.flags.writeable = False
+    return z0, coef
+
+
+# built once at import, so concurrent callers only ever read them
+_CENTRES, _TAYLOR = _lattice_tables()
+
+
+def _lattice_vec(z: np.ndarray):
+    """Ai, Ai' (unscaled) by the Taylor sum about the nearest lattice centre;
+    requires |z| <= _LATTICE_RADIUS."""
+    col = np.rint(z.real / _LATTICE_STEP).astype(np.intp) + _LATTICE_HALF
+    row = np.rint(z.imag / _LATTICE_STEP).astype(np.intp) + _LATTICE_HALF
+    idx = row * (2 * _LATTICE_HALF + 1) + col
+    h = z - _CENTRES[idx]
+    coef = _TAYLOR[:, idx]
+    # Horner for the sum and its derivative together
+    ai = coef[-1]
+    aip = np.zeros_like(h)
+    for c in coef[-2::-1]:
+        aip = aip * h + ai
+        ai = ai * h + c
+    return ai, aip
 
 
 # ---------------------------------------------------------------------------
@@ -220,50 +317,26 @@ def _integral_scaled_one(z: complex):
 def airy_scaled_vec(z):
     """Vectorised scaled evaluation: Ai = ai e^{expo}, Ai' = aip e^{expo}.
 
-    expo is real; on the series branch expo = 0, elsewhere expo = -Re zeta.
-    Accuracy ~1e-11 relative away from the zeros of Ai.
+    expo is a real scale: 0 on the Taylor lattice |z| <= 8.5, where Ai and
+    Ai' need none, and -Re zeta of the asymptotic term beyond.  Non-finite z
+    gives NaN in all three.  Accuracy ~1e-12 of max(|Ai|, |Ai'|/sqrt|z|) on
+    the lattice, ~1e-11 relative away from the zeros of Ai beyond it.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    ai = np.zeros_like(z)
-    aip = np.zeros_like(z)
-    expo = np.zeros(z.shape, dtype=float)
-
     az = np.abs(z)
-    rezeta = ((2.0 / 3.0) * z ** 1.5).real
-    small = az <= _F64_SERIES_RADIUS
-    mid = (~small) & (az <= _FULL_ASY_RADIUS)
-    integral_band = mid & (rezeta > _INTEGRAL_REZETA) & (az > _INTEGRAL_RADIUS)
-    # extended precision absorbs the exp((2/3)|z|^{3/2}) series cancellation
-    series_band = mid & ~integral_band
-    far = az > _FULL_ASY_RADIUS
-    far_conn = far & (np.abs(np.angle(z)) > _CONNECTION_ARG)
-    far_asym = far & ~far_conn
-
-    if np.any(small):
-        a, ap = _series_vec(z[small])
-        ai[small], aip[small] = a, ap
-    if np.any(series_band):
-        a, ap = _series_vec(z[series_band].astype(np.clongdouble))
-        ai[series_band] = a.astype(complex)
-        aip[series_band] = ap.astype(complex)
-    if np.any(integral_band):
-        idx = np.nonzero(integral_band)
-        for i in zip(*idx):
-            a, ap, e = _integral_scaled_one(z[i])
-            ai[i], aip[i], expo[i] = a, ap, e
-    if np.any(far_asym):
-        a, ap, e = _asym_scaled_vec(z[far_asym])
-        ai[far_asym], aip[far_asym], expo[far_asym] = a, ap, e
-    if np.any(far_conn):
-        w = z[far_conn]
-        w1 = _OMEGA * w
-        w2 = np.conj(_OMEGA) * w
-        a1, ap1, e1 = _asym_scaled_vec(w1)
-        a2, ap2, e2 = _asym_scaled_vec(w2)
-        e = np.maximum(e1, e2)
-        a = -(_OMEGA * a1 * np.exp(e1 - e) + np.conj(_OMEGA) * a2 * np.exp(e2 - e))
-        ap = -(_OMEGA ** 2 * ap1 * np.exp(e1 - e) + np.conj(_OMEGA) ** 2 * ap2 * np.exp(e2 - e))
-        ai[far_conn], aip[far_conn], expo[far_conn] = a, ap, e
+    near = az <= _LATTICE_RADIUS
+    if near.all():
+        return (*_lattice_vec(z), np.zeros(z.shape))
+    ai = np.full(z.shape, complex(math.nan, math.nan))
+    aip = np.full(z.shape, complex(math.nan, math.nan))
+    expo = np.full(z.shape, math.nan)
+    # NaN fails both tests, and infinities are kept out of the far band
+    far = (az > _LATTICE_RADIUS) & np.isfinite(az)
+    if np.any(near):
+        ai[near], aip[near] = _lattice_vec(z[near])
+        expo[near] = 0.0
+    if np.any(far):
+        ai[far], aip[far], expo[far] = _far_scaled_vec(z[far])
     return ai, aip, expo
 
 

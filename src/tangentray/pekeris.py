@@ -193,6 +193,9 @@ def caret_residue_series(t, bc: BoundaryKind, rel_tol: float = 1e-12,
     """Residue series over the Airy-zero family; valid -pi/3 < arg t < 2pi/3.
 
     Vectorised over t; returns (values, error_estimates, converged_mask).
+    A Robin impedance with a continued root in Re eta >= 0 (a root that has
+    escaped the Airy-zero family the series sums over) leaves every t
+    unconverged, with an infinite error estimate.
     """
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     a = EMIP6 * t
@@ -203,7 +206,8 @@ def caret_residue_series(t, bc: BoundaryKind, rel_tol: float = 1e-12,
     last = np.abs(coef[n - 1] * np.exp(a * eta[n - 1]))
     scale = np.maximum(np.abs(total), 1e-300)
     done = last <= rel_tol * scale
-    while not np.all(done) and n < max_terms:
+    escaped = np.any(eta.real >= 0.0)
+    while not escaped and not np.all(done) and n < max_terms:
         m = min(block, max_terms - n)
         eta, coef = _residue_data(bc, n + m)
         tail = (coef[None, n:n + m] * np.exp(np.outer(a, eta[n:n + m])))
@@ -212,6 +216,8 @@ def caret_residue_series(t, bc: BoundaryKind, rel_tol: float = 1e-12,
         n += m
         scale = np.maximum(np.abs(total), 1e-300)
         done = done | (last <= rel_tol * scale)
+        escaped = np.any(eta.real >= 0.0)
+    done = done & ~escaped
     err = np.where(done, 3.0 * last + 1e-14 * np.abs(total), np.inf)
     return total, err, done
 

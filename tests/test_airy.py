@@ -182,3 +182,57 @@ def test_scaled_vec_threads_match_serial():
     for ref, got in zip(serial * 2, threaded):
         for a, b in zip(ref, got):
             assert np.array_equal(a, b)
+
+
+def _scale_normalised_error(z, ai, aip, expo):
+    ref, refp = special.airy(z)[0], special.airy(z)[1]
+    s = np.exp(expo)
+    root = np.sqrt(np.maximum(np.abs(z), 1.0))
+    num = np.maximum(np.abs(ai * s - ref), np.abs(aip * s - refp) / root)
+    return num / np.maximum(np.abs(ref), np.abs(refp) / root)
+
+
+def test_lattice_against_amos():
+    # the Taylor lattice serves |z| <= 8.5: a seeded sweep of the disc, every
+    # cell corner (the points farthest from their centres, where the nearest
+    # centre is a rounding tie) and both sides of the far-band boundary
+    rng = np.random.default_rng(20)
+    sweep = 8.5 * np.sqrt(rng.random(20000)) * np.exp(1j * rng.uniform(-math.pi, math.pi, 20000))
+    axis = 0.25 + 0.5 * np.arange(-17, 17)
+    corners = (axis[None, :] + 1j * axis[:, None]).ravel()
+    corners = corners[np.abs(corners) <= 8.5]
+    th = np.linspace(-math.pi, math.pi, 181)
+    rim = np.concatenate([(8.5 - 1e-9) * np.exp(1j * th), (8.5 + 1e-9) * np.exp(1j * th)])
+    z = np.concatenate([sweep, corners, rim])
+    err = _scale_normalised_error(z, *ta.airy_scaled_vec(z))
+    assert np.max(err) <= 1e-11
+
+
+def test_lattice_value_independent_of_batch():
+    rng = np.random.default_rng(21)
+    z = rng.uniform(-9, 9, 1000) + 1j * rng.uniform(-9, 9, 1000)
+    batch = ta.airy_scaled_vec(z)
+    one = [ta.airy_scaled_vec(z[k:k + 1]) for k in range(z.size)]
+    for j in range(3):
+        assert np.array_equal(batch[j], np.concatenate([o[j] for o in one]))
+
+
+def test_nonfinite_arguments_give_nan():
+    z = np.array([math.nan, complex(math.nan, 1.0), complex(math.inf, 0.0),
+                  complex(-math.inf, math.inf), 1.0 + 0.5j, 20.0])
+    ai, aip, expo = ta.airy_scaled_vec(z)
+    assert np.all(np.isnan(ai[:4])) and np.all(np.isnan(aip[:4]))
+    assert np.all(np.isnan(expo[:4]))
+    assert np.all(np.isfinite(ai[4:])) and np.all(np.isfinite(expo[4:]))
+    assert np.isnan(ta.airy(math.nan).value)
+
+
+def test_wedge_impedance_roots_converge():
+    # impedances near arg mu_hat = -pi/3, whose leading root continues far
+    # into Re eta > 0 (7.908-2.457i for 1.07-2.70i)
+    for mu in (1.07 - 2.70j, 1.80 - 2.32j, 1.43 - 4.51j):
+        for n in range(4):
+            eta = ta.robin_root(n, mu).root
+            a, ap = special.airy(eta)[0], special.airy(eta)[1]
+            t1 = mu * np.exp(1j * math.pi / 3) * a
+            assert abs(t1 + ap) <= 1e-12 * max(abs(t1), abs(ap))

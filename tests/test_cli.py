@@ -69,8 +69,15 @@ def test_bad_range_is_usage_error():
         cli.main(["table", "--tre-range", "junk"])
 
 
-def test_failed_impedance_root_is_an_error_line(capsys):
-    # the impedance-root continuation fails near arg mu_hat = -pi/3
+def test_failed_impedance_root_is_an_error_line(capsys, monkeypatch):
+    from tangentray import airy
+
+    def stalled(n, mu_hat):
+        raise airy.RootContinuationError(
+            f"impedance-root Newton stalled for n={n}, mu_hat={mu_hat}")
+
+    # a planted failure: a fresh mu_hat, so no cached root bypasses it
+    monkeypatch.setattr(airy, "robin_root", stalled)
     args = ["table", "--bc", "robin", "--mu-re", "1.07", "--mu-im", "-2.70",
             "--tre-range", "1:2:2", "--tim-range", "1:1:1"]
     assert cli.main(args) == 1

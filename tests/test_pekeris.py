@@ -158,6 +158,19 @@ def test_robin_residue_vs_reciprocal():
             assert abs(complex(v_res[0]) - v_rec) < 1e-8
 
 
+def test_escaped_impedance_root_leaves_the_residue_series():
+    # mu_hat = 1 - i continues a root into Re eta > 0 (eta_0 = 1.406+1.073i);
+    # summed over those roots the series gives 228.5+192.7i, estimate ~1e-12
+    t, tol = 1.0 - 0.3j, 1e-6
+    bc = pk.robin(1.0 - 1.0j)
+    _, errs, ok = pk.caret_residue_series(t, bc)
+    assert not ok[0] and math.isinf(errs[0])
+    c = pk.pekeris_caret(t, bc)
+    assert c.representation_used != "residue_series"
+    vf = pk.caret_fourier(t, bc, tol=tol)
+    assert abs(c.value - vf) <= c.error_estimate + tol * abs(vf)
+
+
 def test_caret_many_matches_scalar():
     # one batch mixing the residue sector, L, the forked form and the pole split
     ts = np.array([0.4 * np.exp(0.3j), -1.5 + 0.2j, 3 * np.exp(-0.9j),
