@@ -24,6 +24,14 @@ Evaluation strategy (vectorised over numpy arrays):
 The scaled evaluator returns (ai, aip, expo) with Ai = ai * exp(expo),
 Ai' = aip * exp(expo) and expo real, so that ratios of Airy functions at
 large arguments never overflow.
+
+The roots of the impedance equation alpha e^{i pi/3} Ai(eta) + beta Ai'(eta)
+= 0 (the zeros of Ai for the pair (1, 0), of Ai' for (0, 1), the Robin roots
+for (mu_hat, 1)) come from one vectorised Newton corrector: seeded by the
+large-n t-expansions of the zeros of Ai and Ai' (DLMF 9.9), and for Robin
+pairs driven along a predictor-corrector homotopy from the zeros of Ai'
+(Allgower & Georg, Introduction to Numerical Continuation Methods), every
+root with its own steps.  One lock-guarded table per pair caches them.
 """
 
 from __future__ import annotations
@@ -138,46 +146,56 @@ def _series_vec(z: np.ndarray, max_terms: int = 300):
 _ASYM_TERMS = 60
 
 
-def _uk_vk_tables(n: int):
-    """u_k, v_k for k = 0..n (DLMF 9.7.2) as read-only arrays."""
+def _uk_vk_table(n: int) -> np.ndarray:
+    """Rows u_k and v_k for k = 0..n (DLMF 9.7.2), as one read-only array."""
     uk, vk = [1.0], [1.0]
     for k in range(1, n + 1):
         u = uk[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
         uk.append(u)
         vk.append(u * (6 * k + 1) / (1.0 - 6 * k))
-    uk, vk = np.array(uk), np.array(vk)
-    uk.flags.writeable = False
-    vk.flags.writeable = False
-    return uk, vk
+    table = np.array([uk, vk])
+    table.flags.writeable = False
+    return table
+
+
+def _term_radii(table: np.ndarray) -> np.ndarray:
+    """ln|zeta| beyond which term k of both series, max(|u_k|, |v_k|)/|zeta|^k,
+    is below 1e-18, for k = 1, 2, ... up to the minimum of these radii (k = 39,
+    |zeta| = 19.4): the read-only, decreasing part of the table."""
+    k = np.arange(1, table.shape[1])
+    radii = (np.log(np.abs(table[:, 1:]).max(axis=0)) + 18.0 * math.log(10.0)) / k
+    radii = radii[:np.argmin(radii) + 1]
+    radii.flags.writeable = False
+    return radii
 
 
 # built once at import, so concurrent callers only ever read them
-_UK, _VK = _uk_vk_tables(_ASYM_TERMS)
+_UVK = _uk_vk_table(_ASYM_TERMS)
+_TERM_RADII = _term_radii(_UVK)
 
 
 def _asym_scaled_vec(z: np.ndarray):
     """Scaled full asymptotic series, |arg z| <= pi - delta.
 
-    Returns (ai, aip, expo) with Ai = ai e^{expo}, expo = -Re zeta.
-    Terms are summed to the smallest one (optimal truncation).
+    Returns (ai, aip, expo) with Ai = ai e^{expo}, expo = -Re zeta.  Each
+    point sums its own number of terms, from its own |zeta|: up to the
+    smallest term (optimal truncation, terms grow beyond k ~ |zeta|), or to
+    the first term below 1e-18 if that comes earlier.  One Horner sum serves
+    the whole batch, with the coefficients past a point's count set to 0, so
+    a point's value never depends on its batch.
     """
     z = np.asarray(z, dtype=complex)
     zeta = (2.0 / 3.0) * z ** 1.5
-    # the series is asymptotic: sum each entry to its own optimal truncation
-    # (terms grow beyond k ~ |zeta|); uk[k]/|zeta|^k is monotone before that
-    kstop = np.minimum(np.abs(zeta), float(_ASYM_TERMS)).astype(int)
-    s_ai = np.ones_like(z)
-    s_aip = np.ones_like(z)
-    term = np.ones_like(z)
+    azeta = np.abs(zeta)
+    # the k whose radius is below ln|zeta| form a tail of the decreasing
+    # table; its first is the first term below 1e-18
+    first_tiny = np.searchsorted(-_TERM_RADII, -np.log(azeta), side="right") + 1
+    terms = np.minimum(np.minimum(azeta, float(_ASYM_TERMS)).astype(int), first_tiny)
     inv = -1.0 / zeta
-    kmax = int(np.max(kstop))
-    for k in range(1, kmax + 1):
-        term = term * inv
-        live = k <= kstop
-        s_ai += np.where(live, term * _UK[k], 0.0)
-        s_aip += np.where(live, term * _VK[k], 0.0)
-        if k % 8 == 0 and np.max(np.abs(term[live] if live.any() else term)) * _UK[k] < 1e-18:
-            break
+    sums = np.zeros((2,) + z.shape, dtype=complex)
+    for k in range(int(np.max(terms, initial=0)), -1, -1):
+        sums = sums * inv + _UVK[:, k:k + 1] * (k <= terms)
+    s_ai, s_aip = sums
     q = z ** 0.25
     ai = s_ai / (2.0 * math.sqrt(math.pi) * q)
     aip = -q * s_aip / (2.0 * math.sqrt(math.pi))
@@ -188,22 +206,21 @@ def _asym_scaled_vec(z: np.ndarray):
 def _far_scaled_vec(z: np.ndarray):
     """Scaled Ai, Ai' for |z| > _LATTICE_RADIUS: the asymptotic series, and
     near the negative real axis the connection formula over the two rotated
-    sectors."""
+    sectors.  One series call serves the direct points and both rotated
+    images of the connection points."""
+    conn = np.abs(np.angle(z)) > _CONNECTION_ARG
+    w = z[conn]
+    series = _asym_scaled_vec(np.concatenate([z[~conn], _OMEGA * w, np.conj(_OMEGA) * w]))
+    (a, a1, a2), (ap, ap1, ap2), (e, e1, e2) = (
+        np.split(v, [z.size - w.size, z.size]) for v in series)
     ai = np.empty_like(z)
     aip = np.empty_like(z)
     expo = np.empty(z.shape, dtype=float)
-    conn = np.abs(np.angle(z)) > _CONNECTION_ARG
-    asym = ~conn
-    if np.any(asym):
-        ai[asym], aip[asym], expo[asym] = _asym_scaled_vec(z[asym])
-    if np.any(conn):
-        w = z[conn]
-        a1, ap1, e1 = _asym_scaled_vec(_OMEGA * w)
-        a2, ap2, e2 = _asym_scaled_vec(np.conj(_OMEGA) * w)
-        e = np.maximum(e1, e2)
-        a = -(_OMEGA * a1 * np.exp(e1 - e) + np.conj(_OMEGA) * a2 * np.exp(e2 - e))
-        ap = -(_OMEGA ** 2 * ap1 * np.exp(e1 - e) + np.conj(_OMEGA) ** 2 * ap2 * np.exp(e2 - e))
-        ai[conn], aip[conn], expo[conn] = a, ap, e
+    ai[~conn], aip[~conn], expo[~conn] = a, ap, e
+    e = np.maximum(e1, e2)
+    ai[conn] = -(_OMEGA * a1 * np.exp(e1 - e) + np.conj(_OMEGA) * a2 * np.exp(e2 - e))
+    aip[conn] = -(_OMEGA ** 2 * ap1 * np.exp(e1 - e) + np.conj(_OMEGA) ** 2 * ap2 * np.exp(e2 - e))
+    expo[conn] = e
     return ai, aip, expo
 
 
@@ -416,133 +433,181 @@ def rotated(j: int, z: complex) -> AiryValue:
     return AiryValue(w * base.value, w * w * base.derivative)
 
 
-def rotated_scaled_vec(j: int, z):
-    """Vectorised scaled A_j, A_j': returns (value, derivative, expo)."""
-    if j not in (0, 1, 2):
-        raise ValueError("j must be 0, 1 or 2")
-    w = _OMEGA ** j
-    a, ap, e = airy_scaled_vec(w * np.asarray(z, dtype=complex))
-    return w * a, w * w * ap, e
-
-
 # ---------------------------------------------------------------------------
-# Zeros of Ai and Ai', impedance roots
+# Roots of the impedance equation alpha e^{i pi/3} Ai(eta) + beta Ai'(eta) = 0
 # ---------------------------------------------------------------------------
 
-class _ZeroTable:
-    """Lazily extended tables of the real zeros of Ai and Ai'."""
+_EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
+_NEWTON_STEPS = 40
+_NEWTON_TOL = 1e-13      # relative Newton step at which a root has converged
+_RESIDUAL_TOL = 1e-10    # relative impedance residual every returned root meets
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._ai: list[float] = []
-        self._aip: list[float] = []
 
-    @staticmethod
-    def _t_expansion(t: float, prime: bool) -> float:
-        x = t ** (2.0 / 3.0)
-        ti = 1.0 / (t * t)
-        if prime:
-            return -x * (1.0 - 7.0 / 48.0 * ti + 35.0 / 288.0 * ti * ti)
-        return -x * (1.0 + 5.0 / 48.0 * ti - 5.0 / 36.0 * ti * ti)
+def _newton(eta, alpha, beta):
+    """Newton's method on alpha e^{i pi/3} Ai(eta) + beta Ai'(eta) = 0,
+    vectorised over eta (alpha and beta are scalars or arrays like it).
 
-    def _newton_ai(self, x0: float) -> float:
-        x = x0
-        for _ in range(60):
-            v = airy(x)
-            step = v.value / v.derivative
-            x -= step.real
-            if abs(step) < 1e-14 * max(1.0, abs(x)):
+    The scaled Airy pair serves both f and f' = alpha e^{i pi/3} Ai' +
+    beta eta Ai: their common factor exp(expo) cancels in the step, which
+    keeps far escape branches free of overflow.  Each entry stops on its own
+    step, so a root never depends on the rest of its batch.
+    Returns (eta, converged).
+    """
+    eta = np.array(eta, dtype=complex)
+    alpha = np.broadcast_to(alpha, eta.shape)
+    beta = np.broadcast_to(beta, eta.shape)
+    live = np.arange(eta.size)
+    for _ in range(_NEWTON_STEPS):
+        if live.size == 0:
+            break
+        e = eta[live]
+        a, ap, _ = airy_scaled_vec(e)
+        ae = alpha[live] * _EIP3
+        step = (ae * a + beta[live] * ap) / (ae * ap + beta[live] * e * a)
+        eta[live] = e - step
+        # NaN steps stay live
+        live = live[~(np.abs(step) < _NEWTON_TOL * np.maximum(1.0, np.abs(eta[live])))]
+    converged = np.ones(eta.shape, dtype=bool)
+    converged[live] = False
+    return eta, converged
+
+
+def _seeds(n: np.ndarray, prime: bool) -> np.ndarray:
+    """Large-n t-expansions of the n-th zero of Ai (or of Ai')."""
+    t = 3.0 * math.pi * (4 * n + (1 if prime else 3)) / 8.0
+    ti = 1.0 / (t * t)
+    if prime:
+        return -t ** (2.0 / 3.0) * (1.0 - 7.0 / 48.0 * ti + 35.0 / 288.0 * ti * ti)
+    return -t ** (2.0 / 3.0) * (1.0 + 5.0 / 48.0 * ti - 5.0 / 36.0 * ti * ti)
+
+
+def _continue(eta, spacing, mu: complex, first: int) -> np.ndarray:
+    """Continue Neumann roots eta to the roots of mu e^{i pi/3} Ai + Ai' = 0.
+
+    Predictor-corrector homotopy along mu_s = s mu, s from 0 to 1, vectorised
+    over the roots; each root takes its own steps ds, with
+    d eta/d mu = -e^{i pi/3} Ai / (mu e^{i pi/3} Ai' + eta Ai).  A corrector
+    that does not converge halves that root's ds, up to 7 times.  ``spacing``
+    (the gap to the next Neumann root) bounds a hop before it counts as a
+    branch jump.  ``first`` is the index of eta[0], for error messages.
+    """
+    eta = np.array(eta, dtype=complex)
+    s = np.zeros(eta.shape)
+    hops = np.zeros(eta.shape, dtype=int)
+    live = np.arange(eta.size)
+
+    def fail(what, k):
+        return RootContinuationError(
+            f"impedance-root {what} for n={first + int(k)}, mu_hat={mu}")
+
+    while live.size:
+        e, s0 = eta[live], s[live]
+        a, ap, _ = airy_scaled_vec(e)
+        denom = s0 * mu * _EIP3 * ap + e * a
+        if np.any(denom == 0.0):
+            raise fail("homotopy collapsed", live[np.argmax(denom == 0.0)])
+        deta_dmu = -_EIP3 * a / denom
+        speed = np.abs(deta_dmu) * abs(mu)
+        # allow longer hops far out on an escape branch (root ~ mu^2)
+        hop_len = 0.15 * np.maximum(1.0, np.abs(e) / 8.0)
+        ds = np.minimum(np.minimum(1.0 - s0, hop_len / np.maximum(speed, 1e-9)), 0.25)
+        e_new = np.empty_like(e)
+        s_new = np.empty_like(s0)
+        todo = np.arange(live.size)
+        for _ in range(7):
+            s_try = s0[todo] + ds[todo]
+            root, ok = _newton(e[todo] + deta_dmu[todo] * mu * ds[todo], s_try * mu, 1.0)
+            e_new[todo[ok]] = root[ok]
+            s_new[todo[ok]] = s_try[ok]
+            todo = todo[~ok]
+            ds[todo] *= 0.5
+            if todo.size == 0:
                 break
-        v = airy(x)
-        if abs(v.value) > 1e-11:
-            raise RootContinuationError(f"Ai zero refinement failed near {x0}")
-        return x
-
-    def _newton_aip(self, x0: float) -> float:
-        x = x0
-        for _ in range(60):
-            v = airy(x)
-            step = v.derivative / (x * v.value)
-            x -= step.real
-            if abs(step) < 1e-14 * max(1.0, abs(x)):
-                break
-        v = airy(x)
-        if abs(v.derivative) > 1e-11:
-            raise RootContinuationError(f"Ai' zero refinement failed near {x0}")
-        return x
-
-    def ensure(self, count: int):
-        with self._lock:
-            while len(self._ai) < count:
-                n = len(self._ai)
-                t = 3.0 * math.pi * (4 * n + 3) / 8.0
-                self._ai.append(self._newton_ai(self._t_expansion(t, prime=False)))
-            while len(self._aip) < count:
-                n = len(self._aip)
-                t = 3.0 * math.pi * (4 * n + 1) / 8.0
-                self._aip.append(self._newton_aip(self._t_expansion(t, prime=True)))
-
-    def ai_zeros(self, count: int) -> np.ndarray:
-        self.ensure(count)
-        return np.array(self._ai[:count])
-
-    def aip_zeros(self, count: int) -> np.ndarray:
-        self.ensure(count)
-        return np.array(self._aip[:count])
+        else:
+            raise fail("Newton stalled", live[todo[0]])
+        jumped = np.abs(e_new - e) > 0.6 * np.maximum(spacing[live], np.abs(e) / 4.0)
+        if np.any(jumped):
+            raise fail("jumped branches", live[np.argmax(jumped)])
+        eta[live], s[live] = e_new, s_new
+        hops[live] += 1
+        if np.any(hops > 4000):
+            raise fail("continuation too slow", np.argmax(hops > 4000))
+        live = live[s_new < 1.0]
+    return eta
 
 
-_TABLE = _ZeroTable()
+def _solve(first: int, count: int, alpha: complex, beta: complex) -> np.ndarray:
+    """Roots first..count-1 of the pair: the zeros of Ai (beta = 0) and of
+    Ai' (alpha = 0) by Newton from their t-expansions, every other pair by
+    homotopy from the zeros of Ai'; each root is checked against its
+    impedance residual."""
+    if alpha == 0.0 or beta == 0.0:
+        seeds = _seeds(np.arange(first, count), prime=alpha == 0.0)
+        # the zeros of Ai and Ai' are real
+        eta = _newton(seeds, alpha, beta)[0].real.astype(complex)
+    else:
+        neumann = impedance_roots(count + 1, 0.0, 1.0).real
+        eta = _continue(neumann[first:count], np.abs(np.diff(neumann[first:])),
+                        alpha / beta, first)
+    a, ap, _ = airy_scaled_vec(eta)
+    t1 = alpha * _EIP3 * a
+    t2 = beta * ap
+    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.maximum(np.abs(a), np.abs(ap)))
+    res = np.abs(t1 + t2) / np.maximum(scale, 1e-300)
+    bad = ~(res <= _RESIDUAL_TOL)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise RootContinuationError(
+            f"impedance root residual {res[k]:.2e} too large for n={first + k}, "
+            f"(alpha, beta)=({alpha}, {beta})")
+    return eta
+
+
+_ROOTS: dict[tuple[complex, complex], np.ndarray] = {}
+# reentrant: the homotopy of a pair fetches the zeros of Ai' under the lock
+_ROOTS_LOCK = threading.RLock()
+
+
+def impedance_roots(count: int, alpha: complex, beta: complex) -> np.ndarray:
+    """The first ``count`` roots eta_n of alpha e^{i pi/3} Ai(eta) + beta Ai'(eta) = 0
+    (a read-only array): the zeros of Ai for (1, 0), of Ai' for (0, 1), and the
+    Robin roots of mu_hat for (mu_hat, 1), continued from the zeros of Ai'.
+
+    One lock-guarded table per pair, extended on demand; a root's value does
+    not depend on how many roots were asked for.
+    """
+    key = (complex(alpha), complex(beta))
+    if key == (0, 0):
+        raise ValueError("alpha and beta must not both vanish")
+    with _ROOTS_LOCK:
+        roots = _ROOTS.get(key, np.empty(0, dtype=complex))
+        if roots.size < count:
+            roots = np.concatenate([roots, _solve(roots.size, count, *key)])
+            roots.flags.writeable = False
+            _ROOTS[key] = roots
+    return roots[:count]
 
 
 def ai_zero(n: int) -> float:
     """n-th zero of Ai (0-indexed, decreasing along the negative real axis)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return float(_TABLE.ai_zeros(n + 1)[n])
+    return float(impedance_roots(n + 1, 1.0, 0.0)[n].real)
 
 
 def ai_prime_zero(n: int) -> float:
     """n-th zero of Ai' (0-indexed, decreasing)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return float(_TABLE.aip_zeros(n + 1)[n])
+    return float(impedance_roots(n + 1, 0.0, 1.0)[n].real)
 
 
 def ai_zeros(count: int) -> np.ndarray:
-    return _TABLE.ai_zeros(count)
+    return impedance_roots(count, 1.0, 0.0).real.copy()
 
 
 def ai_prime_zeros(count: int) -> np.ndarray:
-    return _TABLE.aip_zeros(count)
-
-
-_EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
-
-
-def _impedance_f(eta: complex, mu_hat: complex):
-    """Scaled impedance function and its eta-derivative.
-
-    Returns (f, fp) up to a common positive factor exp(expo), which cancels
-    in Newton steps and in relative residuals; this keeps the escape branch
-    eta ~ mu_hat^2 e^{2i pi/3} (real mu_hat) computable without overflow.
-    """
-    a, ap, _ = airy_scaled_vec(np.array([eta]))
-    f = mu_hat * _EIP3 * complex(a[0]) + complex(ap[0])
-    fp = mu_hat * _EIP3 * complex(ap[0]) + eta * complex(a[0])
-    return f, fp
-
-
-def _impedance_residual(eta: complex, mu_hat: complex) -> float:
-    """Residual of the impedance root equation, relative to the local scale
-    of the Airy pair (so that the Neumann limit mu_hat = 0 is well posed)."""
-    a, ap, _ = airy_scaled_vec(np.array([eta]))
-    t1 = mu_hat * _EIP3 * complex(a[0])
-    t2 = complex(ap[0])
-    return abs(t1 + t2) / max(abs(t1), abs(t2), abs(complex(a[0])), 1e-300)
-
-
-_ROBIN_CACHE: dict[tuple[complex, int], complex] = {}
-_ROBIN_LOCK = threading.Lock()
+    return impedance_roots(count, 0.0, 1.0).real.copy()
 
 
 def robin_root(n: int, mu_hat: complex) -> RobinRoot:
@@ -551,62 +616,8 @@ def robin_root(n: int, mu_hat: complex) -> RobinRoot:
     if n < 0:
         raise ValueError("n must be >= 0")
     mu_hat = complex(mu_hat)
-    key = (mu_hat, n)
-    with _ROBIN_LOCK:
-        if key in _ROBIN_CACHE:
-            return RobinRoot(n, mu_hat, _ROBIN_CACHE[key])
-    eta = complex(ai_prime_zero(n))
-    if mu_hat != 0.0:
-        spacing = abs(ai_prime_zero(n + 1) - ai_prime_zero(n))
-        # predictor-corrector continuation in s in [0, 1] along mu = s*mu_hat;
-        # d eta/d mu = -e^{i pi/3} Ai(eta) / (mu e^{i pi/3} Ai'(eta) + eta Ai(eta))
-        s = 0.0
-        hops = 0
-        while s < 1.0:
-            a, ap, _ = airy_scaled_vec(np.array([eta]))
-            denom = s * mu_hat * _EIP3 * complex(ap[0]) + eta * complex(a[0])
-            if denom == 0.0:
-                raise RootContinuationError(
-                    f"impedance-root homotopy collapsed for n={n}, mu_hat={mu_hat}")
-            deta_dmu = -_EIP3 * complex(a[0]) / denom
-            speed = abs(deta_dmu) * abs(mu_hat)
-            # allow longer hops far out on an escape branch (root ~ mu^2)
-            hop_len = 0.15 * max(1.0, abs(eta) / 8.0)
-            ds = min(1.0 - s, hop_len / max(speed, 1e-9), 0.25)
-            for retry in range(7):
-                s_new = s + ds
-                eta_new = eta + deta_dmu * mu_hat * ds
-                mu_s = s_new * mu_hat
-                converged = False
-                for _ in range(40):
-                    f, fp = _impedance_f(eta_new, mu_s)
-                    step = f / fp
-                    eta_new -= step
-                    if abs(step) < 1e-13 * max(1.0, abs(eta_new)):
-                        converged = True
-                        break
-                if converged:
-                    break
-                ds *= 0.5
-            else:
-                raise RootContinuationError(
-                    f"impedance-root Newton stalled for n={n}, mu_hat={mu_hat}")
-            if abs(eta_new - eta) > 0.6 * max(spacing, abs(eta) / 4.0):
-                raise RootContinuationError(
-                    f"impedance-root jumped branches for n={n}, mu_hat={mu_hat}")
-            eta, s = eta_new, s_new
-            hops += 1
-            if hops > 4000:
-                raise RootContinuationError(
-                    f"impedance-root continuation too slow for n={n}, mu_hat={mu_hat}")
-    res = _impedance_residual(eta, mu_hat)
-    if res > 1e-10:
-        raise RootContinuationError(
-            f"impedance root residual {res:.2e} too large for n={n}, mu_hat={mu_hat}")
-    with _ROBIN_LOCK:
-        _ROBIN_CACHE[key] = eta
-    return RobinRoot(n, mu_hat, eta)
+    return RobinRoot(n, mu_hat, complex(impedance_roots(n + 1, mu_hat, 1.0)[n]))
 
 
 def robin_roots(count: int, mu_hat: complex) -> np.ndarray:
-    return np.array([robin_root(n, mu_hat).root for n in range(count)])
+    return impedance_roots(count, mu_hat, 1.0).copy()

@@ -375,13 +375,12 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
         diff = wb * np.exp(eb - big) - wd * np.exp(ed - big)
         return diff * w1 * np.exp(1j * x * s / 2.0 + big + e1)
 
+    # keep clear of poles near the incoming leg; the zeros of Ai and Ai' map
+    # to poles on the arg = pi/3 line, pi/3 away from it
     ang_in = 2 * math.pi / 3
-    if bc.kind == "robin":
-        # keep clear of poles just off the arg = pi/3 line
-        roots = airy.robin_roots(3, bc.mu_hat)
-        poles = np.conj(pk.OMEGA) * roots
-        if np.min(np.abs(np.angle(poles) - ang_in)) < 0.08:
-            ang_in -= 0.1
+    poles = np.conj(pk.OMEGA) * airy.impedance_roots(3, *bc.impedance)
+    if np.min(np.abs(np.angle(poles) - ang_in)) < 0.08:
+        ang_in -= 0.1
     lin = 0.866 * abs(x) / 2.0 + 0.6 * max(n, 0.0) ** 0.5
     leg_in = truncate(ContourPath((Ray(0.0, ang_in, inward=False),)),
                       _arm_model(2.0 / 3.0, lin), tail)
@@ -428,8 +427,9 @@ def airy_plane_wave_identity(sigma: complex, pt: FockPoint, j: int = 1,
 
 def boundary_residual(x_hat: float, cfg: ProblemConfig,
                       opts: QuadOptions = DEFAULT_OPTS) -> float:
-    """Boundary-condition defect of the total field at the boundary point
-    (x_hat, -x_hat^2/4): |A| for Dirichlet, |dA/dy + (i x/2 + mu) A| otherwise.
+    """Boundary-condition defect |beta (dA/dy + i x A/2) + alpha A| of the
+    total field at the boundary point (x_hat, -x_hat^2/4), for the impedance
+    pair (alpha, beta) of the boundary kind: |A| for Dirichlet.
 
     The impedance parameter enters the boundary operator with a plus sign:
     a Wronskian identity shows the Robin Airy-ratio family satisfies
@@ -438,13 +438,12 @@ def boundary_residual(x_hat: float, cfg: ProblemConfig,
     2 mu W(A0, A1).
     """
     pt = FockPoint(x_hat, -x_hat ** 2 / 4.0)
-    a = total_new(pt, cfg, opts)
-    if cfg.bc.kind == "dirichlet":
-        return abs(a.amplitude)
+    alpha, beta = cfg.bc.impedance
     x, _ = _scaled_coords(pt, cfg)
-    mu = cfg.bc.mu_hat if cfg.bc.kind == "robin" else 0.0
-    dy = total_new_dy(pt, cfg, opts)
-    return abs(dy.amplitude + (1j * x / 2.0 + mu) * a.amplitude)
+    a = total_new(pt, cfg, opts).amplitude
+    # beta = 0 needs no derivative field, which costs a second quadrature
+    dy = total_new_dy(pt, cfg, opts).amplitude if beta else 0.0
+    return abs(beta * (dy + 1j * x / 2.0 * a) + alpha * a)
 
 
 def pwe_residual(points: list[FockPoint], cfg: ProblemConfig, h: float,

@@ -90,7 +90,8 @@ def reflected_outer(pt: OuterPoint, bc: pk.BoundaryKind = pk.DIRICHLET) -> compl
 
     Amplitude (1/sqrt(3)) (1 - x/sqrt(x^2+3y))^{1/2} with the phase
     exp(i k (4/27)(-x^3 - (9/2) x y + (x^2+3y)^{3/2})) and the reflection
-    prefactor -1 (Dirichlet), +1 (Neumann),
+    prefactor (beta tau_-/2 - i alpha/k^{1/3})/(beta tau_-/2 + i alpha/k^{1/3})
+    of the impedance pair (alpha, beta): -1 (Dirichlet), +1 (Neumann),
     (tau_-/2 - i mu/k)/(tau_-/2 + i mu/k) (Robin with mu = k^{2/3} mu_hat).
     """
     x, y, k = pt.x, pt.y, pt.k
@@ -103,13 +104,10 @@ def reflected_outer(pt: OuterPoint, bc: pk.BoundaryKind = pk.DIRICHLET) -> compl
     s = math.sqrt(x * x + 3.0 * y)
     amp = (1.0 / math.sqrt(3.0)) * (1.0 - x / s) ** 0.5
     phase = np.exp(1j * k * (4.0 / 27.0) * (-x ** 3 - 4.5 * x * y + s ** 3))
-    if bc.kind == "dirichlet":
-        pref = -1.0
-    elif bc.kind == "neumann":
-        pref = 1.0
-    else:
-        mu_over_k = bc.mu_hat * k ** (-1.0 / 3.0)
-        pref = (sd.tau_minus / 2 - 1j * mu_over_k) / (sd.tau_minus / 2 + 1j * mu_over_k)
+    alpha, beta = bc.impedance
+    mu_over_k = alpha * k ** (-1.0 / 3.0)
+    pref = ((beta * sd.tau_minus / 2 - 1j * mu_over_k)
+            / (beta * sd.tau_minus / 2 + 1j * mu_over_k))
     return complex(pref * amp * phase)
 
 
@@ -267,27 +265,18 @@ def creeping_inner(x: float, n_hat: float, k: float,
         C0 * exp(-i(x_hat y_hat/2 + x_hat^3/12))
            * exp(-i e^{i pi/3} eta_0 x_hat / 2) * Ai(eta_0 + e^{-i pi/3} n_hat),
     with eta_0 the leading Airy-family root for the boundary kind and C0 its
-    residue normalisation.  The decay factor exp(-i e^{i pi/3} eta_0 x_hat/2)
-    is the numerically validated form (see module docstring).
+    normalisation, both from the caret function's first residue term
+    C0 e^{-2i pi/3}/(2 pi) e^{a eta_0}.  The decay factor
+    exp(-i e^{i pi/3} eta_0 x_hat/2) is the numerically validated form (see
+    module docstring).
     """
     if x <= 0 or n_hat < 0:
         raise RegimeError("creeping limit requires x > 0 and n_hat >= 0")
     x_hat = k ** (1.0 / 3.0) * x
     y_hat = n_hat - x_hat ** 2 / 4.0
-    if bc.kind == "dirichlet":
-        eta0 = complex(airy.ai_zero(0))
-        aizp = airy.airy(eta0).derivative
-        norm = 1.0 / aizp ** 2
-    elif bc.kind == "neumann":
-        eta0 = complex(airy.ai_prime_zero(0))
-        aiz = airy.airy(eta0).value
-        norm = -1.0 / (eta0 * aiz ** 2)
-    else:
-        mu = bc.mu_hat
-        eta0 = airy.robin_root(0, mu).root
-        v = airy.airy(eta0)
-        den = mu * v.derivative + EMIP3 * eta0 * v.value
-        norm = (mu ** 2 + EIP3 * eta0) / den ** 2
+    eta, coef = pk._residue_data(bc, 1)
+    eta0 = complex(eta[0])
+    norm = complex(coef[0]) * pk.TWO_PI / pk.EM2PI3
     phase = np.exp(-1j * (x_hat * y_hat / 2.0 + x_hat ** 3 / 12.0))
     decay = np.exp(-1j * EIP3 * eta0 * x_hat / 2.0)
     layer = airy.airy(eta0 + EMIP3 * n_hat).value

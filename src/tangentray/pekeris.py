@@ -2,7 +2,13 @@
 
 The caret function h(t) (p-hat for Dirichlet, q-hat for Neumann, V-hat for
 Robin) is meromorphic with a single simple pole at t = 0 of residue
-1/(2 pi i).  Four representations are implemented:
+1/(2 pi i).  The three are one integral under three boundary conditions,
+alpha A + beta dA = 0 with the impedance pair (alpha, beta) of
+``BoundaryKind.impedance``: Dirichlet (1, 0), Neumann (0, 1), Robin
+(mu_hat, 1).  Every per-kind quantity (Airy ratios, residue roots and
+coefficients, reciprocal-Airy weight, lit-sector prefactor) is homogeneous of
+degree 0 in the pair and has one formula for all three kinds.  Four
+representations are implemented:
 
 * residue series over the Airy-zero family (sector -pi/3 < arg t < 2pi/3),
 * reciprocal-Airy contour integral over L (all t != 0),
@@ -73,8 +79,18 @@ class BoundaryKind:
             raise ValueError("Robin mu_hat must be finite")
 
     @property
-    def is_dirichlet(self) -> bool:
-        return self.kind == "dirichlet"
+    def impedance(self) -> tuple[complex, complex]:
+        """(alpha, beta) of the boundary operator alpha A + beta dA:
+        Dirichlet (1, 0), Neumann (0, 1), Robin (mu_hat, 1).
+
+        Every per-kind quantity is homogeneous of degree 0 in the pair, so
+        each has one formula: the Robin one with (mu_hat, 1) -> (alpha, beta).
+        """
+        if self.kind == "dirichlet":
+            return 1.0, 0.0
+        if self.kind == "neumann":
+            return 0.0, 1.0
+        return complex(self.mu_hat), 1.0
 
     def label(self) -> str:
         if self.kind == "robin":
@@ -101,51 +117,28 @@ class CaretEval:
 # sigma-plane ratio integrands (shared with the Fock-field module)
 # ---------------------------------------------------------------------------
 
-def _rotated_scaled(j: int, sigma: np.ndarray):
-    """Scaled Ai(omega^j sigma), Ai'(omega^j sigma) without the A_j prefactors."""
-    return airy.airy_scaled_vec(OMEGA ** j * sigma)
-
-
 def ratio_l2_parts(sigma: np.ndarray, bc: BoundaryKind):
-    """A2-type over A1-type ratio on the l2 arm as (weight, real log-scale)."""
+    """A2-type over A1-type ratio on the l2 arm as (weight, real log-scale):
+    (alpha A2 - beta A2') / (alpha A1 - beta A1'), A_j(sigma) = omega^j
+    Ai(omega^j sigma) and ' = d/dsigma."""
     sigma = np.asarray(sigma, dtype=complex)
-    a1, ap1, e1 = _rotated_scaled(1, sigma)
-    a2, ap2, e2 = _rotated_scaled(2, sigma)
-    if bc.kind == "dirichlet":
-        # A2/A1 = omega^2 a2 / (omega a1) * e^{e2-e1}
-        return OMEGA * a2 / a1, e2 - e1
-    if bc.kind == "neumann":
-        # A2'/A1' = omega^4 ap2 / (omega^2 ap1) * e^{e2-e1}
-        return OMEGA ** 2 * ap2 / ap1, e2 - e1
-    mu = bc.mu_hat
-    num = OMEGA ** 2 * (mu * a2 - OMEGA ** 2 * ap2)
-    den = OMEGA * (mu * a1 - OMEGA * ap1)
+    alpha, beta = bc.impedance
+    a1, ap1, e1 = airy.airy_scaled_vec(OMEGA * sigma)
+    a2, ap2, e2 = airy.airy_scaled_vec(OMEGA ** 2 * sigma)
+    num = OMEGA ** 2 * (alpha * a2 - beta * OMEGA ** 2 * ap2)
+    den = OMEGA * (alpha * a1 - beta * OMEGA * ap1)
     return num / den, e2 - e1
 
 
 def ratio_l3_parts(sigma: np.ndarray, bc: BoundaryKind):
     """A0-type over A1-type ratio on the l3 arm and on gamma, as parts."""
     sigma = np.asarray(sigma, dtype=complex)
+    alpha, beta = bc.impedance
     a0, ap0, e0 = airy.airy_scaled_vec(sigma)
-    a1, ap1, e1 = _rotated_scaled(1, sigma)
-    if bc.kind == "dirichlet":
-        return OMEGA ** 2 * a0 / a1, e0 - e1
-    if bc.kind == "neumann":
-        return OMEGA * ap0 / ap1, e0 - e1
-    mu = bc.mu_hat
-    num = mu * a0 - ap0
-    den = OMEGA * (mu * a1 - OMEGA * ap1)
+    a1, ap1, e1 = airy.airy_scaled_vec(OMEGA * sigma)
+    num = alpha * a0 - beta * ap0
+    den = OMEGA * (alpha * a1 - beta * OMEGA * ap1)
     return num / den, e0 - e1
-
-
-def ratio_l2(sigma: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    w, expo = ratio_l2_parts(sigma, bc)
-    return w * np.exp(expo)
-
-
-def ratio_l3(sigma: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    w, expo = ratio_l3_parts(sigma, bc)
-    return w * np.exp(expo)
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +150,19 @@ _RES_CACHE: dict = {}
 
 
 def _residue_data(bc: BoundaryKind, count: int):
-    """(eta_n, coefficient_n) for the residue series of the caret function."""
-    key = (bc.kind, bc.mu_hat)
+    """(eta_n, coefficient_n) for the residue series of the caret function:
+    the roots of the impedance pair and e^{-2i pi/3}/(2 pi) (alpha^2 +
+    beta^2 e^{i pi/3} eta) / (alpha Ai'(eta) + beta e^{-i pi/3} eta Ai(eta))^2."""
+    key = bc.impedance
     with _RES_LOCK:
         cached = _RES_CACHE.get(key)
         if cached is not None and len(cached[0]) >= count:
             return cached[0][:count], cached[1][:count]
-    pref = EM2PI3 / TWO_PI
-    if bc.kind == "dirichlet":
-        eta = airy.ai_zeros(count).astype(complex)
-        _, aip = airy.airy_vec(eta)
-        coef = pref / aip ** 2
-    elif bc.kind == "neumann":
-        eta = airy.ai_prime_zeros(count).astype(complex)
-        a, _ = airy.airy_vec(eta)
-        coef = -pref / (eta * a ** 2)
-    else:
-        mu = bc.mu_hat
-        eta = airy.robin_roots(count, mu)
-        a, aip = airy.airy_vec(eta)
-        den = mu * aip + EMIP3 * eta * a
-        coef = pref * (mu ** 2 + EIP3 * eta) / den ** 2
+    alpha, beta = key
+    eta = airy.impedance_roots(count, alpha, beta)
+    a, aip = airy.airy_vec(eta)
+    den = alpha * aip + beta * EMIP3 * eta * a
+    coef = EM2PI3 / TWO_PI * (alpha ** 2 + beta ** 2 * EIP3 * eta) / den ** 2
     with _RES_LOCK:
         _RES_CACHE[key] = (eta, coef)
     return eta, coef
@@ -246,16 +231,13 @@ def caret_lit_asymptotic(t: complex, bc: BoundaryKind) -> complex:
 def caret_lit_log_asymptotic(ts, bc: BoundaryKind) -> np.ndarray:
     """log of ``caret_lit_asymptotic``, vectorised and without the sector
     check: log(sqrt(-t)/(2 sqrt(pi))) - i(t^3/12 - pi/4) plus the log of the
-    boundary-kind prefactor (1, -1 or -(t/2 - i mu)/(t/2 + i mu))."""
+    boundary-kind prefactor -(beta t/2 - i alpha)/(beta t/2 + i alpha): 1 for
+    Dirichlet, -1 for Neumann."""
     ts = np.asarray(ts, dtype=complex)
+    alpha, beta = bc.impedance
     base = (0.5 * np.log(-ts) - math.log(2.0 * math.sqrt(math.pi))
             - 1j * (ts ** 3 / 12.0 - math.pi / 4.0))
-    if bc.kind == "dirichlet":
-        return base
-    if bc.kind == "neumann":
-        return base + 1j * math.pi
-    mu = bc.mu_hat
-    return base + np.log(-(ts / 2 - 1j * mu) / (ts / 2 + 1j * mu))
+    return base + np.log(-(beta * ts / 2 - 1j * alpha) / (beta * ts / 2 + 1j * alpha))
 
 
 def _lit_log_magnitude(ts) -> np.ndarray:
@@ -389,20 +371,10 @@ def _reciprocal_weight(eta: np.ndarray, bc: BoundaryKind):
     """(w, expo) with integrand = w * exp(a*eta + expo): the non-exponential
     factor and the real log-scale of the reciprocal Airy denominator."""
     eta = np.asarray(eta, dtype=complex)
+    alpha, beta = bc.impedance
     a, ap, e = airy.airy_scaled_vec(eta)
-    if bc.kind == "dirichlet":
-        return 1.0 / a ** 2, -2.0 * e
-    if bc.kind == "neumann":
-        return eta / ap ** 2, -2.0 * e
-    mu = bc.mu_hat
-    den = mu * a + EMIP3 * ap
-    return (mu ** 2 + EIP3 * eta) / den ** 2, -2.0 * e
-
-
-def _reciprocal_prefactor(t, bc: BoundaryKind):
-    if bc.kind == "neumann":
-        return 1.0 / (4.0 * math.pi ** 2 * t)
-    return -1.0 / (4.0 * math.pi ** 2 * t)
+    den = alpha * a + beta * EMIP3 * ap
+    return (alpha ** 2 + beta ** 2 * EIP3 * eta) / den ** 2, -2.0 * e
 
 
 def _l_rates(ts) -> np.ndarray:
@@ -424,14 +396,15 @@ def _l_path(ts, bc: BoundaryKind, tail_tol: float) -> ContourPath:
     batch ``ts`` along each ray (a = e^{-i pi/6} t)."""
     A = max(float(np.max(_l_rates(ts))), 0.0)
     vertex = L_CLEARANCE
-    if bc.kind == "robin":
-        roots = airy.robin_roots(3, bc.mu_hat)
-        for _ in range(6):
-            path = ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
-                                Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
-            if min(path_point_distance(path, complex(r)) for r in roots) >= 0.35:
-                break
-            vertex += 0.5
+    # the zeros of Ai and Ai' (real, negative) stay more than 1.3 from the
+    # standard L, so only a Robin root can move its vertex
+    roots = airy.impedance_roots(3, *bc.impedance)
+    for _ in range(6):
+        path = ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
+                            Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
+        if min(path_point_distance(path, complex(r)) for r in roots) >= 0.35:
+            break
+        vertex += 0.5
     path = ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
                         Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
     B = 4.0 / 3.0
@@ -460,7 +433,7 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions):
 
         path = _l_path(ts[sel], bc, opts.truncation_tail_tol)
         v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
-        pref = _reciprocal_prefactor(ts[sel], bc)
+        pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
         errs[sel] = np.abs(pref) * (e + floors[sel])
     return vals, errs, 0.0
@@ -544,7 +517,7 @@ def _caret_saddle(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[comp
         return w * np.exp(a * eta + expo - h(eta_star))
 
     res = integrate(f, path, opts)
-    pref = _reciprocal_prefactor(t, bc) * np.exp(h(eta_star))
+    pref = -1.0 / (4.0 * math.pi ** 2 * t) * np.exp(h(eta_star))
     return complex(pref * res.value), abs(pref) * (res.error_estimate + 1e-14 * abs(res.value))
 
 

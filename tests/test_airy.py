@@ -105,10 +105,15 @@ def test_connection_random_points():
     rng = np.random.default_rng(5)
     z = rng.uniform(-10, 10, 30) + 1j * rng.uniform(-10, 10, 30)
     z = z[np.abs(z) <= 10]
-    vals = [ta.rotated_scaled_vec(j, z) for j in range(3)]
-    big = np.max([v[2] for v in vals], axis=0)
-    total = sum(v[0] * np.exp(v[2] - big) for v in vals)
-    scale = np.max([np.abs(v[0] * np.exp(v[2] - big)) for v in vals], axis=0)
+    # scaled A_j = w^j Ai(w^j z), w = e^{2 pi i/3}, as (value, expo)
+    vals = []
+    for j in range(3):
+        w = np.exp(2j * math.pi * j / 3)
+        a, _, e = ta.airy_scaled_vec(w * z)
+        vals.append((w * a, e))
+    big = np.max([v[1] for v in vals], axis=0)
+    total = sum(v[0] * np.exp(v[1] - big) for v in vals)
+    scale = np.max([np.abs(v[0] * np.exp(v[1] - big)) for v in vals], axis=0)
     assert np.max(np.abs(total) / scale) < 1e-10
 
 
@@ -236,3 +241,69 @@ def test_wedge_impedance_roots_converge():
             a, ap = special.airy(eta)[0], special.airy(eta)[1]
             t1 = mu * np.exp(1j * math.pi / 3) * a
             assert abs(t1 + ap) <= 1e-12 * max(abs(t1), abs(ap))
+
+
+def test_far_value_independent_of_batch():
+    # the far band sums each point's own number of asymptotic terms
+    rng = np.random.default_rng(1)
+    r = rng.uniform(8.6, 30.0, 3000)
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 3000))
+    batch = ta.airy_scaled_vec(z)
+    one = [ta.airy_scaled_vec(z[k:k + 1]) for k in range(z.size)]
+    for j in range(3):
+        assert np.array_equal(batch[j], np.concatenate([o[j] for o in one]))
+
+
+def test_zeros_against_scipy():
+    # scipy's own zero table is off by up to 1.0e-12 relative (Ai, n = 4;
+    # 2.5e-13 for Ai'), so it only pins the indexing; accuracy is the
+    # relative Newton step to the true zero, with scipy's Airy values
+    zs, zps = ta.ai_zeros(300), ta.ai_prime_zeros(300)
+    ref_ai, ref_aip, _, _ = special.ai_zeros(300)
+    assert np.max(np.abs(zs / ref_ai - 1.0)) <= 1e-11
+    assert np.max(np.abs(zps / ref_aip - 1.0)) <= 1e-11
+    a, ap, _, _ = special.airy(zs)
+    assert np.max(np.abs(a / (zs * ap))) <= 1e-13
+    a, ap, _, _ = special.airy(zps)
+    assert np.max(np.abs(ap / (zps * zps * a))) <= 1e-13
+
+
+def test_root_independent_of_count(monkeypatch):
+    for pair in ((1.0, 0.0), (1 + 1j, 1.0)):
+        monkeypatch.setattr(ta, "_ROOTS", {})
+        few = ta.impedance_roots(20, *pair).copy()
+        monkeypatch.setattr(ta, "_ROOTS", {})
+        many = ta.impedance_roots(300, *pair)
+        assert np.array_equal(few, many[:20])
+
+
+def test_root_table_threads_match_serial(monkeypatch):
+    mu = 0.83 + 0.61j
+    monkeypatch.setattr(ta, "_ROOTS", {})
+    serial = ta.robin_roots(300, mu)
+    monkeypatch.setattr(ta, "_ROOTS", {})
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ta.robin_roots, 300, mu) for _ in range(4)]
+            threaded = [fut.result(timeout=120) for fut in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for got in threaded:
+        assert np.array_equal(got, serial)
+
+
+def test_robin_roots_satisfy_impedance_equation():
+    # the residual relative to the larger term is ill-conditioned far out:
+    # at n = 299 (|eta| = 126) rounding eta to float64 alone leaves about
+    # |eta|/|mu_hat| ulp(eta)/2 ~ 1e-12, so the check is the relative Newton
+    # step f/f' to the true root, with scipy's Airy values
+    for mu in (1 + 1j, 0.4 - 0.6j):
+        eta = ta.robin_roots(300, mu)
+        a, ap = special.airy(eta)[0], special.airy(eta)[1]
+        e = mu * np.exp(1j * math.pi / 3)
+        step = (e * a + ap) / (e * ap + eta * a)
+        assert np.max(np.abs(step / eta)) <= 1e-13
+        assert np.max(np.abs(e * a + ap) / np.maximum(np.abs(e * a), np.abs(ap))) <= 1e-10
+        assert np.unique(eta).size == eta.size

@@ -72,12 +72,13 @@ def test_bad_range_is_usage_error():
 def test_failed_impedance_root_is_an_error_line(capsys, monkeypatch):
     from tangentray import airy
 
-    def stalled(n, mu_hat):
+    def stalled(count, alpha, beta):
         raise airy.RootContinuationError(
-            f"impedance-root Newton stalled for n={n}, mu_hat={mu_hat}")
+            f"impedance-root Newton stalled for n=0, mu_hat={alpha / beta}")
 
-    # a planted failure: a fresh mu_hat, so no cached root bypasses it
-    monkeypatch.setattr(airy, "robin_root", stalled)
+    # a planted failure in the root solver the residue series calls: a fresh
+    # mu_hat, so no cached root bypasses it
+    monkeypatch.setattr(airy, "impedance_roots", stalled)
     args = ["table", "--bc", "robin", "--mu-re", "1.07", "--mu-im", "-2.70",
             "--tre-range", "1:2:2", "--tim-range", "1:1:1"]
     assert cli.main(args) == 1

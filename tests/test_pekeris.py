@@ -220,8 +220,10 @@ def test_arm_ratio_decay_bound():
     # |A2-type/A1-type| <= C e^{-(4/3) s^{3/2}} along l2, and the l3 ratio
     # decays the same way along the positive reals
     s = np.linspace(2.0, 12.0, 21)
-    r2 = np.abs(pk.ratio_l2(s * np.exp(2j * math.pi / 3), pk.DIRICHLET))
-    r3 = np.abs(pk.ratio_l3(s + 0j, pk.DIRICHLET))
+    w2, e2 = pk.ratio_l2_parts(s * np.exp(2j * math.pi / 3), pk.DIRICHLET)
+    w3, e3 = pk.ratio_l3_parts(s + 0j, pk.DIRICHLET)
+    r2 = np.abs(w2 * np.exp(e2))
+    r3 = np.abs(w3 * np.exp(e3))
     bound = np.exp(-(4.0 / 3.0) * s ** 1.5)
     assert np.all(r2 <= 3.0 * bound)
     assert np.all(r3 <= 3.0 * bound)
