@@ -397,33 +397,8 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
 
 
 # ---------------------------------------------------------------------------
-# Structural identities and residual diagnostics
+# Residual diagnostics
 # ---------------------------------------------------------------------------
-
-def airy_plane_wave_identity(sigma: complex, pt: FockPoint, j: int = 1,
-                             opts: QuadOptions = DEFAULT_OPTS):
-    """Both sides of the plane-wave representation of the shifted Airy factor.
-
-    Left: e^{i x sigma/2} e^{-i(x y/2 + x^3/12)} A_j(sigma - n_hat).
-    Right: (1/2pi) int_{Gamma_j} e^{i sigma t} e^{i(-y t - x t^2/2 + t^3/3)} dt.
-    """
-    x, y = pt.x_hat, pt.y_hat
-    n = y + x * x / 4.0
-    aj = airy.rotated(j, sigma - n)
-    left = np.exp(1j * x * sigma / 2.0 - 1j * (x * y / 2.0 + x ** 3 / 12.0)) * aj.value
-
-    a_in, a_out = (4 * j + 5) * math.pi / 6.0, (4 * j + 1) * math.pi / 6.0
-    path = ContourPath((Ray(0.0, a_in, inward=True), Ray(0.0, a_out, inward=False)))
-    w0 = max(8.0 * abs(x), 4.0 * math.sqrt(abs(y) + abs(sigma) + 1.0), 3.0)
-    fin = truncate(path, DecayModel("cubic_exp", 1.0 / 9.0, scale=10.0, min_radius=w0),
-                   opts.truncation_tail_tol)
-
-    def f(ts):
-        return np.exp(1j * sigma * ts + 1j * (-y * ts - x * ts * ts / 2 + ts ** 3 / 3))
-
-    res = integrate(f, fin, opts)
-    return complex(left), res.value / (2.0 * math.pi)
-
 
 def boundary_residual(x_hat: float, cfg: ProblemConfig,
                       opts: QuadOptions = DEFAULT_OPTS) -> float:

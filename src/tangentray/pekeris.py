@@ -255,58 +255,68 @@ def _ray_peak(A, B):
     return 4.0 * np.maximum(A, 0.0) ** 3 / (27.0 * B ** 2)
 
 
+def _arm_rates(ts, betas) -> np.ndarray:
+    """Growth rate A of |e^{i t sigma}| along the rays at angles ``betas``
+    (|e^{i t sigma}| = e^{A s} at distance s), shape (len(ts), k): ``betas``
+    holds k angles for every t, or one row of k angles per t."""
+    ts = np.asarray(ts, dtype=complex)[:, None]
+    return np.abs(ts) * np.cos(np.angle(ts) + betas + math.pi / 2)
+
+
 def _arm_peaks(ts, betas) -> np.ndarray:
     """Peak exponents of e^{i t sigma} x Airy ratio along the rays at angles
-    ``betas``, shape (len(ts), len(betas))."""
-    ts = np.asarray(ts, dtype=complex)[:, None]
+    ``betas``, shaped as ``_arm_rates``."""
     B = 4.0 / 3.0 * np.abs(np.cos(1.5 * np.asarray(betas)))
-    return _ray_peak(np.abs(ts) * np.cos(np.angle(ts) + betas + math.pi / 2), B)
+    return _ray_peak(_arm_rates(ts, betas), B)
 
 
-def _arm_path(beta: float, t: complex, tail_tol: float, scale: float = 10.0,
-              origin: complex = 0.0) -> ContourPath:
-    """Truncated ray from ``origin`` at angle beta for an e^{i t sigma} x
-    Airy-ratio integrand (ratio decay ~ e^{-B s^{3/2}})."""
+def _arm_path(beta: float, ts, tail_tol: float) -> ContourPath:
+    """Ray from 0 at angle beta for the e^{i t sigma} x Airy-ratio integrands
+    of ``ts`` (ratio decay ~ e^{-B s^{3/2}}), truncated for their largest
+    growth rate."""
     B = 4.0 / 3.0 * abs(math.cos(1.5 * beta))
     if B < 1e-3:
         raise SectorError(f"ray angle {beta} has no ratio decay")
-    A = abs(t) * math.cos(math.atan2(t.imag, t.real) + beta + math.pi / 2)
-    model = DecayModel("power_three_halves", 0.5 * B, scale=scale,
-                       min_radius=(2.0 * max(A, 0.0) / B) ** 2)
-    path = ContourPath((Ray(origin, beta, inward=False),))
-    return truncate(path, model, tail_tol)
+    A = max(float(np.max(_arm_rates(ts, beta))), 0.0)
+    model = DecayModel("power_three_halves", 0.5 * B, scale=10.0,
+                       min_radius=(2.0 * A / B) ** 2)
+    return truncate(ContourPath((Ray(0.0, beta, inward=False),)), model, tail_tol)
 
 
 def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
-            beta2: float = 2 * math.pi / 3, beta3: float = 0.0, shifts=None,
-            strict: bool = True):
+            beta2=2 * math.pi / 3, beta3=0.0, shifts=None):
     """e^{-shift} times the entire part of each t, along l2/l3 rays at beta2
-    and beta3 that the batch shares (truncated for its largest |t|).
+    and beta3: scalars shared by the batch, or one angle per member.
 
-    Returns (values, errors, accepted).  A member's error is the sum of both
-    arms' quadrature errors (before the 1/2pi, so with that much margin) plus
-    its cancellation floor, which is also its roundoff floor in the driver.
+    On each arm, the members at one angle share one batch quadrature, on a
+    path truncated for their largest growth rate; a member it does not
+    accept raises ``QuadratureError`` ("stalled").  Returns (values, errors).
+    A member's error is the sum of its two arms' quadrature errors (before
+    the 1/2pi, so with that much margin) plus its cancellation floor, from
+    the peaks of its own arms, which is also its roundoff floor in the driver.
     """
     shifts = np.zeros(ts.shape) if shifts is None else shifts
-    floors = np.exp(np.minimum(_arm_peaks(ts, [beta2, beta3]).max(axis=1) - shifts,
+    arms = np.empty((ts.size, 2))
+    arms[:, 0], arms[:, 1] = beta2, beta3
+    floors = np.exp(np.minimum(_arm_peaks(ts, arms).max(axis=1) - shifts,
                                700.0)) * EPS_CANCEL
-    t_ref = complex(ts[np.argmax(np.abs(ts))])
     total = np.zeros(ts.shape, dtype=complex)
     errs = np.zeros(ts.shape)
-    ok = np.ones(ts.shape, dtype=bool)
-    for beta, parts in ((beta2, ratio_l2_parts), (beta3, ratio_l3_parts)):
-        def fmat(s, parts=parts):
-            w, expo = parts(s, bc)
-            return w[None, :] * np.exp(1j * np.outer(ts, s) + expo[None, :]
-                                       - shifts[:, None])
+    for betas, parts in ((arms[:, 0], ratio_l2_parts), (arms[:, 1], ratio_l3_parts)):
+        for beta in np.unique(betas):
+            sel = np.nonzero(betas == beta)[0]
 
-        path = _arm_path(beta, t_ref, opts.truncation_tail_tol)
-        v, e, _, accepted = integrate_batch(fmat, path, opts, floors, strict)
-        # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
-        total -= v
-        errs += e
-        ok &= accepted
-    return total / TWO_PI, errs + floors, ok
+            def fmat(s, parts=parts, sel=sel):
+                w, expo = parts(s, bc)
+                return w[None, :] * np.exp(1j * np.outer(ts[sel], s) + expo[None, :]
+                                           - shifts[sel, None])
+
+            path = _arm_path(float(beta), ts[sel], opts.truncation_tail_tol)
+            v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
+            # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
+            total[sel] -= v
+            errs[sel] += e
+    return total / TWO_PI, errs + floors
 
 
 def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
@@ -317,7 +327,7 @@ def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
     Smooth across t = 0.  The l2/l3 rays may be rotated within their decay
     bands (pi/3, pi) and (-pi/3, pi/3) without changing the value.
     """
-    vals, _, _ = _entire(np.array([complex(t)]), bc, opts or QuadOptions(), beta2, beta3)
+    vals, _ = _entire(np.array([complex(t)]), bc, opts or QuadOptions(), beta2, beta3)
     return complex(vals[0])
 
 
@@ -330,7 +340,9 @@ _FORK_GRIDS = tuple(g[4.0 / 3.0 * np.abs(np.cos(1.5 * g)) >= 5e-2] for g in (
 
 def _fork_rays(ts):
     """Per t, the l2/l3 ray angles minimising the cancellation peaks of the
-    forked form: arrays (beta2, beta3, peak_exponent)."""
+    forked form: arrays (beta2, beta3, peak_exponent).
+
+    The peaks scale as |t|^3, so the angles depend on arg t alone."""
     best = []
     for grid in _FORK_GRIDS:
         peaks = _arm_peaks(ts, grid)
@@ -349,17 +361,17 @@ def _forked_angles(t: complex) -> tuple[float, float, float]:
     return float(beta2[0]), float(beta3[0]), float(peak[0])
 
 
-def _forked(ts, bc: BoundaryKind, opts: QuadOptions, beta2: float, beta3: float,
-            shifts, strict: bool = True):
-    """Forked form e^{-shift} (1/(2 pi i t) + entire(t)): (values, errors, accepted)."""
-    vals, errs, ok = _entire(ts, bc, opts, beta2, beta3, shifts, strict)
+def _forked(ts, bc: BoundaryKind, opts: QuadOptions, beta2, beta3, shifts):
+    """Forked form e^{-shift} (1/(2 pi i t) + entire(t)) on the l2/l3 rays at
+    beta2 and beta3 (scalars or one angle per member): (values, errors)."""
+    vals, errs = _entire(ts, bc, opts, beta2, beta3, shifts)
     vals = vals + np.exp(-shifts) / (TWO_PI * 1j * ts)
-    return vals, errs + 1e-13 * np.abs(vals), ok
+    return vals, errs + 1e-13 * np.abs(vals)
 
 
 def _caret_forked(t: complex, bc: BoundaryKind, opts: QuadOptions,
                   beta2: float, beta3: float) -> tuple[complex, float]:
-    vals, errs, _ = _forked(np.array([complex(t)]), bc, opts, beta2, beta3, np.zeros(1))
+    vals, errs = _forked(np.array([complex(t)]), bc, opts, beta2, beta3, np.zeros(1))
     return complex(vals[0]), float(errs[0])
 
 
@@ -567,36 +579,23 @@ def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions):
 def _run_pole_split(ts, bc: BoundaryKind, opts: QuadOptions):
     if np.any(ts == 0):
         raise PoleError("the caret function has a pole at t = 0")
-    entire, _, _ = _entire(ts, bc, opts)
+    entire, _ = _entire(ts, bc, opts)
     vals = 1.0 / (TWO_PI * 1j * ts) + entire
     return vals, 1e-12 * np.abs(vals) + 1e-14, 0.0
 
 
 def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions):
-    """Forked contour, batched by direction.
+    """Forked contour, each member on its own cancellation-minimising arms.
 
-    Members of one 0.04-rad bin share the arms optimal for the bin's largest
-    |t|.  Each member is scaled by e^{-shift}, shift = max(0, ln|caret|
-    model), so rows stay representable where the caret function is
-    exponentially large.  Members the shared arms leave noisy (relative
-    error above 1e-6) or unaccepted are re-run, unscaled, on their own
-    optimal arms.
+    The angles come from a fixed grid and depend only on arg t, so the
+    members at one angle share that arm's batch quadrature (see ``_entire``).
+    Each member is scaled by e^{-shift}, shift = max(0, ln|caret| model), so
+    rows stay representable where the caret function is exponentially large.
+    A member its group does not accept raises ``QuadratureError`` ("stalled").
     """
     shifts = np.maximum(0.0, _lit_log_magnitude(ts))
-    vals = np.empty(ts.shape, dtype=complex)
-    errs = np.empty(ts.shape)
-    redo = np.empty(ts.shape, dtype=bool)
-    bins = np.round((np.angle(ts) % TWO_PI) / 0.04).astype(int)
-    for b in np.unique(bins):
-        sel = np.nonzero(bins == b)[0]
-        beta2, beta3, _ = _forked_angles(ts[sel][np.argmax(np.abs(ts[sel]))])
-        vals[sel], errs[sel], ok = _forked(ts[sel], bc, opts, beta2, beta3,
-                                           shifts[sel], strict=False)
-        redo[sel] = ~ok
-    idx = np.nonzero(redo | (errs > 1e-6 * np.maximum(np.abs(vals), 1e-300)))[0]
-    for k, beta2, beta3 in zip(idx, *_fork_rays(ts[idx])[:2]):
-        vals[k], errs[k] = _caret_forked(ts[k], bc, opts, beta2, beta3)
-    shifts[idx] = 0.0
+    beta2, beta3, _ = _fork_rays(ts)
+    vals, errs = _forked(ts, bc, opts, beta2, beta3, shifts)
     return vals, errs, shifts
 
 

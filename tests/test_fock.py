@@ -6,7 +6,8 @@ import pytest
 
 from tangentray import airy, fock
 from tangentray import pekeris as pk
-from tangentray.quadrature import QuadratureError, QuadResult
+from tangentray.contours import ContourPath, DecayModel, Ray, truncate
+from tangentray.quadrature import QuadOptions, QuadratureError, QuadResult, integrate
 
 D = fock.ProblemConfig(pk.DIRICHLET)
 
@@ -66,17 +67,42 @@ def test_kappa_rescaling_covariance():
     assert abs(a1.amplitude - a2.amplitude) <= 1e-10
 
 
+def _airy_plane_wave_identity(sigma: complex, pt: fock.FockPoint, j: int = 1,
+                              opts: QuadOptions = fock.DEFAULT_OPTS):
+    """Both sides of the plane-wave representation of the shifted Airy factor.
+
+    Left: e^{i x sigma/2} e^{-i(x y/2 + x^3/12)} A_j(sigma - n_hat).
+    Right: (1/2pi) int_{Gamma_j} e^{i sigma t} e^{i(-y t - x t^2/2 + t^3/3)} dt.
+    """
+    x, y = pt.x_hat, pt.y_hat
+    n = y + x * x / 4.0
+    aj = airy.rotated(j, sigma - n)
+    left = np.exp(1j * x * sigma / 2.0 - 1j * (x * y / 2.0 + x ** 3 / 12.0)) * aj.value
+
+    a_in, a_out = (4 * j + 5) * math.pi / 6.0, (4 * j + 1) * math.pi / 6.0
+    path = ContourPath((Ray(0.0, a_in, inward=True), Ray(0.0, a_out, inward=False)))
+    w0 = max(8.0 * abs(x), 4.0 * math.sqrt(abs(y) + abs(sigma) + 1.0), 3.0)
+    fin = truncate(path, DecayModel("cubic_exp", 1.0 / 9.0, scale=10.0, min_radius=w0),
+                   opts.truncation_tail_tol)
+
+    def f(ts):
+        return np.exp(1j * sigma * ts + 1j * (-y * ts - x * ts * ts / 2 + ts ** 3 / 3))
+
+    res = integrate(f, fin, opts)
+    return complex(left), res.value / (2.0 * math.pi)
+
+
 def test_airy_plane_wave_identity():
     sigma = 0.4 + 0.1j
     pt = fock.FockPoint(0.2, 0.6)
-    left, right = fock.airy_plane_wave_identity(sigma, pt)
+    left, right = _airy_plane_wave_identity(sigma, pt)
     assert abs(left - right) < 1e-9
     # x=y=0 with j=1 reduces to the contour representation of A_1
-    left, right = fock.airy_plane_wave_identity(0.7, fock.FockPoint(0.0, 0.0), j=1)
+    left, right = _airy_plane_wave_identity(0.7, fock.FockPoint(0.0, 0.0), j=1)
     a1 = airy.rotated(1, 0.7).value
     assert abs(right - a1) < 1e-10
     # j = 0 reproduces Ai
-    left, right = fock.airy_plane_wave_identity(0.3, fock.FockPoint(0.0, 0.0), j=0)
+    left, right = _airy_plane_wave_identity(0.3, fock.FockPoint(0.0, 0.0), j=0)
     assert abs(right - airy.airy(0.3).value) < 1e-10
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tangentray import airy as _airy_mod
 from tangentray import pekeris as pk
-from tangentray.quadrature import QuadOptions
+from tangentray.quadrature import QuadOptions, integrate_batch
 
 OPTS = QuadOptions(rel_tol=1e-11, abs_tol=1e-14)
 
@@ -214,6 +214,39 @@ def test_forked_error_estimate_covers_arm_quadrature():
     v_f, e_f = pk._caret_forked(t, pk.DIRICHLET, opts, b2, b3)
     v_r, e_r = pk._caret_reciprocal(t, pk.DIRICHLET, opts)
     assert abs(v_f - v_r) <= e_f + e_r
+
+
+def test_forked_batch_uses_each_members_arms(monkeypatch):
+    # 30 lit-sector points where the caret function is ~e^-10 to e^-27, and
+    # three where its lit model exceeds 1, so the rows are scaled by e^-shift.
+    # All 33 share one l3 angle across a wide range of arg t, so that arm's
+    # path must be truncated for the group's growth rate, not its largest |t|.
+    r, th = np.meshgrid(np.linspace(6.0, 7.0, 5), np.linspace(-2.9, -2.3, 6))
+    ts = np.concatenate((r.ravel() * np.exp(1j * th.ravel()),
+                         [-6.5 + 1j, -7.0 + 0.3j, -8.0 + 0.5j]))
+    assert np.all(pk._plan(ts) == pk._FORKED)
+    assert np.sum(pk._lit_log_magnitude(ts) > 0) == 3
+    beta2, beta3, _ = pk._fork_rays(ts)
+    opts = QuadOptions()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_batch(*args, **kwargs)
+
+    def refused(*args):
+        raise AssertionError("the batch re-ran a member on its own")
+
+    for bc in (pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pk, "integrate_batch", counted)
+            m.setattr(pk, "_caret_forked", refused)
+            lv, lr = pk.caret_log_many(ts, bc, opts)
+        assert len(calls) <= np.unique(beta2).size + np.unique(beta3).size
+        for t, v, rel in zip(ts, np.exp(lv), lr):
+            ref, err = pk._caret_forked(complex(t), bc, opts, *pk._forked_angles(t)[:2])
+            assert abs(v - ref) <= rel * abs(v) + err
 
 
 def test_arm_ratio_decay_bound():
