@@ -30,9 +30,10 @@ steepest-descent path through its saddle.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +56,7 @@ L_CLEARANCE = 0.5            # vertex offset of the reciprocal-Airy contour
 COND_L = 16.0                # cancellation exponent up to which L is taken outright
 COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
 EPS_CANCEL = 3e-16           # unit roundoff proxy for cancellation floors
+NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~6 MB)
 
 
 class PoleError(ZeroDivisionError):
@@ -247,6 +249,111 @@ def _lit_log_magnitude(ts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Canonical contour paths and their shared node tables
+# ---------------------------------------------------------------------------
+
+def _ladder_truncate(path: ContourPath, model: DecayModel, tail_tol: float):
+    """``truncate`` at the first radius 2^(k/4) of a fixed geometric ladder
+    that meets ``model``'s tail bound: (path, k).  A caret path is then a
+    function of a small key (route, impedance pair, arm angle, rung k; the L
+    vertex follows from the pair), so batches with similar growth rates
+    share it."""
+    low = max(model.min_radius, 1.0)
+    k = math.ceil(4.0 * math.log2(low))
+    # the tail bound falls to 0 as the radius grows, so this ends
+    while 2.0 ** (k / 4.0) < low or model.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
+        k += 1
+    return truncate(path, replace(model, min_radius=2.0 ** (k / 4.0)), tail_tol), k
+
+
+def _find_panels(table, z: np.ndarray):
+    """(found mask, table rows) of the midpoints of the panels with nodes
+    ``z`` (P, 15) in a table."""
+    rows = np.minimum(np.searchsorted(table[0], z[:, 7]), table[0].size - 1)
+    return table[0][rows] == z[:, 7], rows
+
+
+class _NodeTables:
+    """Process-wide memo of the member-independent node factors (w, expo) of
+    canonical caret paths, per GK15 panel.
+
+    One table per path key holds its panels sorted by midpoint (node 7 of a
+    panel's 15; the panels of one path have distinct midpoints, being dyadic
+    sub-panels of disjoint segments), with node 0 to confirm a hit.  A hit
+    returns the bytes a fresh evaluation gives, since every Airy value
+    depends only on its own point: no result depends on what ran before or
+    on how threads interleave.  Tables are replaced, never mutated, under
+    the lock.  An insert that would pass ``NODE_TABLE_CAP`` stored panels
+    clears every table first.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tables: dict = {}
+        self.panels = 0
+
+    def clear(self):
+        with self._lock:
+            self._tables.clear()
+            self.panels = 0
+
+    def lookup(self, key, nodes: np.ndarray, evaluate):
+        """``evaluate(nodes)`` = (w, expo), from the table of ``key`` where
+        it holds the panel and from one call on the other panels."""
+        z = nodes.reshape(-1, 15)
+        with self._lock:
+            table = self._tables.get(key)
+        hit = np.zeros(len(z), dtype=bool)
+        if table is not None:
+            found, rows = _find_panels(table, z)
+            hit = found & (table[1][rows] == z[:, 0])
+        w = np.empty(z.shape, dtype=complex)
+        expo = np.empty(z.shape)
+        if hit.any():
+            w[hit], expo[hit] = table[2][rows[hit]], table[3][rows[hit]]
+        miss = ~hit
+        if miss.any():
+            wm, em = evaluate(z[miss].ravel())
+            w[miss], expo[miss] = wm.reshape(-1, 15), em.reshape(-1, 15)
+            self._store(key, z[miss], w[miss], expo[miss])
+        return w.ravel(), expo.ravel()
+
+    def _store(self, key, z, w, expo):
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:   # another thread may have stored some
+                new = ~_find_panels(table, z)[0]
+                z, w, expo = z[new], w[new], expo[new]
+            if not len(z) or len(z) > NODE_TABLE_CAP:
+                return
+            if self.panels + len(z) > NODE_TABLE_CAP:
+                self._tables.clear()
+                self.panels = 0
+                table = None
+            order = np.argsort(z[:, 7], kind="stable")
+            rows = (z[order, 7], z[order, 0], w[order], expo[order])
+            if table is not None:
+                at = np.searchsorted(table[0], rows[0])
+                rows = tuple(np.insert(old, at, add, axis=0) for old, add in zip(table, rows))
+            self._tables[key] = rows
+            self.panels += len(z)
+
+
+# used by ``caret_log_many`` only; the scalar ``pekeris_caret`` evaluates its
+# node factors directly
+_NODE_TABLES = _NodeTables()
+
+
+def _node_factor(parts, bc: BoundaryKind, tables: _NodeTables | None, key):
+    """nodes -> parts(nodes, bc), memoised in ``tables`` (None: evaluated
+    directly) under the canonical path ``key``."""
+    if tables is None:
+        return lambda nodes: parts(nodes, bc)
+    full_key = (parts.__name__, bc.impedance) + key
+    return lambda nodes: tables.lookup(full_key, nodes, lambda z: parts(z, bc))
+
+
+# ---------------------------------------------------------------------------
 # Entire part p(t), q(t), V(t, mu) via the l2/l3 arms
 # ---------------------------------------------------------------------------
 
@@ -270,26 +377,27 @@ def _arm_peaks(ts, betas) -> np.ndarray:
     return _ray_peak(_arm_rates(ts, betas), B)
 
 
-def _arm_path(beta: float, ts, tail_tol: float) -> ContourPath:
+def _arm_path(beta: float, ts, tail_tol: float):
     """Ray from 0 at angle beta for the e^{i t sigma} x Airy-ratio integrands
-    of ``ts`` (ratio decay ~ e^{-B s^{3/2}}), truncated for their largest
-    growth rate."""
+    of ``ts`` (ratio decay ~ e^{-B s^{3/2}}), truncated on the radius ladder
+    for their largest growth rate: (path, ladder rung)."""
     B = 4.0 / 3.0 * abs(math.cos(1.5 * beta))
     if B < 1e-3:
         raise SectorError(f"ray angle {beta} has no ratio decay")
     A = max(float(np.max(_arm_rates(ts, beta))), 0.0)
     model = DecayModel("power_three_halves", 0.5 * B, scale=10.0,
                        min_radius=(2.0 * A / B) ** 2)
-    return truncate(ContourPath((Ray(0.0, beta, inward=False),)), model, tail_tol)
+    return _ladder_truncate(ContourPath((Ray(0.0, beta, inward=False),)), model, tail_tol)
 
 
 def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
-            beta2=2 * math.pi / 3, beta3=0.0, shifts=None):
+            beta2=2 * math.pi / 3, beta3=0.0, shifts=None, tables=None):
     """e^{-shift} times the entire part of each t, along l2/l3 rays at beta2
     and beta3: scalars shared by the batch, or one angle per member.
 
     On each arm, the members at one angle share one batch quadrature, on a
-    path truncated for their largest growth rate; a member it does not
+    ladder path truncated for their largest growth rate, with the arm's
+    Airy ratios from ``tables`` (see ``_node_factor``); a member it does not
     accept raises ``QuadratureError`` ("stalled").  Returns (values, errors).
     A member's error is the sum of its two arms' quadrature errors (before
     the 1/2pi, so with that much margin) plus its cancellation floor, from
@@ -305,13 +413,14 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
     for betas, parts in ((arms[:, 0], ratio_l2_parts), (arms[:, 1], ratio_l3_parts)):
         for beta in np.unique(betas):
             sel = np.nonzero(betas == beta)[0]
+            path, rung = _arm_path(float(beta), ts[sel], opts.truncation_tail_tol)
+            factor = _node_factor(parts, bc, tables, (float(beta), rung))
 
-            def fmat(s, parts=parts, sel=sel):
-                w, expo = parts(s, bc)
+            def fmat(s, factor=factor, sel=sel):
+                w, expo = factor(s)
                 return w[None, :] * np.exp(1j * np.outer(ts[sel], s) + expo[None, :]
                                            - shifts[sel, None])
 
-            path = _arm_path(float(beta), ts[sel], opts.truncation_tail_tol)
             v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
             # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
             total[sel] -= v
@@ -361,10 +470,11 @@ def _forked_angles(t: complex) -> tuple[float, float, float]:
     return float(beta2[0]), float(beta3[0]), float(peak[0])
 
 
-def _forked(ts, bc: BoundaryKind, opts: QuadOptions, beta2, beta3, shifts):
+def _forked(ts, bc: BoundaryKind, opts: QuadOptions, beta2, beta3, shifts,
+            tables=None):
     """Forked form e^{-shift} (1/(2 pi i t) + entire(t)) on the l2/l3 rays at
     beta2 and beta3 (scalars or one angle per member): (values, errors)."""
-    vals, errs = _entire(ts, bc, opts, beta2, beta3, shifts)
+    vals, errs = _entire(ts, bc, opts, beta2, beta3, shifts, tables)
     vals = vals + np.exp(-shifts) / (TWO_PI * 1j * ts)
     return vals, errs + 1e-13 * np.abs(vals)
 
@@ -401,36 +511,46 @@ def _plain_L_peaks(ts) -> np.ndarray:
     return _ray_peak(_l_rates(ts), 4.0 / 3.0)
 
 
-def _l_path(ts, bc: BoundaryKind, tail_tol: float) -> ContourPath:
-    """Truncated L contour with pole clearance for the given boundary kind.
+def _l_contour(vertex: float) -> ContourPath:
+    return ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
+                        Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
 
-    The truncation radius covers the worst |e^{a eta}| growth rate over the
-    batch ``ts`` along each ray (a = e^{-i pi/6} t)."""
-    A = max(float(np.max(_l_rates(ts))), 0.0)
+
+@functools.lru_cache(maxsize=1024)
+def _l_vertex(impedance: tuple[complex, complex]) -> float:
+    """Vertex of L clearing the first roots of the impedance pair by 0.35."""
     vertex = L_CLEARANCE
     # the zeros of Ai and Ai' (real, negative) stay more than 1.3 from the
     # standard L, so only a Robin root can move its vertex
-    roots = airy.impedance_roots(3, *bc.impedance)
+    roots = airy.impedance_roots(3, *impedance)
     for _ in range(6):
-        path = ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
-                            Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
+        path = _l_contour(vertex)
         if min(path_point_distance(path, complex(r)) for r in roots) >= 0.35:
             break
         vertex += 0.5
-    path = ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
-                        Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
+    return vertex
+
+
+def _l_path(ts, bc: BoundaryKind, tail_tol: float):
+    """Truncated L contour with pole clearance for the given boundary kind:
+    (path, ladder rung).
+
+    The truncation radius, on the ladder, covers the worst |e^{a eta}|
+    growth rate over the batch ``ts`` along each ray (a = e^{-i pi/6} t)."""
+    A = max(float(np.max(_l_rates(ts))), 0.0)
     B = 4.0 / 3.0
     model = DecayModel("power_three_halves", 0.5 * B, scale=50.0,
                        min_radius=(2.0 * A / B) ** 2)
-    return truncate(path, model, tail_tol)
+    return _ladder_truncate(_l_contour(_l_vertex(bc.impedance)), model, tail_tol)
 
 
-def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions):
+def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     """Reciprocal-Airy contour L, integrated to each member's cancellation floor.
 
     Members are grouped by their |e^{a eta}| growth rate so slow-decay
     members do not force a long truncated path (and deep refinement) onto
-    the whole batch; each group shares one path."""
+    the whole batch; each group shares one ladder path, with its weights
+    from ``tables`` (see ``_node_factor``)."""
     floors = np.exp(np.minimum(_plain_L_peaks(ts), 700.0)) * EPS_CANCEL
     group = np.maximum(0, np.ceil(_l_rates(ts) / 1.5)).astype(int)
     vals = np.empty(ts.shape, dtype=complex)
@@ -438,12 +558,13 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions):
     for g in np.unique(group):
         sel = np.nonzero(group == g)[0]
         a = EMIP6 * ts[sel]
+        path, rung = _l_path(ts[sel], bc, opts.truncation_tail_tol)
+        factor = _node_factor(_reciprocal_weight, bc, tables, (rung,))
 
-        def fmat(eta, a=a):
-            w, expo = _reciprocal_weight(eta, bc)
+        def fmat(eta, a=a, factor=factor):
+            w, expo = factor(eta)
             return w[None, :] * np.exp(np.outer(a, eta) + expo[None, :])
 
-        path = _l_path(ts[sel], bc, opts.truncation_tail_tol)
         v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
         pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
@@ -559,12 +680,12 @@ def caret_fourier(t: complex, bc: BoundaryKind, tol: float = 1e-5) -> complex:
 # Route planner and batch executors
 # ---------------------------------------------------------------------------
 
-def _run_residue(ts, bc: BoundaryKind, opts: QuadOptions):
+def _run_residue(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     vals, errs, _ = caret_residue_series(ts, bc)
     return vals, errs, 0.0
 
 
-def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions):
+def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     """Traced steepest-descent path, one member at a time (each has its own)."""
     vals = np.zeros(ts.shape, dtype=complex)
     errs = np.full(ts.shape, np.inf)
@@ -576,15 +697,15 @@ def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions):
     return vals, errs, 0.0
 
 
-def _run_pole_split(ts, bc: BoundaryKind, opts: QuadOptions):
+def _run_pole_split(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     if np.any(ts == 0):
         raise PoleError("the caret function has a pole at t = 0")
-    entire, _ = _entire(ts, bc, opts)
+    entire, _ = _entire(ts, bc, opts, tables=tables)
     vals = 1.0 / (TWO_PI * 1j * ts) + entire
     return vals, 1e-12 * np.abs(vals) + 1e-14, 0.0
 
 
-def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions):
+def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     """Forked contour, each member on its own cancellation-minimising arms.
 
     The angles come from a fixed grid and depend only on arg t, so the
@@ -595,7 +716,7 @@ def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions):
     """
     shifts = np.maximum(0.0, _lit_log_magnitude(ts))
     beta2, beta3, _ = _fork_rays(ts)
-    vals, errs = _forked(ts, bc, opts, beta2, beta3, shifts)
+    vals, errs = _forked(ts, bc, opts, beta2, beta3, shifts, tables)
     return vals, errs, shifts
 
 
@@ -636,8 +757,10 @@ def _plan(ts, skip=frozenset()) -> np.ndarray:
     return route
 
 
-def _caret_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions):
-    """Plan every t, then run each route's executor once on all its members.
+def _caret_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions, tables=None):
+    """Plan every t, then run each route's executor once on all its members,
+    the contour routes with their node factors from ``tables`` (None:
+    evaluated directly).
 
     Returns (routes, values, errors, shifts); the caret function is
     value * e^{shift}.  A member the residue series or the saddle path gives
@@ -652,7 +775,7 @@ def _caret_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions):
         idx = np.nonzero(route == r)[0]
         if idx.size == 0:
             continue
-        vals[idx], errs[idx], shifts[idx] = run(ts[idx], bc, opts)
+        vals[idx], errs[idx], shifts[idx] = run(ts[idx], bc, opts, tables)
         lost = idx[np.isinf(errs[idx])]
         if lost.size and r in (_RESIDUE, _SADDLE):
             skip.add(r)
@@ -677,9 +800,11 @@ def caret_log_many(ts, bc: BoundaryKind = DIRICHLET,
     """log of the caret function, vectorised and overflow-safe.
 
     Runs the same planner and executors as ``pekeris_caret`` on the whole
-    batch.  Returns (log_values, rel_errors).
+    batch, with the node factors of the L and arm paths memoised in the
+    process-wide node tables; a memoised factor is the bytes a fresh
+    evaluation gives.  Returns (log_values, rel_errors).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=complex))
-    _, vals, errs, shifts = _caret_batch(ts, bc, opts or QuadOptions())
+    _, vals, errs, shifts = _caret_batch(ts, bc, opts or QuadOptions(), _NODE_TABLES)
     with np.errstate(divide="ignore"):
         return np.log(vals) + shifts, errs / np.maximum(np.abs(vals), 1e-300)

@@ -6,9 +6,10 @@ difference of the two estimates is the panel's error defect.
 
 One adaptive driver serves every caller.  It refines in rounds: every panel
 holding more than its share of the defect is bisected, and the nodes of all
-new panels go to the integrand in a single call.  The cost is then dominated
-by a few large vectorised special-function evaluations instead of one small
-call per panel.  ``integrate`` is the one-member case of ``integrate_batch``.
+new panels go to the integrand in a single call (in blocks, where members x
+nodes would pass ``CALL_ELEMENTS``).  The cost is then dominated by a few
+large vectorised special-function evaluations instead of one small call per
+panel.  ``integrate`` is the one-member case of ``integrate_batch``.
 
 The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
@@ -131,6 +132,10 @@ _MAX_ROUNDS = 200
 # roundoff floor its caller declares (panel-defect sums bottom out around
 # eps x integrand peak accumulated over the refined panels)
 FLOOR_FACTOR = 1e4
+# most elements (members x nodes) one integrand call returns: a round with
+# more panels is evaluated one block of panels per call, so a wide batch on
+# a deeply refined path does not hold gigabytes of integrand values at once
+CALL_ELEMENTS = 1 << 20
 
 
 def _segment_table(path: ContourPath):
@@ -190,8 +195,14 @@ def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):
     return z, jac
 
 
-def _evaluate(fmat, table, seg, u0, u1, members: int | None):
-    """K15 values and |K15 - G7| defects, both (members, P), from one call."""
+def _evaluate(fmat, table, seg, u0, u1, members: int | None, block: int):
+    """K15 values and |K15 - G7| defects, both (members, P), from one call
+    per block of at most ``block`` panels."""
+    if seg.size > block:
+        parts = [_evaluate(fmat, table, seg[i:i + block], u0[i:i + block],
+                           u1[i:i + block], members, block)
+                 for i in range(0, seg.size, block)]
+        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
     z, jac = _nodes(table, seg, u0, u1)
     nodes = z.ravel()
     try:
@@ -225,14 +236,18 @@ def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int |
     if its error is within ``FLOOR_FACTOR`` times its declared roundoff floor
     ``abs_floor_i`` (floor-limited, QUADPACK's roundoff status).  With
     ``strict`` the first member not accepted raises ``QuadratureError``
-    ("stalled") with its best result.
+    ("stalled") with its best result.  The blocks of one integrand call
+    (``CALL_ELEMENTS``) are sized by the member count: before the first call
+    from ``members`` or, for a batch, the per-member ``abs_floor`` array.
 
     Returns (values, errors, evaluations, rounds, accepted).
     """
     table = _segment_table(path)
     seg, u0, u1 = _initial_panels(path)
-    vals, errs = _evaluate(fmat, table, seg, u0, u1, members)
+    block = max(1, CALL_ELEMENTS // (15 * (members or np.size(abs_floor))))
+    vals, errs = _evaluate(fmat, table, seg, u0, u1, members, block)
     members = vals.shape[0]
+    block = max(1, CALL_ELEMENTS // (15 * members))
     evals = 15 * seg.size
     rounds = 0
     while True:
@@ -253,7 +268,8 @@ def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int |
         new_seg = np.repeat(seg[refine], 2)
         new_u0 = np.column_stack((lo, mid)).ravel()
         new_u1 = np.column_stack((mid, hi)).ravel()
-        new_vals, new_errs = _evaluate(fmat, table, new_seg, new_u0, new_u1, members)
+        new_vals, new_errs = _evaluate(fmat, table, new_seg, new_u0, new_u1, members,
+                                       block)
         evals += 15 * new_seg.size
         rounds += 1
         seg = np.concatenate((seg[keep], new_seg))

@@ -133,6 +133,18 @@ def test_field_error_estimates_reported():
     assert a.error_estimate < 1e-6
 
 
+def test_field_value_does_not_depend_on_warm_node_tables():
+    pt, other = fock.FockPoint(-1.0, 0.5), fock.FockPoint(0.7, 1.3)
+    cfg = fock.ProblemConfig(pk.robin(1 + 1j))
+    pk._NODE_TABLES.clear()
+    cold = fock.scattered_new(pt, cfg)
+    pk._NODE_TABLES.clear()
+    fock.scattered_new(other, cfg)
+    warm = fock.scattered_new(pt, cfg)
+    assert warm.amplitude == cold.amplitude
+    assert warm.error_estimate == cold.error_estimate
+
+
 def test_caret_failure_is_not_a_field_stall(monkeypatch):
     # a stall inside the caret factor must not pass for the field integral's
     # own stall, whose best result would then be the inner caret integral

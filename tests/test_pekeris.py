@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -171,6 +173,16 @@ def test_escaped_impedance_root_leaves_the_residue_series():
     assert abs(c.value - vf) <= c.error_estimate + tol * abs(vf)
 
 
+# one member per route, the last on the traced saddle path
+ROUTE_TS = np.array([0.01, 1 + 0.5j, 5 * np.exp(2.3j), -12.0,
+                     -7.174067330673176 - 3.5401635463588197j])
+# 30 lit-sector points where the caret function is ~e^-10 to e^-27, and
+# three where its lit model exceeds 1, so the rows are scaled by e^-shift
+_R, _TH = np.meshgrid(np.linspace(6.0, 7.0, 5), np.linspace(-2.9, -2.3, 6))
+FORKED_TS = np.concatenate((_R.ravel() * np.exp(1j * _TH.ravel()),
+                            [-6.5 + 1j, -7.0 + 0.3j, -8.0 + 0.5j]))
+
+
 def test_caret_many_matches_scalar():
     # one batch mixing the residue sector, L, the forked form and the pole split
     ts = np.array([0.4 * np.exp(0.3j), -1.5 + 0.2j, 3 * np.exp(-0.9j),
@@ -190,8 +202,7 @@ def test_caret_log_many_matches_scalar():
 
 
 def test_one_batch_covers_every_route():
-    ts = np.array([0.01, 1 + 0.5j, 5 * np.exp(2.3j), -12.0,
-                   -7.174067330673176 - 3.5401635463588197j])
+    ts = ROUTE_TS
     routes = [pk.ROUTES[r] for r in pk._plan(ts)]
     assert routes == ["pole_split", "residue_series", "reciprocal_airy_contour",
                       "forked_contour", "traced_saddle"]
@@ -217,13 +228,10 @@ def test_forked_error_estimate_covers_arm_quadrature():
 
 
 def test_forked_batch_uses_each_members_arms(monkeypatch):
-    # 30 lit-sector points where the caret function is ~e^-10 to e^-27, and
-    # three where its lit model exceeds 1, so the rows are scaled by e^-shift.
-    # All 33 share one l3 angle across a wide range of arg t, so that arm's
-    # path must be truncated for the group's growth rate, not its largest |t|.
-    r, th = np.meshgrid(np.linspace(6.0, 7.0, 5), np.linspace(-2.9, -2.3, 6))
-    ts = np.concatenate((r.ravel() * np.exp(1j * th.ravel()),
-                         [-6.5 + 1j, -7.0 + 0.3j, -8.0 + 0.5j]))
+    # All 33 of FORKED_TS share one l3 angle across a wide range of arg t, so
+    # that arm's path must be truncated for the group's growth rate, not its
+    # largest |t|.
+    ts = FORKED_TS
     assert np.all(pk._plan(ts) == pk._FORKED)
     assert np.sum(pk._lit_log_magnitude(ts) > 0) == 3
     beta2, beta3, _ = pk._fork_rays(ts)
@@ -291,3 +299,96 @@ def test_zero_table_concurrent_extension():
     for th in threads:
         th.join()
     assert len(results) == 6 and all(np.isfinite(r) for r in results)
+
+
+TABLE_BATCHES = [(ROUTE_TS, pk.DIRICHLET), (FORKED_TS, pk.DIRICHLET),
+                 (FORKED_TS[::2], pk.NEUMANN), (FORKED_TS[1::2], pk.robin(1 + 1j))]
+
+
+def test_node_tables_repeat_bit_identical(monkeypatch):
+    pk._NODE_TABLES.clear()
+    cold = [pk.caret_log_many(ts, bc) for ts, bc in TABLE_BATCHES]
+    assert pk._NODE_TABLES.panels > 0
+    calls = []
+
+    def counted(z):
+        calls.append(np.size(z))
+        return airy_scaled_vec(z)
+
+    airy_scaled_vec = _airy_mod.airy_scaled_vec
+    monkeypatch.setattr(_airy_mod, "airy_scaled_vec", counted)
+    for (ts, bc), (lv, lr) in zip(TABLE_BATCHES, cold):
+        warm = pk.caret_log_many(ts, bc)
+        assert np.array_equal(warm[0], lv) and np.array_equal(warm[1], lr)
+    # a warm batch with no traced-saddle member evaluates no Airy function
+    calls.clear()
+    pk.caret_log_many(ROUTE_TS[:-1], pk.DIRICHLET)
+    pk.caret_log_many(FORKED_TS, pk.DIRICHLET)
+    assert calls == []
+    # the scalar route evaluates its factors directly and stores nothing
+    stored = pk._NODE_TABLES.panels
+    pk.pekeris_caret(complex(FORKED_TS[0]), pk.NEUMANN)
+    pk.pekeris_caret(5 * np.exp(2.3j), pk.robin(0.3 + 2j))
+    assert pk._NODE_TABLES.panels == stored
+
+
+def test_node_table_hit_needs_the_whole_panel():
+    # two panels with one midpoint but different widths (float collisions of
+    # deeply refined panels): the second must not get the first one's factors
+    tables = pk._NodeTables()
+    evaluate = lambda z: (2.0 * z, z.real)
+    wide = np.linspace(0.0, 1.0, 15) + 0.5j
+    narrow = wide[7] + (wide - wide[7]) / 2
+    assert narrow[7] == wide[7] and narrow[0] != wide[0]
+    for z in (wide, narrow, wide, narrow):
+        w, expo = tables.lookup("path", z, evaluate)
+        assert np.array_equal(w, 2.0 * z) and np.array_equal(expo, z.real)
+    assert tables.panels == 1
+
+
+def test_node_tables_threads_match_serial():
+    serial = [pk.caret_log_many(ts, bc) for ts, bc in TABLE_BATCHES]
+    pk._NODE_TABLES.clear()
+    results = {}
+
+    def worker(k, ts, bc):
+        results[k] = [pk.caret_log_many(ts, bc) for _ in range(2)]
+
+    # the batches share the Dirichlet L and arm paths, so the threads look
+    # up and store panels of the same tables
+    threads = [threading.Thread(target=worker, args=(k, ts, bc))
+               for k, (ts, bc) in enumerate(TABLE_BATCHES)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k, (lv, lr) in enumerate(serial):
+        for got in results[k]:
+            assert np.array_equal(got[0], lv) and np.array_equal(got[1], lr)
+
+
+def test_node_tables_stay_under_their_cap(monkeypatch):
+    ref = [pk.caret_log_many(ts, bc) for ts, bc in TABLE_BATCHES]
+    cap = 64
+    monkeypatch.setattr(pk, "NODE_TABLE_CAP", cap)
+    pk._NODE_TABLES.clear()
+    store = pk._NodeTables._store
+    sizes = []
+
+    def checked(self, *args):
+        store(self, *args)
+        sizes.append(self.panels)
+
+    monkeypatch.setattr(pk._NodeTables, "_store", checked)
+    for _ in range(2):
+        for (ts, bc), (lv, lr) in zip(TABLE_BATCHES, ref):
+            got = pk.caret_log_many(ts, bc)
+            assert np.array_equal(got[0], lv) and np.array_equal(got[1], lr)
+    assert sizes and max(sizes) <= cap
+    pk._NODE_TABLES.clear()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangentray import quadrature
 from tangentray.contours import Arc, ContourPath, DecayModel, Line, named_contour, truncate
 from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, QuadOptions, QuadratureError,
                                    _initial_panels, _nodes, _segment_table, integrate,
@@ -157,6 +158,28 @@ def test_one_integrand_call_per_round():
     assert len(calls) <= res.rounds + 1
     assert sum(calls) == res.evaluations
     assert max(calls) > 15  # rounds pool many panels into one call
+
+
+def test_wide_rounds_are_evaluated_in_blocks(monkeypatch):
+    path = gamma0_truncated()
+    coeffs = np.linspace(-1.0, 1.0, 7) + 0.3j
+    floors = np.zeros(coeffs.size)
+    sizes = []
+
+    def fmat(t):
+        sizes.append(coeffs.size * t.size)
+        return np.exp(1j * t[None, :] ** 3 / 3 + coeffs[:, None] * t[None, :] / 5)
+
+    ref, ref_errs, ref_evals, _ = integrate_batch(fmat, path, TIGHT, floors)
+    budget = coeffs.size * 15 * 4          # four panels per call
+    assert max(sizes) > budget
+    sizes.clear()
+    monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
+    vals, errs, evals, _ = integrate_batch(fmat, path, TIGHT, floors)
+    assert max(sizes) <= budget
+    assert evals == ref_evals
+    assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
+    assert np.all(np.abs(errs - ref_errs) <= 1e-14 * np.abs(ref))
 
 
 def _panel_loop_reference(path, f):
