@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -45,8 +46,8 @@ def _parse_range(spec: str) -> np.ndarray:
         a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise SystemExit(f"bad range {spec!r}; expected a:b:n") from exc
-    if n < 1 or b < a:
-        raise SystemExit(f"bad range {spec!r}; need a <= b and n >= 1")
+    if not (math.isfinite(a) and math.isfinite(b)) or n < 1 or b < a:
+        raise SystemExit(f"bad range {spec!r}; need finite a <= b and n >= 1")
     return np.linspace(a, b, n)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from . import airy
 from .contours import (ContourPath, DecayModel, Line, Ray,
                        path_point_distance, truncate)
-from .quadrature import QuadOptions, QuadratureError, integrate, integrate_batch
+from .quadrature import QuadOptions, QuadratureError, integrate, integrate_exp_batch
 
 TWO_PI = 2.0 * math.pi
 EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))      # e^{i pi/3}
@@ -415,13 +415,8 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
             sel = np.nonzero(betas == beta)[0]
             path, rung = _arm_path(float(beta), ts[sel], opts.truncation_tail_tol)
             factor = _node_factor(parts, bc, tables, (float(beta), rung))
-
-            def fmat(s, factor=factor, sel=sel):
-                w, expo = factor(s)
-                return w[None, :] * np.exp(1j * np.outer(ts[sel], s) + expo[None, :]
-                                           - shifts[sel, None])
-
-            v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
+            v, e, _, _ = integrate_exp_batch(factor, 1j * ts[sel], -shifts[sel], path, opts,
+                                             floors[sel])
             # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
             total[sel] -= v
             errs[sel] += e
@@ -557,15 +552,9 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     errs = np.empty(ts.shape)
     for g in np.unique(group):
         sel = np.nonzero(group == g)[0]
-        a = EMIP6 * ts[sel]
         path, rung = _l_path(ts[sel], bc, opts.truncation_tail_tol)
         factor = _node_factor(_reciprocal_weight, bc, tables, (rung,))
-
-        def fmat(eta, a=a, factor=factor):
-            w, expo = factor(eta)
-            return w[None, :] * np.exp(np.outer(a, eta) + expo[None, :])
-
-        v, e, _, _ = integrate_batch(fmat, path, opts, floors[sel])
+        v, e, _, _ = integrate_exp_batch(factor, EMIP6 * ts[sel], 0.0, path, opts, floors[sel])
         pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
         errs[sel] = np.abs(pref) * (e + floors[sel])

@@ -10,6 +10,11 @@ new panels go to the integrand in a single call (in blocks, where members x
 nodes would pass ``CALL_ELEMENTS``).  The cost is then dominated by a few
 large vectorised special-function evaluations instead of one small call per
 panel.  ``integrate`` is the one-member case of ``integrate_batch``.
+``integrate_exp_batch`` serves families w(z) e^{expo(z) + a_m z + b_m} whose
+members differ only in the exponential: on a line panel the member factor
+splits into one exponential at the midpoint and one shared by all panels of
+that width, so a round costs one complex exponential per member and panel
+instead of one per member and node.
 
 The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
@@ -18,6 +23,7 @@ floor the caller declared.  Anything else has stalled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,8 +117,9 @@ class QuadOptions:
     truncation_tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.truncation_tail_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(tol) and tol > 0 for tol in
+                   (self.rel_tol, self.abs_tol, self.truncation_tail_tol)):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -195,14 +202,31 @@ def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):
     return z, jac
 
 
-def _evaluate(fmat, table, seg, u0, u1, members: int | None, block: int):
-    """K15 values and |K15 - G7| defects, both (members, P), from one call
-    per block of at most ``block`` panels."""
-    if seg.size > block:
-        parts = [_evaluate(fmat, table, seg[i:i + block], u0[i:i + block],
-                           u1[i:i + block], members, block)
-                 for i in range(0, seg.size, block)]
-        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+def _in_blocks(evaluate, table, seg, u0, u1, members, block: int, out=None):
+    """K15 values and defects, both (members, P), from one
+    ``evaluate(table, seg, u0, u1, members)`` call per block of at most
+    ``block`` panels, written into the pair of arrays ``out`` if given."""
+    for i in range(0, seg.size, block):
+        k15, defect = evaluate(table, seg[i:i + block], u0[i:i + block], u1[i:i + block],
+                               members)
+        if out is None:
+            if seg.size <= block:
+                return k15, defect
+            members = k15.shape[0]
+            out = np.empty((members, seg.size), dtype=complex), np.empty((members, seg.size))
+        out[0][:, i:i + block], out[1][:, i:i + block] = k15, defect
+    return out
+
+
+def _widened(kept: np.ndarray, count: int) -> np.ndarray:
+    """``kept`` (members, K) followed by ``count`` uninitialised columns."""
+    out = np.empty((kept.shape[0], kept.shape[1] + count), dtype=kept.dtype)
+    out[:, :kept.shape[1]] = kept
+    return out
+
+
+def _evaluate(fmat, table, seg, u0, u1, members: int | None):
+    """K15 values and defects of ``fmat``'s members on the panels."""
     z, jac = _nodes(table, seg, u0, u1)
     nodes = z.ravel()
     try:
@@ -224,9 +248,58 @@ def _evaluate(fmat, table, seg, u0, u1, members: int | None, block: int):
     return k15, np.abs(k15 - g7)
 
 
-def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int | None,
+# the K15 and G7 weights on the 15 Kronrod nodes (G7 is 0 on the Kronrod-only ones)
+_WKG = np.zeros((2, 15))
+_WKG[0], _WKG[1, 1::2] = _WK, _WG
+
+
+def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
+    """K15 values and defects of the family w(z) e^{expo(z) + a_m z + b_m} on
+    line panels, with (w, expo) = ``factor(nodes)``, ``a`` (members,) and
+    ``b`` (members, 1) or (1, 1).
+
+    A panel with midpoint z_p and half-step h_p has the nodes z_p + h_p x_j,
+    so each member's integrand is e^{a_m z_p + b_m + c_p} (c_p = expo at the
+    midpoint) times e^{a_m h_p x_j}, shared by the panels of one segment and
+    width, times w e^{expo - c_p}, shared by the members: one complex
+    exponential per member and panel, and 15 per member and panel width.
+    """
+    z, jac = _nodes(table, seg, u0, u1)
+    try:
+        w, expo = factor(z.ravel())
+    except QuadratureError as exc:
+        raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
+    if np.shape(w) != (z.size,) or np.shape(expo) != (z.size,):
+        raise QuadratureError(f"factor returned shapes {np.shape(w)}, {np.shape(expo)} "
+                              f"for {z.size} nodes", "shape")
+    w, expo = np.reshape(w, z.shape), np.reshape(expo, z.shape)
+    c = expo[:, 7]
+    mid = np.exp(np.outer(a, z[:, 7]) + c + b)
+    g = w * np.exp(expo - c[:, None]) * jac
+    # dyadic sub-panels of one segment have one width per binary exponent
+    uh = 0.5 * (u1 - u0)
+    _, first, group = np.unique(seg * 4096 + np.frexp(uh)[1], return_index=True,
+                                return_inverse=True)
+    h = table[1][seg[first]] * uh[first]
+    shared = np.exp(a[:, None, None] * (h[:, None] * _XK))
+    sums = np.empty((2, a.size, seg.size), dtype=complex)
+    for k in range(first.size):
+        rows = np.nonzero(group == k)[0]
+        sums[:, :, rows] = shared[:, k, :] @ (g[rows, None, :] * _WKG).transpose(1, 2, 0)
+    k15 = mid * sums[0]
+    defect = np.abs(k15 - mid * sums[1])
+    if not np.isfinite(defect).all():
+        bad = ~(np.isfinite(w) & np.isfinite(expo))
+        node = z[bad][0] if bad.any() else z[np.argmin(np.isfinite(defect).all(axis=0)), 7]
+        raise QuadratureError(f"non-finite integrand sample at t = {node}", "nonfinite")
+    return k15, defect
+
+
+def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: int | None,
            strict: bool):
-    """The adaptive core and its one acceptance rule.
+    """The adaptive core and its one acceptance rule, on panel sums from
+    ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
+    ``_evaluate_exp`` with their integrand bound).
 
     Each member is measured against its own target
     ``max(abs_tol, abs_floor_i, rel_tol |value_i|)``; a panel is bisected when
@@ -245,7 +318,7 @@ def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int |
     table = _segment_table(path)
     seg, u0, u1 = _initial_panels(path)
     block = max(1, CALL_ELEMENTS // (15 * (members or np.size(abs_floor))))
-    vals, errs = _evaluate(fmat, table, seg, u0, u1, members, block)
+    vals, errs = _in_blocks(evaluate, table, seg, u0, u1, members, block)
     members = vals.shape[0]
     block = max(1, CALL_ELEMENTS // (15 * members))
     evals = 15 * seg.size
@@ -268,15 +341,21 @@ def _adapt(fmat, path: ContourPath, opts: QuadOptions, abs_floor, members: int |
         new_seg = np.repeat(seg[refine], 2)
         new_u0 = np.column_stack((lo, mid)).ravel()
         new_u1 = np.column_stack((mid, hi)).ravel()
-        new_vals, new_errs = _evaluate(fmat, table, new_seg, new_u0, new_u1, members,
-                                       block)
+        # the (members, P) sums dominate the memory of a wide batch on a long
+        # path: drop the split panels' sums one array at a time, then
+        # evaluate the new panels straight into the widened arrays
+        vals = vals[:, keep]
+        errs = errs[:, keep]
+        kept = vals.shape[1]
+        vals = _widened(vals, new_seg.size)
+        errs = _widened(errs, new_seg.size)
+        _in_blocks(evaluate, table, new_seg, new_u0, new_u1, members, block,
+                   (vals[:, kept:], errs[:, kept:]))
         evals += 15 * new_seg.size
         rounds += 1
         seg = np.concatenate((seg[keep], new_seg))
         u0 = np.concatenate((u0[keep], new_u0))
         u1 = np.concatenate((u1[keep], new_u1))
-        vals = np.concatenate((vals[:, keep], new_vals), axis=1)
-        errs = np.concatenate((errs[:, keep], new_errs), axis=1)
     accepted = converged | (err_total <= FLOOR_FACTOR * abs_floor)
     if strict and not accepted.all():
         k = int(np.argmin(accepted))
@@ -297,7 +376,8 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     fixed inputs.  A result that is not accepted raises ``QuadratureError``
     with reason ``"stalled"`` and the best result.
     """
-    total, err_total, evals, rounds, _ = _adapt(f, path, opts, abs_floor, 1, True)
+    total, err_total, evals, rounds, _ = _adapt(functools.partial(_evaluate, f), path, opts,
+                                                abs_floor, 1, True)
     return QuadResult(complex(total[0]), float(err_total[0]), evals,
                       path.truncation_radius, rounds)
 
@@ -316,7 +396,43 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions(),
 
     Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
     """
-    total, err_total, evals, _, accepted = _adapt(fmat, path, opts, abs_floor, None, strict)
+    total, err_total, evals, _, accepted = _adapt(functools.partial(_evaluate, fmat), path,
+                                                  opts, abs_floor, None, strict)
+    return total, err_total, evals, accepted
+
+
+def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
+                        abs_floor=0.0, strict: bool = True):
+    """``integrate_batch`` for the exponential family
+    w(z) e^{expo(z) + a_m z + b_m}, members m, on a path of lines.
+
+    ``factor(t: ndarray(n,)) -> (w, expo)``, complex and real arrays (n,),
+    holds the member-independent part F = w e^{expo}; ``a`` and ``b`` are
+    the members' complex coefficients (``b`` may be a scalar).  The driver,
+    its refinement and its acceptance are those of ``integrate_batch``.  A
+    family of several members costs one complex exponential per member and
+    panel instead of one per member and node (see ``_evaluate_exp``); a
+    family of one evaluates each node's exponential directly, as
+    ``integrate_batch`` would.  A non-finite w, expo or member factor raises
+    ``QuadratureError`` ("nonfinite") naming a node; a path with an arc
+    raises ``ValueError``.
+
+    Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
+    """
+    if any(isinstance(s, Arc) for s in path.segments):
+        raise ValueError("integrate_exp_batch needs a path of lines")
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.reshape(np.asarray(b, dtype=complex), (-1, 1))
+    if a.size == 1:
+        def fmat(t):
+            w, expo = factor(t)
+            return w[None, :] * np.exp(np.outer(a, t) + expo[None, :] + b)
+
+        evaluate = functools.partial(_evaluate, fmat)
+    else:
+        evaluate = functools.partial(_evaluate_exp, factor, a, b)
+    total, err_total, evals, _, accepted = _adapt(evaluate, path, opts, abs_floor, a.size,
+                                                  strict)
     return total, err_total, evals, accepted
 
 

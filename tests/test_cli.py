@@ -67,6 +67,10 @@ def test_penumbra_schema(tmp_path):
 def test_bad_range_is_usage_error():
     with pytest.raises(SystemExit):
         cli.main(["table", "--tre-range", "junk"])
+    for args in (["field", "--xhat-range=nan:nan:1"], ["table", "--tre-range=inf:inf:1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert "bad range" in str(exc.value.code)
 
 
 def test_failed_impedance_root_is_an_error_line(capsys, monkeypatch):
@@ -112,3 +116,12 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     assert cli.main(["field", "--xhat-range=0:0:1", "--yhat-range=1:1:1",
                      "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("rtol", ["nan", "inf"])
+def test_env_tolerance_must_be_finite(capsys, monkeypatch, rtol):
+    monkeypatch.setenv("TANGENTRAY_RTOL", rtol)
+    assert cli.main(["field", "--xhat-range=0:0:1", "--yhat-range=1:1:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert captured.out == ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tangentray import airy as _airy_mod
 from tangentray import pekeris as pk
-from tangentray.quadrature import QuadOptions, integrate_batch
+from tangentray.quadrature import QuadOptions, integrate_exp_batch
 
 OPTS = QuadOptions(rel_tol=1e-11, abs_tol=1e-14)
 
@@ -240,7 +240,7 @@ def test_forked_batch_uses_each_members_arms(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return integrate_batch(*args, **kwargs)
+        return integrate_exp_batch(*args, **kwargs)
 
     def refused(*args):
         raise AssertionError("the batch re-ran a member on its own")
@@ -248,10 +248,10 @@ def test_forked_batch_uses_each_members_arms(monkeypatch):
     for bc in (pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)):
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(pk, "integrate_batch", counted)
+            m.setattr(pk, "integrate_exp_batch", counted)
             m.setattr(pk, "_caret_forked", refused)
             lv, lr = pk.caret_log_many(ts, bc, opts)
-        assert len(calls) <= np.unique(beta2).size + np.unique(beta3).size
+        assert 0 < len(calls) <= np.unique(beta2).size + np.unique(beta3).size
         for t, v, rel in zip(ts, np.exp(lv), lr):
             ref, err = pk._caret_forked(complex(t), bc, opts, *pk._forked_angles(t)[:2])
             assert abs(v - ref) <= rel * abs(v) + err

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangentray import pekeris as pk
 from tangentray import quadrature
 from tangentray.contours import Arc, ContourPath, DecayModel, Line, named_contour, truncate
 from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, QuadOptions, QuadratureError,
                                    _initial_panels, _nodes, _segment_table, integrate,
-                                   integrate_batch)
+                                   integrate_batch, integrate_exp_batch)
 
 from _oracles import AI0
 
@@ -75,6 +76,16 @@ def test_truncation_soundness():
     a = integrate(f, base, TIGHT).value
     b = integrate(f, doubled, TIGHT).value
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+def test_nonfinite_tolerances_rejected(rel_tol):
+    with pytest.raises(ValueError):
+        QuadOptions(rel_tol=rel_tol)
+    with pytest.raises(ValueError):
+        QuadOptions(abs_tol=rel_tol)
+    with pytest.raises(ValueError):
+        QuadOptions(truncation_tail_tol=rel_tol)
 
 
 def test_untruncated_path_rejected():
@@ -270,3 +281,109 @@ def test_capped_member_above_floor_factor_stalls():
     best = exc.value.result
     assert best.value == vals[1] and best.error_estimate == errs[1]
     assert best.evaluations == evals
+
+
+# ---------------------------------------------------------------------------
+# exponential families: integrate_exp_batch against the node integrand
+# ---------------------------------------------------------------------------
+
+def _caret_families(count: int):
+    """(factor, a, b, path, floors) of a reciprocal-Airy L batch and an l2 arm
+    batch with ``count`` members each, on their ladder paths."""
+    ts = 3.0 * np.exp(1j * np.linspace(2.3, 2.9, count))
+    l_path, _ = pk._l_path(ts, pk.DIRICHLET, 1e-12)
+    shifts = np.maximum(0.0, pk._lit_log_magnitude(ts))
+    beta2, _, _ = pk._forked_angles(complex(ts[0]))
+    arm_path, _ = pk._arm_path(beta2, ts, 1e-12)
+    return [
+        (lambda z: pk._reciprocal_weight(z, pk.DIRICHLET), pk.EMIP6 * ts, 0.0, l_path,
+         np.exp(np.minimum(pk._plain_L_peaks(ts), 700.0)) * pk.EPS_CANCEL),
+        (lambda z: pk.ratio_l2_parts(z, pk.NEUMANN), 1j * ts, -shifts, arm_path,
+         np.exp(pk._arm_peaks(ts, np.full((count, 1), beta2))[:, 0] - shifts) * pk.EPS_CANCEL),
+    ]
+
+
+def _node_integrand(factor, a, b):
+    b = np.broadcast_to(b, a.shape)
+
+    def fmat(z):
+        w, expo = factor(z)
+        return w[None, :] * np.exp(np.outer(a, z) + expo[None, :] + b[:, None])
+
+    return fmat
+
+
+@pytest.mark.parametrize("count", [1, 24])
+def test_exp_batch_matches_node_integrand(count):
+    for factor, a, b, path, floors in _caret_families(count):
+        vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path, QuadOptions(),
+                                                          floors)
+        ref, ref_errs, ref_evals, _ = integrate_batch(_node_integrand(factor, a, b), path,
+                                                      QuadOptions(), floors)
+        assert accepted.all()
+        assert evals > 15 * _initial_panels(path)[0].size   # refined
+        assert np.all(np.abs(vals - ref) <= errs + ref_errs)
+        if count == 1:
+            # one member takes the node integrand's own arithmetic
+            assert vals[0] == ref[0] and errs[0] == ref_errs[0] and evals == ref_evals
+
+
+def test_exp_batch_one_factor_call_per_round():
+    factor, a, b, path, floors = _caret_families(24)[1]
+    calls, node_calls = [], []
+
+    def counted(z):
+        calls.append(z.size)
+        return factor(z)
+
+    def node_counted(z):
+        node_calls.append(z.size)
+        return _node_integrand(factor, a, b)(z)
+
+    _, _, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions(), floors)
+    integrate_batch(node_counted, path, QuadOptions(), floors)
+    assert sum(calls) == evals
+    assert len(calls) == len(node_calls) >= 3   # one call per round, as the node driver
+    assert max(calls) > 15
+
+
+def test_exp_batch_blocks(monkeypatch):
+    factor, a, b, path, floors = _caret_families(24)[1]
+    sizes = []
+
+    def counted(z):
+        sizes.append(a.size * z.size)
+        return factor(z)
+
+    ref, ref_errs, ref_evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions(),
+                                                      floors)
+    budget = a.size * 15 * 3           # three panels per call
+    assert max(sizes) > budget
+    sizes.clear()
+    monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
+    vals, errs, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions(), floors)
+    assert max(sizes) <= budget
+    assert evals == ref_evals
+    assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
+    assert np.all(np.abs(errs - ref_errs) <= 1e-14 * np.abs(ref))
+
+
+def test_exp_batch_rejects_nonfinite_factor_and_arcs():
+    path = ContourPath((Line(-1.0, 1.0),))
+    a = np.linspace(0.0, 1.0, 5) + 0.5j
+
+    def pole(z):       # a pole on the path
+        return 1.0 / (z - 0.25), np.zeros(z.shape)
+
+    def overflow(z):   # finite w, exponent beyond the double range at the midpoints
+        return np.ones(z.shape, dtype=complex), np.full(z.shape, 800.0)
+
+    for factor in (pole, overflow):
+        for members in (a[:1], a):
+            with pytest.raises(QuadratureError) as exc:
+                integrate_exp_batch(factor, members, 0.0, path, TIGHT)
+            assert exc.value.reason == "nonfinite"
+            assert "t = " in str(exc.value)
+    arc = ContourPath((Arc(0.0, 1.0, math.pi, 0.0),))
+    with pytest.raises(ValueError):
+        integrate_exp_batch(lambda z: (np.ones(z.shape), np.zeros(z.shape)), a, 0.0, arc)
