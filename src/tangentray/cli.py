@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -31,9 +32,7 @@ def _field_opts() -> QuadOptions:
     rtol = os.environ.get("TANGENTRAY_RTOL")
     if rtol is None:
         return fock.DEFAULT_OPTS
-    return QuadOptions(rel_tol=float(rtol), abs_tol=fock.DEFAULT_OPTS.abs_tol,
-                       max_subdivisions=fock.DEFAULT_OPTS.max_subdivisions,
-                       truncation_tail_tol=fock.DEFAULT_OPTS.truncation_tail_tol)
+    return dataclasses.replace(fock.DEFAULT_OPTS, rel_tol=float(rtol))
 
 
 def _fmt(x: float) -> str:

@@ -203,17 +203,17 @@ class ContourPath:
 # Decay models and truncation
 # ---------------------------------------------------------------------------
 
-_DECAY_KINDS = ("cubic_exp", "power_three_halves", "linear_exp")
+_DECAY_KINDS = ("cubic_exp", "power_three_halves")
 
 
 @dataclass(frozen=True)
 class DecayModel:
     """Tail bound ``|f| <= scale * exp(-c * r**p)`` along a ray, ``r >= min_radius``.
 
-    ``kind`` selects the power p: ``cubic_exp`` (p=3), ``power_three_halves``
-    (p=3/2) or ``linear_exp`` (p=1).  ``min_radius`` is the radius beyond
-    which the stated bound is valid; callers fold linear growth factors of
-    the integrand into (c, scale, min_radius).
+    ``kind`` selects the power p: ``cubic_exp`` (p=3) or ``power_three_halves``
+    (p=3/2).  ``min_radius`` is the radius beyond which the stated bound is
+    valid; callers fold linear growth factors of the integrand into (c,
+    scale, min_radius).
     """
 
     kind: str
@@ -229,7 +229,7 @@ class DecayModel:
 
     @property
     def power(self) -> float:
-        return {"cubic_exp": 3.0, "power_three_halves": 1.5, "linear_exp": 1.0}[self.kind]
+        return {"cubic_exp": 3.0, "power_three_halves": 1.5}[self.kind]
 
     def tail_bound(self, r: float) -> float:
         """Closed-form overestimate of ``scale * int_r^inf exp(-c w**p) dw``.

@@ -27,7 +27,7 @@ truncation tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .quadrature import QuadOptions, integrate
 
 C0 = 0.5                 # pole clearance of the vee vertices
 T_HONEST = 8.0           # |t_-| beyond which total_new uses the residue shift
+T_CARET = 6.0            # |t| up to which the field integrand computes the caret
+SADDLE_DISC = 3.5        # radius around the saddle t_- where it computes it too
+SADDLE_ASY = 9.0         # |t_-| beyond which the lit-sector model serves the saddle
 
 DEFAULT_OPTS = QuadOptions(rel_tol=1e-9, abs_tol=1e-13,
                            max_subdivisions=4000, truncation_tail_tol=1e-12)
@@ -98,32 +101,27 @@ def _saddle_minus(x: float, y: float) -> float:
 class _CaretFactor:
     """Cached caret-factor log-evaluator for one field computation.
 
-    Computed caret values are used in the residue sector, for |t| <= t_asy,
-    and inside a disc around the dominant saddle t_saddle; outside those the
+    Computed caret values are used in the residue sector, for |t| <= T_CARET,
+    and within SADDLE_DISC of the dominant saddle t_saddle; outside those the
     lit-sector asymptotic log-model takes over (its neighbourhood carries
     weight below the truncation tolerance by the contour construction).
     """
 
-    def __init__(self, bc: pk.BoundaryKind, t_asy: float, opts: QuadOptions,
-                 t_saddle: float | None = None, disc: float = 3.0):
+    def __init__(self, bc: pk.BoundaryKind, opts: QuadOptions, t_saddle: float | None):
         self.bc = bc
-        self.t_asy = t_asy
         # the caret factor only needs relative accuracy: the field quadrature
         # carries the absolute budget
-        self.opts = QuadOptions(rel_tol=max(opts.rel_tol, 1e-10),
-                                abs_tol=max(opts.abs_tol, 3e-11),
-                                max_subdivisions=opts.max_subdivisions,
-                                truncation_tail_tol=opts.truncation_tail_tol)
+        self.opts = replace(opts, rel_tol=max(opts.rel_tol, 1e-10),
+                            abs_tol=max(opts.abs_tol, 3e-11))
         self.t_saddle = t_saddle
-        self.disc = disc
         self.rel_err = 0.0
 
     def log_values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=complex)
         out = np.empty(ts.shape, dtype=complex)
-        computed = pk._in_residue_sector(ts) | (np.abs(ts) <= self.t_asy)
+        computed = pk._in_residue_sector(ts) | (np.abs(ts) <= T_CARET)
         if self.t_saddle is not None:
-            computed |= np.abs(ts - self.t_saddle) <= self.disc
+            computed |= np.abs(ts - self.t_saddle) <= SADDLE_DISC
         if np.any(computed):
             lv, lr = pk.caret_log_many(ts[computed], self.bc, self.opts)
             out[computed] = lv
@@ -212,17 +210,13 @@ def _total_path(x: float, y: float) -> tuple[ContourPath | None, float]:
 
 
 def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
-               vertex_scale: float, opts: QuadOptions,
-               extra_it: bool = False, t_saddle: float | None = None) -> FieldValue:
-    t_asy = 6.0
-    # beyond a saddle radius of ~9 the dominant region is served by the
-    # lit-sector asymptotic model; its O(|t|^-3) relative error enters the
+               vertex_scale: float, opts: QuadOptions, extra_it: bool = False) -> FieldValue:
+    tm = _saddle_minus(x, y)
+    # beyond a saddle radius of SADDLE_ASY the dominant region is served by
+    # the lit-sector asymptotic model; its O(|t|^-3) relative error enters the
     # reported estimate instead of a (hopelessly slow) exact evaluation
-    asy_rel = 0.0
-    if t_saddle is not None and abs(t_saddle) > 9.0:
-        asy_rel = 4.0 / abs(t_saddle) ** 3
-        t_saddle = None
-    caret = _CaretFactor(bc, t_asy, opts, t_saddle=t_saddle, disc=3.5)
+    asy_rel = 4.0 / abs(tm) ** 3 if abs(tm) > SADDLE_ASY else 0.0
+    caret = _CaretFactor(bc, opts, tm if C0 < abs(tm) <= SADDLE_ASY else None)
     model = _truncation_model(x, y, vertex_scale)
     fin = truncate(path, model, opts.truncation_tail_tol)
     res = integrate(_field_integrand(x, y, caret, extra_it), fin, opts)
@@ -241,9 +235,7 @@ def scattered_new(pt: FockPoint, cfg: ProblemConfig,
     x, y = _scaled_coords(pt, cfg)
     _require_exterior(x, y)
     path, vs, shift = _scattered_path(x, y)
-    tm = _saddle_minus(x, y)
-    sad = tm if abs(tm) > C0 else None
-    out = _run_field(x, y, cfg.bc, path, vs, opts, t_saddle=sad)
+    out = _run_field(x, y, cfg.bc, path, vs, opts)
     if shift:
         return FieldValue(out.amplitude + shift, out.error_estimate)
     return out
@@ -260,12 +252,10 @@ def total_new(pt: FockPoint, cfg: ProblemConfig,
     x, y = _scaled_coords(pt, cfg)
     _require_exterior(x, y)
     path, vs = _total_path(x, y)
-    tm = _saddle_minus(x, y)
-    sad = tm if abs(tm) > C0 else None
     if path is None:
         sc = scattered_new(pt, cfg, opts)
         return FieldValue(sc.amplitude + 1.0, sc.error_estimate)
-    return _run_field(x, y, cfg.bc, path, vs, opts, t_saddle=sad)
+    return _run_field(x, y, cfg.bc, path, vs, opts)
 
 
 def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
@@ -276,9 +266,7 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
     path, vs = _total_path(x, y)
     if path is None:
         raise FockDomainError("derivative field is not provided in the far-illuminated regime")
-    tm = _saddle_minus(x, y)
-    sad = tm if abs(tm) > C0 else None
-    return _run_field(x, y, cfg.bc, path, vs, opts, extra_it=True, t_saddle=sad)
+    return _run_field(x, y, cfg.bc, path, vs, opts, extra_it=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ representations are implemented:
 
 One planner (``_plan``) gives every t one route, and one executor per route
 evaluates all of a batch's members on that route; ``pekeris_caret`` is the
-batch of one and ``caret_log_many`` the log-form batch.  Contour routes are
-chosen by an explicit conditioning estimate: the peak of the integrand's
+batch of one and ``caret_log_many`` the log-form batch.  L and the arms are
+one ray family on one radius ladder: one model gives each ray's growth rate
+and integrand peak (``_ray_rates``, ``_ray_peaks``), and one family integral
+(``_ray_family``) runs a batch on a ladder-truncated path.  Contour routes
+are chosen by an explicit conditioning estimate: the peak of the integrand's
 exponent along each candidate ray is compared with the magnitude of the
 result; representations whose quadrature would lose the answer to
 cancellation are rejected.  Where every fixed-ray realisation is
@@ -249,22 +252,8 @@ def _lit_log_magnitude(ts) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Canonical contour paths and their shared node tables
+# Shared node tables of the canonical caret paths
 # ---------------------------------------------------------------------------
-
-def _ladder_truncate(path: ContourPath, model: DecayModel, tail_tol: float):
-    """``truncate`` at the first radius 2^(k/4) of a fixed geometric ladder
-    that meets ``model``'s tail bound: (path, k).  A caret path is then a
-    function of a small key (route, impedance pair, arm angle, rung k; the L
-    vertex follows from the pair), so batches with similar growth rates
-    share it."""
-    low = max(model.min_radius, 1.0)
-    k = math.ceil(4.0 * math.log2(low))
-    # the tail bound falls to 0 as the radius grows, so this ends
-    while 2.0 ** (k / 4.0) < low or model.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
-        k += 1
-    return truncate(path, replace(model, min_radius=2.0 ** (k / 4.0)), tail_tol), k
-
 
 def _find_panels(table, z: np.ndarray):
     """(found mask, table rows) of the midpoints of the panels with nodes
@@ -344,79 +333,102 @@ class _NodeTables:
 _NODE_TABLES = _NodeTables()
 
 
-def _node_factor(parts, bc: BoundaryKind, tables: _NodeTables | None, key):
-    """nodes -> parts(nodes, bc), memoised in ``tables`` (None: evaluated
-    directly) under the canonical path ``key``."""
-    if tables is None:
-        return lambda nodes: parts(nodes, bc)
-    full_key = (parts.__name__, bc.impedance) + key
-    return lambda nodes: tables.lookup(full_key, nodes, lambda z: parts(z, bc))
+# ---------------------------------------------------------------------------
+# Caret contour rays: one model for L and the l2/l3 arms
+# ---------------------------------------------------------------------------
+
+# Along a ray at angle phi, a caret integrand's Airy factor decays as
+# e^{-B s^{3/2}}, B = (4/3)|cos(3 phi/2)|, and its member factor e^{c t z}
+# grows as e^{A s}, A = |t| cos(arg t + offset).  L (c = e^{-i pi/6}) has rays
+# at 2pi/3 and -2pi/3, offsets pi/2 and -5pi/6; the arm at angle beta (c = i)
+# has offset beta + pi/2, formed as (arg t + beta) + ARM_TURN.
+L_ANGLES = np.array([2 * math.pi / 3, -2 * math.pi / 3])
+L_OFFSETS = np.array([math.pi / 2, -5 * math.pi / 6])
+ARM_TURN = math.pi / 2
+L_TAIL_SCALE, ARM_TAIL_SCALE = 50.0, 10.0   # tail-bound scales of the Airy factors
+
+
+def _ray_rates(ts, offsets, turn=0.0) -> np.ndarray:
+    """Growth rates A = |t| cos(arg t + offset + turn) along rays, shape
+    (len(ts), k): ``offsets`` holds k offsets for every t, or one row per t."""
+    ts = np.asarray(ts, dtype=complex)[:, None]
+    return np.abs(ts) * np.cos(np.angle(ts) + offsets + turn)
+
+
+def _ray_peaks(rates, angles) -> np.ndarray:
+    """Peak exponents 4A^3/(27B^2) of e^{A s - B s^{3/2}} along the rays at
+    ``angles`` with growth ``rates`` A (0 where A <= 0), shaped as ``rates``."""
+    B = 4.0 / 3.0 * np.abs(np.cos(1.5 * np.asarray(angles)))
+    return 4.0 * np.maximum(rates, 0.0) ** 3 / (27.0 * B ** 2)
+
+
+def _ray_path(path: ContourPath, rates, scale: float, tail_tol: float):
+    """The rays of ``path`` truncated at the first radius 2^(k/4) of a fixed
+    geometric ladder whose tail bound meets ``tail_tol``: (path, k).  The
+    bound takes the largest growth rate in ``rates``, the slowest Airy decay
+    B of the rays and the tail scale ``scale``; a ray without decay raises
+    ``SectorError``.  A caret path is then a function of a small key (route,
+    impedance pair, arm angle, rung k; the L vertex follows from the pair),
+    so batches with similar growth rates share it."""
+    B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle)
+                   for ray in path.segments)
+    if B < 1e-3:
+        raise SectorError(f"ray angle {angle} has no ratio decay")
+    A = max(float(np.max(rates)), 0.0)
+    low = max((2.0 * A / B) ** 2, 1.0)
+    model = DecayModel("power_three_halves", 0.5 * B, scale=scale)
+    k = math.ceil(4.0 * math.log2(low))
+    # the tail bound falls to 0 as the radius grows, so this ends
+    while 2.0 ** (k / 4.0) < low or model.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
+        k += 1
+    return truncate(path, replace(model, min_radius=2.0 ** (k / 4.0)), tail_tol), k
+
+
+def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
+                path: ContourPath, rates, scale: float, a, b, opts: QuadOptions, floors):
+    """Each member's int w e^{expo + a z + b} along ``path`` truncated for
+    the members' ``rates`` (``_ray_path``), in one ``integrate_exp_batch``:
+    (values, errors).  The node factor (w, expo) = parts(z, bc) is memoised
+    in ``tables`` (None: evaluated directly) under the key (parts, impedance
+    pair) + ``key`` + (rung,).  A member the quadrature does not accept
+    raises ``QuadratureError`` ("stalled")."""
+    path, rung = _ray_path(path, rates, scale, opts.truncation_tail_tol)
+    factor = functools.partial(parts, bc=bc)
+    if tables is not None:
+        key = (parts.__name__, bc.impedance) + key + (rung,)
+        factor = functools.partial(tables.lookup, key, evaluate=factor)
+    return integrate_exp_batch(factor, a, b, path, opts, floors)[:2]
 
 
 # ---------------------------------------------------------------------------
 # Entire part p(t), q(t), V(t, mu) via the l2/l3 arms
 # ---------------------------------------------------------------------------
 
-def _ray_peak(A, B):
-    """Max of exp(A w - B w^{3/2}) along a ray: exponent 4A^3/(27B^2), 0 for A <= 0."""
-    return 4.0 * np.maximum(A, 0.0) ** 3 / (27.0 * B ** 2)
-
-
-def _arm_rates(ts, betas) -> np.ndarray:
-    """Growth rate A of |e^{i t sigma}| along the rays at angles ``betas``
-    (|e^{i t sigma}| = e^{A s} at distance s), shape (len(ts), k): ``betas``
-    holds k angles for every t, or one row of k angles per t."""
-    ts = np.asarray(ts, dtype=complex)[:, None]
-    return np.abs(ts) * np.cos(np.angle(ts) + betas + math.pi / 2)
-
-
-def _arm_peaks(ts, betas) -> np.ndarray:
-    """Peak exponents of e^{i t sigma} x Airy ratio along the rays at angles
-    ``betas``, shaped as ``_arm_rates``."""
-    B = 4.0 / 3.0 * np.abs(np.cos(1.5 * np.asarray(betas)))
-    return _ray_peak(_arm_rates(ts, betas), B)
-
-
-def _arm_path(beta: float, ts, tail_tol: float):
-    """Ray from 0 at angle beta for the e^{i t sigma} x Airy-ratio integrands
-    of ``ts`` (ratio decay ~ e^{-B s^{3/2}}), truncated on the radius ladder
-    for their largest growth rate: (path, ladder rung)."""
-    B = 4.0 / 3.0 * abs(math.cos(1.5 * beta))
-    if B < 1e-3:
-        raise SectorError(f"ray angle {beta} has no ratio decay")
-    A = max(float(np.max(_arm_rates(ts, beta))), 0.0)
-    model = DecayModel("power_three_halves", 0.5 * B, scale=10.0,
-                       min_radius=(2.0 * A / B) ** 2)
-    return _ladder_truncate(ContourPath((Ray(0.0, beta, inward=False),)), model, tail_tol)
-
-
 def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
             beta2=2 * math.pi / 3, beta3=0.0, shifts=None, tables=None):
     """e^{-shift} times the entire part of each t, along l2/l3 rays at beta2
     and beta3: scalars shared by the batch, or one angle per member.
 
-    On each arm, the members at one angle share one batch quadrature, on a
-    ladder path truncated for their largest growth rate, with the arm's
-    Airy ratios from ``tables`` (see ``_node_factor``); a member it does not
-    accept raises ``QuadratureError`` ("stalled").  Returns (values, errors).
-    A member's error is the sum of its two arms' quadrature errors (before
-    the 1/2pi, so with that much margin) plus its cancellation floor, from
-    the peaks of its own arms, which is also its roundoff floor in the driver.
+    On each arm, the members at one angle are one ray family
+    (``_ray_family``).  Returns (values, errors).  A member's error is the
+    sum of its two arms' quadrature errors (before the 1/2pi, so with that
+    much margin) plus its cancellation floor, from the peaks of its own arms,
+    which is also its roundoff floor in the quadrature.
     """
     shifts = np.zeros(ts.shape) if shifts is None else shifts
     arms = np.empty((ts.size, 2))
     arms[:, 0], arms[:, 1] = beta2, beta3
-    floors = np.exp(np.minimum(_arm_peaks(ts, arms).max(axis=1) - shifts,
+    rates = _ray_rates(ts, arms, ARM_TURN)
+    floors = np.exp(np.minimum(_ray_peaks(rates, arms).max(axis=1) - shifts,
                                700.0)) * EPS_CANCEL
     total = np.zeros(ts.shape, dtype=complex)
     errs = np.zeros(ts.shape)
-    for betas, parts in ((arms[:, 0], ratio_l2_parts), (arms[:, 1], ratio_l3_parts)):
-        for beta in np.unique(betas):
-            sel = np.nonzero(betas == beta)[0]
-            path, rung = _arm_path(float(beta), ts[sel], opts.truncation_tail_tol)
-            factor = _node_factor(parts, bc, tables, (float(beta), rung))
-            v, e, _, _ = integrate_exp_batch(factor, 1j * ts[sel], -shifts[sel], path, opts,
-                                             floors[sel])
+    for j, parts in enumerate((ratio_l2_parts, ratio_l3_parts)):
+        for beta in np.unique(arms[:, j]):
+            sel = np.nonzero(arms[:, j] == beta)[0]
+            ray = ContourPath((Ray(0.0, float(beta), inward=False),))
+            v, e = _ray_family(parts, bc, tables, (float(beta),), ray, rates[sel, j],
+                               ARM_TAIL_SCALE, 1j * ts[sel], -shifts[sel], opts, floors[sel])
             # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
             total[sel] -= v
             errs[sel] += e
@@ -449,7 +461,7 @@ def _fork_rays(ts):
     The peaks scale as |t|^3, so the angles depend on arg t alone."""
     best = []
     for grid in _FORK_GRIDS:
-        peaks = _arm_peaks(ts, grid)
+        peaks = _ray_peaks(_ray_rates(ts, grid, ARM_TURN), grid)
         i = np.argmin(peaks, axis=1)
         best.append((grid[i], peaks[np.arange(i.size), i]))
     (beta2, peak2), (beta3, peak3) = best
@@ -494,18 +506,6 @@ def _reciprocal_weight(eta: np.ndarray, bc: BoundaryKind):
     return (alpha ** 2 + beta ** 2 * EIP3 * eta) / den ** 2, -2.0 * e
 
 
-def _l_rates(ts) -> np.ndarray:
-    """Growth rate A of |e^{a eta}| (a = e^{-i pi/6} t) along the faster of
-    the two L rays: |e^{a eta}| ~ e^{A w} at distance w."""
-    r, th = np.abs(ts), np.angle(ts)
-    return np.maximum(r * np.cos(th + math.pi / 2), r * np.cos(th - 5 * math.pi / 6))
-
-
-def _plain_L_peaks(ts) -> np.ndarray:
-    """Peak exponent of e^{a eta}/denominator^2 along the standard L rays."""
-    return _ray_peak(_l_rates(ts), 4.0 / 3.0)
-
-
 def _l_contour(vertex: float) -> ContourPath:
     return ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
                         Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
@@ -526,35 +526,23 @@ def _l_vertex(impedance: tuple[complex, complex]) -> float:
     return vertex
 
 
-def _l_path(ts, bc: BoundaryKind, tail_tol: float):
-    """Truncated L contour with pole clearance for the given boundary kind:
-    (path, ladder rung).
-
-    The truncation radius, on the ladder, covers the worst |e^{a eta}|
-    growth rate over the batch ``ts`` along each ray (a = e^{-i pi/6} t)."""
-    A = max(float(np.max(_l_rates(ts))), 0.0)
-    B = 4.0 / 3.0
-    model = DecayModel("power_three_halves", 0.5 * B, scale=50.0,
-                       min_radius=(2.0 * A / B) ** 2)
-    return _ladder_truncate(_l_contour(_l_vertex(bc.impedance)), model, tail_tol)
-
-
 def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     """Reciprocal-Airy contour L, integrated to each member's cancellation floor.
 
-    Members are grouped by their |e^{a eta}| growth rate so slow-decay
-    members do not force a long truncated path (and deep refinement) onto
-    the whole batch; each group shares one ladder path, with its weights
-    from ``tables`` (see ``_node_factor``)."""
-    floors = np.exp(np.minimum(_plain_L_peaks(ts), 700.0)) * EPS_CANCEL
-    group = np.maximum(0, np.ceil(_l_rates(ts) / 1.5)).astype(int)
+    Members are grouped by the growth rate of |e^{a eta}| (a = e^{-i pi/6} t)
+    on the faster L ray, so slow-decay members do not force a long truncated
+    path (and deep refinement) onto the whole batch; each group is one ray
+    family (``_ray_family``) on L with the vertex of the impedance pair."""
+    rates = _ray_rates(ts, L_OFFSETS)
+    floors = np.exp(np.minimum(_ray_peaks(rates, L_ANGLES).max(axis=1), 700.0)) * EPS_CANCEL
+    group = np.maximum(0, np.ceil(rates.max(axis=1) / 1.5)).astype(int)
+    contour = _l_contour(_l_vertex(bc.impedance))
     vals = np.empty(ts.shape, dtype=complex)
     errs = np.empty(ts.shape)
     for g in np.unique(group):
         sel = np.nonzero(group == g)[0]
-        path, rung = _l_path(ts[sel], bc, opts.truncation_tail_tol)
-        factor = _node_factor(_reciprocal_weight, bc, tables, (rung,))
-        v, e, _, _ = integrate_exp_batch(factor, EMIP6 * ts[sel], 0.0, path, opts, floors[sel])
+        v, e = _ray_family(_reciprocal_weight, bc, tables, (), contour, rates[sel],
+                           L_TAIL_SCALE, EMIP6 * ts[sel], 0.0, opts, floors[sel])
         pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
         errs[sel] = np.abs(pref) * (e + floors[sel])
@@ -735,7 +723,7 @@ def _plan(ts, skip=frozenset()) -> np.ndarray:
     rest = np.nonzero(route == _L)[0]
     lit = np.where(np.abs(ts[rest]) > 3.0, _lit_log_magnitude(ts[rest]), 0.0)
     deficit = -np.minimum(lit, 0.0)
-    cond_plain = _plain_L_peaks(ts[rest]) + deficit
+    cond_plain = _ray_peaks(_ray_rates(ts[rest], L_OFFSETS), L_ANGLES).max(axis=1) + deficit
     hard = np.nonzero(cond_plain > COND_L)[0]
     if hard.size:
         plain = cond_plain[hard]

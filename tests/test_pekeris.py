@@ -131,6 +131,13 @@ def test_sector_errors():
         pk.caret_shadow_asymptotic(-1.0 + 0j, pk.DIRICHLET)
 
 
+def test_arm_without_ratio_decay_is_a_sector_error():
+    # at +-pi/3 the Airy ratios of the arms no longer decay along the ray
+    for arms in ({"beta2": math.pi / 3}, {"beta3": math.pi / 3}, {"beta3": -math.pi / 3}):
+        with pytest.raises(pk.SectorError):
+            pk.pekeris_entire(0.5 + 0.2j, **arms)
+
+
 def test_shadow_asymptotic_example():
     t = 6.0 * np.exp(1j * math.pi / 6)
     v = pk.pekeris_caret(complex(t)).value

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tangentray import pekeris as pk
 from tangentray import quadrature
-from tangentray.contours import Arc, ContourPath, DecayModel, Line, named_contour, truncate
+from tangentray.contours import (Arc, ContourPath, DecayModel, Line, Ray, named_contour,
+                                 truncate)
 from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, QuadOptions, QuadratureError,
                                    _initial_panels, _nodes, _segment_table, integrate,
                                    integrate_batch, integrate_exp_batch)
@@ -291,15 +292,20 @@ def _caret_families(count: int):
     """(factor, a, b, path, floors) of a reciprocal-Airy L batch and an l2 arm
     batch with ``count`` members each, on their ladder paths."""
     ts = 3.0 * np.exp(1j * np.linspace(2.3, 2.9, count))
-    l_path, _ = pk._l_path(ts, pk.DIRICHLET, 1e-12)
+    l_rates = pk._ray_rates(ts, pk.L_OFFSETS)
+    l_path, _ = pk._ray_path(pk._l_contour(pk._l_vertex(pk.DIRICHLET.impedance)), l_rates,
+                             pk.L_TAIL_SCALE, 1e-12)
     shifts = np.maximum(0.0, pk._lit_log_magnitude(ts))
     beta2, _, _ = pk._forked_angles(complex(ts[0]))
-    arm_path, _ = pk._arm_path(beta2, ts, 1e-12)
+    arm_rates = pk._ray_rates(ts, beta2, pk.ARM_TURN)
+    arm_path, _ = pk._ray_path(ContourPath((Ray(0.0, beta2, inward=False),)), arm_rates,
+                               pk.ARM_TAIL_SCALE, 1e-12)
     return [
         (lambda z: pk._reciprocal_weight(z, pk.DIRICHLET), pk.EMIP6 * ts, 0.0, l_path,
-         np.exp(np.minimum(pk._plain_L_peaks(ts), 700.0)) * pk.EPS_CANCEL),
+         np.exp(np.minimum(pk._ray_peaks(l_rates, pk.L_ANGLES).max(axis=1), 700.0))
+         * pk.EPS_CANCEL),
         (lambda z: pk.ratio_l2_parts(z, pk.NEUMANN), 1j * ts, -shifts, arm_path,
-         np.exp(pk._arm_peaks(ts, np.full((count, 1), beta2))[:, 0] - shifts) * pk.EPS_CANCEL),
+         np.exp(pk._ray_peaks(arm_rates, beta2)[:, 0] - shifts) * pk.EPS_CANCEL),
     ]
 
 
