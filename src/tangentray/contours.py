@@ -12,19 +12,18 @@ diffraction integrals:
   right of the negative real axis (where the reciprocal-Airy poles sit).
 * ``Gamma0``, ``Gamma1``, ``Gamma2``: the rotated Airy contours, running
   between the directions ``(4j+5)*pi/6`` and ``(4j+1)*pi/6``.
-* ``Gamma1_left`` / ``Gamma1_right``: the three-piece (ray, arc, ray)
-  realisation of ``Gamma1`` passing left/right of the origin.
+
+A path is a connected chain of segments: finite ``Line``s, with an inward
+``Ray`` allowed first and an outward ``Ray`` last.  ``truncate`` replaces the
+rays by lines, so every path the quadrature sees is a polyline.
 
 All multivalued powers use principal branches.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TWO_PI_3 = 2.0 * math.pi / 3.0
 
@@ -50,17 +49,6 @@ class Line:
     start: complex
     end: complex
 
-    @property
-    def first_point(self) -> complex:
-        return self.start
-
-    @property
-    def last_point(self) -> complex:
-        return self.end
-
-    def reversed(self) -> "Line":
-        return Line(self.end, self.start)
-
 
 @dataclass(frozen=True)
 class Ray:
@@ -78,65 +66,11 @@ class Ray:
     def __post_init__(self):
         object.__setattr__(self, "angle", _normalize_angle(self.angle))
 
-    @property
-    def first_point(self) -> complex:
-        if self.inward:
-            raise ContourError("inward ray has no finite first point")
-        return self.origin
-
-    @property
-    def last_point(self) -> complex:
-        if not self.inward:
-            raise ContourError("outward ray has no finite last point")
-        return self.origin
-
     def point_at(self, radius: float) -> complex:
         return self.origin + radius * complex(math.cos(self.angle), math.sin(self.angle))
 
-    def reversed(self) -> "Ray":
-        return Ray(self.origin, self.angle, not self.inward)
 
-
-@dataclass(frozen=True)
-class Arc:
-    """Circular arc swept from ``angle_from`` to ``angle_to`` about ``center``.
-
-    The sweep is linear in angle; ``angle_to < angle_from`` gives clockwise
-    orientation.  Angles are not normalised so that sweeps through the cut
-    are unambiguous.
-    """
-
-    center: complex
-    radius: float
-    angle_from: float
-    angle_to: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ContourError("arc radius must be positive")
-        if self.angle_from == self.angle_to:
-            raise ContourError("arc with zero sweep")
-
-    @property
-    def orientation(self) -> int:
-        return 1 if self.angle_to > self.angle_from else -1
-
-    def point_at(self, angle: float) -> complex:
-        return self.center + self.radius * complex(math.cos(angle), math.sin(angle))
-
-    @property
-    def first_point(self) -> complex:
-        return self.point_at(self.angle_from)
-
-    @property
-    def last_point(self) -> complex:
-        return self.point_at(self.angle_to)
-
-    def reversed(self) -> "Arc":
-        return Arc(self.center, self.radius, self.angle_to, self.angle_from)
-
-
-Segment = Line | Ray | Arc
+Segment = Line | Ray
 
 _CONNECT_TOL = 1e-12
 
@@ -161,8 +95,8 @@ class ContourPath:
                 if not s.inward and i != len(segs) - 1:
                     raise ContourError("outward ray must be the last segment")
         for a, b in zip(segs[:-1], segs[1:]):
-            pa = a.last_point if not isinstance(a, Ray) else a.origin
-            pb = b.first_point if not isinstance(b, Ray) else b.origin
+            pa = a.origin if isinstance(a, Ray) else a.end
+            pb = b.origin if isinstance(b, Ray) else b.start
             scale = max(1.0, abs(pa), abs(pb))
             if abs(pa - pb) > _CONNECT_TOL * scale:
                 raise ContourError(
@@ -172,31 +106,6 @@ class ContourPath:
     @property
     def is_finite(self) -> bool:
         return not any(isinstance(s, Ray) for s in self.segments)
-
-    def reversed(self) -> "ContourPath":
-        segs = tuple(s.reversed() for s in reversed(self.segments))
-        return ContourPath(segs, name=None if self.name is None else self.name + "_rev",
-                           truncation_radius=self.truncation_radius)
-
-    def to_json(self) -> str:
-        """Debug dump: list of segments with kind, endpoints and angles."""
-        out = []
-        for s in self.segments:
-            if isinstance(s, Line):
-                out.append({"kind": "line",
-                            "start": [s.start.real, s.start.imag],
-                            "end": [s.end.real, s.end.imag]})
-            elif isinstance(s, Ray):
-                out.append({"kind": "ray",
-                            "origin": [s.origin.real, s.origin.imag],
-                            "angle": s.angle, "inward": s.inward})
-            else:
-                out.append({"kind": "arc",
-                            "center": [s.center.real, s.center.imag],
-                            "radius": s.radius,
-                            "angle_from": s.angle_from, "angle_to": s.angle_to,
-                            "orientation": s.orientation})
-        return json.dumps({"name": self.name, "segments": out})
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +197,7 @@ def truncate(path: ContourPath, decay: DecayModel, tail_tol: float) -> ContourPa
 # Named contours
 # ---------------------------------------------------------------------------
 
-_NAMES = ("l1", "l2", "l3", "gamma", "L", "Gamma0", "Gamma1", "Gamma2",
-          "Gamma1_left", "Gamma1_right")
+_NAMES = ("l1", "l2", "l3", "gamma", "L", "Gamma0", "Gamma1", "Gamma2")
 
 
 def _gamma_j_angles(j: int) -> tuple[float, float]:
@@ -299,8 +207,9 @@ def _gamma_j_angles(j: int) -> tuple[float, float]:
 def named_contour(name: str, clearance: float = 0.5) -> ContourPath:
     """Build one of the standard contours.
 
-    ``clearance`` sets the distance by which ``gamma``/``L`` avoid the pole
-    line and the arc radius of ``Gamma1_left``/``Gamma1_right``.
+    ``clearance`` is the vertex of ``L`` on the positive real axis, its
+    clearance from the reciprocal-Airy poles on the negative reals; the
+    other contours do not depend on it.
     """
     if clearance <= 0.0:
         raise ContourError("clearance must be positive")
@@ -325,18 +234,6 @@ def named_contour(name: str, clearance: float = 0.5) -> ContourPath:
         a_in, a_out = _gamma_j_angles(j)
         return ContourPath((Ray(0.0, a_in, inward=True),
                             Ray(0.0, a_out, inward=False)), name=name)
-    if name in ("Gamma1_left", "Gamma1_right"):
-        T = clearance
-        down = complex(0.0, -T)
-        if name == "Gamma1_left":
-            # clockwise around |t| = T through the negative real axis
-            arc = Arc(0.0, T, -math.pi / 2.0, -7.0 * math.pi / 6.0)
-        else:
-            arc = Arc(0.0, T, -math.pi / 2.0, 5.0 * math.pi / 6.0)
-        top = arc.last_point
-        return ContourPath((Ray(down, -math.pi / 2.0, inward=True),
-                            arc,
-                            Ray(top, 5.0 * math.pi / 6.0, inward=False)), name=name)
     raise ContourError(f"unknown contour name {name!r}; valid: {_NAMES}")
 
 
@@ -347,13 +244,8 @@ def path_point_distance(path: ContourPath, z: complex, probe_radius: float = 50.
     for s in path.segments:
         if isinstance(s, Line):
             a, b = s.start, s.end
-        elif isinstance(s, Ray):
-            a, b = s.origin, s.point_at(probe_radius)
         else:
-            ang = np.linspace(s.angle_from, s.angle_to, 64)
-            pts = s.center + s.radius * np.exp(1j * ang)
-            d = min(d, float(np.min(np.abs(pts - z))))
-            continue
+            a, b = s.origin, s.point_at(probe_radius)
         ab = b - a
         denom = abs(ab) ** 2
         if denom == 0.0:

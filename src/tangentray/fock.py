@@ -78,8 +78,6 @@ class FieldValue:
 
 def _scaled_coords(pt: FockPoint, cfg: ProblemConfig) -> tuple[float, float]:
     """Rescale to the kappa = 1/2 frame: x -> (2k)^{2/3} x, y -> (2k)^{1/3} y."""
-    if cfg.kappa == 0.5:
-        return pt.x_hat, pt.y_hat
     s = 2.0 * cfg.kappa
     return s ** (2.0 / 3.0) * pt.x_hat, s ** (1.0 / 3.0) * pt.y_hat
 

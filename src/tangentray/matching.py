@@ -28,7 +28,7 @@ import numpy as np
 from . import airy
 from . import fock
 from . import pekeris as pk
-from .contours import ContourPath, Line, Ray, DecayModel, truncate
+from .contours import ContourPath, Line, Ray, truncate
 from .quadrature import QuadOptions, integrate
 
 SQ_PI = math.sqrt(math.pi)
@@ -306,9 +306,7 @@ def i_sigma(t: float, Sigma: float,
     ang = math.pi / 6.0 if t >= 0 else -math.pi / 6.0
     path = ContourPath((Line(-Sigma, pivot), Ray(pivot, ang, inward=False)))
     lin = abs(t) * max(0.0, math.cos(math.atan2(0.0, t) + ang + math.pi / 2)) + 0.5
-    model = DecayModel("power_three_halves", 0.45, scale=20.0,
-                       min_radius=(2.0 * lin / 0.9) ** 2 + 4.0)
-    fin = truncate(path, model, opts.truncation_tail_tol)
+    fin = truncate(path, fock._arm_model(0.9, lin), opts.truncation_tail_tol)
 
     def f(s):
         w, expo = pk.ratio_l3_parts(s, pk.DIRICHLET)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import airy
-from .contours import (ContourPath, DecayModel, Line, Ray,
+from .contours import (ContourPath, DecayModel, Line, Ray, named_contour,
                        path_point_distance, truncate)
 from .quadrature import QuadOptions, QuadratureError, integrate, integrate_exp_batch
 
@@ -506,11 +506,6 @@ def _reciprocal_weight(eta: np.ndarray, bc: BoundaryKind):
     return (alpha ** 2 + beta ** 2 * EIP3 * eta) / den ** 2, -2.0 * e
 
 
-def _l_contour(vertex: float) -> ContourPath:
-    return ContourPath((Ray(vertex, -2 * math.pi / 3, inward=True),
-                        Ray(vertex, 2 * math.pi / 3, inward=False)), name="L")
-
-
 @functools.lru_cache(maxsize=1024)
 def _l_vertex(impedance: tuple[complex, complex]) -> float:
     """Vertex of L clearing the first roots of the impedance pair by 0.35."""
@@ -519,7 +514,7 @@ def _l_vertex(impedance: tuple[complex, complex]) -> float:
     # standard L, so only a Robin root can move its vertex
     roots = airy.impedance_roots(3, *impedance)
     for _ in range(6):
-        path = _l_contour(vertex)
+        path = named_contour("L", vertex)
         if min(path_point_distance(path, complex(r)) for r in roots) >= 0.35:
             break
         vertex += 0.5
@@ -536,7 +531,7 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     rates = _ray_rates(ts, L_OFFSETS)
     floors = np.exp(np.minimum(_ray_peaks(rates, L_ANGLES).max(axis=1), 700.0)) * EPS_CANCEL
     group = np.maximum(0, np.ceil(rates.max(axis=1) / 1.5)).astype(int)
-    contour = _l_contour(_l_vertex(bc.impedance))
+    contour = named_contour("L", _l_vertex(bc.impedance))
     vals = np.empty(ts.shape, dtype=complex)
     errs = np.empty(ts.shape)
     for g in np.unique(group):
@@ -675,11 +670,11 @@ def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
 
 
 def _run_pole_split(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
+    """1/(2 pi i t) + entire(t) on the default arms, with the arms' errors."""
     if np.any(ts == 0):
         raise PoleError("the caret function has a pole at t = 0")
-    entire, _ = _entire(ts, bc, opts, tables=tables)
-    vals = 1.0 / (TWO_PI * 1j * ts) + entire
-    return vals, 1e-12 * np.abs(vals) + 1e-14, 0.0
+    vals, errs = _forked(ts, bc, opts, 2 * math.pi / 3, 0.0, np.zeros(ts.shape), tables)
+    return vals, errs, 0.0
 
 
 def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):

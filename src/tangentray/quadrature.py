@@ -1,8 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature along complex contour paths.
 
-Panels are parametrised sub-intervals of the path's segments.  Each panel
-carries a 15-point Kronrod rule with the embedded 7-point Gauss rule; the
-difference of the two estimates is the panel's error defect.
+Paths are polylines: ``contours.truncate`` has replaced their ray ends by
+lines.  A panel is a sub-interval [u0, u1] of one line, u in [0, 1] mapping
+to start + u (end - start).  Each panel carries a 15-point Kronrod rule with
+the embedded 7-point Gauss rule; the difference of the two estimates is the
+panel's error defect.
 
 One adaptive driver serves every caller.  It refines in rounds: every panel
 holding more than its share of the defect is bisected, and the nodes of all
@@ -11,7 +13,7 @@ nodes would pass ``CALL_ELEMENTS``).  The cost is then dominated by a few
 large vectorised special-function evaluations instead of one small call per
 panel.  ``integrate`` is the one-member case of ``integrate_batch``.
 ``integrate_exp_batch`` serves families w(z) e^{expo(z) + a_m z + b_m} whose
-members differ only in the exponential: on a line panel the member factor
+members differ only in the exponential: on a panel the member factor
 splits into one exponential at the midpoint and one shared by all panels of
 that width, so a round costs one complex exponential per member and panel
 instead of one per member and node.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import Arc, ContourPath, Line, Ray
+from .contours import ContourPath
 
 # QUADPACK 15-point Kronrod nodes/weights with embedded 7-point Gauss rule.
 _XK = np.array([
@@ -146,38 +148,24 @@ CALL_ELEMENTS = 1 << 20
 
 
 def _segment_table(path: ContourPath):
-    """Per-segment arrays (base, step, radius, angle0, sweep, is_arc).
-
-    A line maps u in [0, 1] to base + u step; an arc to
-    base + radius e^{i (angle0 + u sweep)} about its centre ``base``.
-    """
-    rows = []
-    for s in path.segments:
-        if isinstance(s, Ray):
-            raise QuadratureError("path has untruncated rays; call truncate() first",
-                                  "untruncated")
-        if isinstance(s, Arc):
-            rows.append((s.center, 0.0, s.radius, s.angle_from, s.angle_to - s.angle_from, True))
-        else:
-            rows.append((s.start, s.end - s.start, 0.0, 0.0, 0.0, False))
-    base, step, radius, angle0, sweep, is_arc = zip(*rows)
-    return (np.array(base, dtype=complex), np.array(step, dtype=complex), np.array(radius),
-            np.array(angle0), np.array(sweep), np.array(is_arc))
+    """Per-line arrays (base, step): line j maps u in [0, 1] to
+    base_j + u step_j."""
+    if not path.is_finite:
+        raise QuadratureError("path has untruncated rays; call truncate() first",
+                              "untruncated")
+    return (np.array([s.start for s in path.segments], dtype=complex),
+            np.array([s.end - s.start for s in path.segments], dtype=complex))
 
 
 def _initial_panels(path: ContourPath):
     """(segment index, u0, u1) arrays of the starting panels.
 
-    Panels start no longer than ~2 units (pi/6 of arc) so the embedded error
-    estimate is meaningful before any refinement (guards against aliasing
-    acceptance).
+    Panels start no longer than ~2 units so the embedded error estimate is
+    meaningful before any refinement (guards against aliasing acceptance).
     """
     seg, u0, u1 = [], [], []
     for j, s in enumerate(path.segments):
-        if isinstance(s, Line):
-            n = max(2, int(math.ceil(abs(s.end - s.start) / 2.0)))
-        else:
-            n = max(2, int(math.ceil(abs(s.angle_to - s.angle_from) / (math.pi / 6.0))))
+        n = max(2, int(math.ceil(abs(s.end - s.start) / 2.0)))
         n = min(n, 64)
         seg += [j] * n
         u0 += [k / n for k in range(n)]
@@ -187,18 +175,12 @@ def _initial_panels(path: ContourPath):
 
 def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):
     """GK15 nodes z and Jacobian weights dz/du * du/dx, both (P, 15)."""
-    base, step, radius, angle0, sweep, is_arc = table
+    base, step = table
     um = 0.5 * (u0 + u1)
     uh = (0.5 * (u1 - u0))[:, None]
     u = um[:, None] + uh * _XK
     z = base[seg, None] + u * step[seg, None]
     jac = np.repeat(step[seg, None] * uh, 15, axis=1)
-    arc = is_arc[seg]
-    if arc.any():
-        k = seg[arc]
-        e = np.exp(1j * (angle0[k, None] + u[arc] * sweep[k, None]))
-        z[arc] = base[k, None] + radius[k, None] * e
-        jac[arc] = 1j * radius[k, None] * e * sweep[k, None] * uh[arc]
     return z, jac
 
 
@@ -255,7 +237,7 @@ _WKG[0], _WKG[1, 1::2] = _WK, _WG
 
 def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
     """K15 values and defects of the family w(z) e^{expo(z) + a_m z + b_m} on
-    line panels, with (w, expo) = ``factor(nodes)``, ``a`` (members,) and
+    the panels, with (w, expo) = ``factor(nodes)``, ``a`` (members,) and
     ``b`` (members, 1) or (1, 1).
 
     A panel with midpoint z_p and half-step h_p has the nodes z_p + h_p x_j,
@@ -404,7 +386,7 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions(),
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
                         abs_floor=0.0, strict: bool = True):
     """``integrate_batch`` for the exponential family
-    w(z) e^{expo(z) + a_m z + b_m}, members m, on a path of lines.
+    w(z) e^{expo(z) + a_m z + b_m}, members m.
 
     ``factor(t: ndarray(n,)) -> (w, expo)``, complex and real arrays (n,),
     holds the member-independent part F = w e^{expo}; ``a`` and ``b`` are
@@ -414,13 +396,10 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
     panel instead of one per member and node (see ``_evaluate_exp``); a
     family of one evaluates each node's exponential directly, as
     ``integrate_batch`` would.  A non-finite w, expo or member factor raises
-    ``QuadratureError`` ("nonfinite") naming a node; a path with an arc
-    raises ``ValueError``.
+    ``QuadratureError`` ("nonfinite") naming a node.
 
     Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
     """
-    if any(isinstance(s, Arc) for s in path.segments):
-        raise ValueError("integrate_exp_batch needs a path of lines")
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.reshape(np.asarray(b, dtype=complex), (-1, 1))
     if a.size == 1:

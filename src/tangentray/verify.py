@@ -345,12 +345,6 @@ def check_jro_identity(quick: bool = False) -> VerificationCheck:
                              "variation of R_Sigma * sqrt(Sigma) (bounded within x3)")
 
 
-QUICK_CHECKS = ("airy_identities", "caret_representation_agreement",
-                "fock_three_way_oracle", "pole_residue_identity",
-                "boundary_conditions", "asymptotic_sectors",
-                "penumbra_matching", "jro_endpoint_identity")
-
-
 def run_suite(quick: bool = False) -> VerificationReport:
     report = VerificationReport()
     report.checks.append(check_airy_identities())

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tangentray.contours import (Arc, ContourError, ContourPath, DecayModel,
-                                 Line, Ray, named_contour, path_point_distance,
-                                 truncate)
+from tangentray.contours import (ContourError, ContourPath, DecayModel, Line,
+                                 Ray, named_contour, path_point_distance, truncate)
 
 from _oracles import bisect_airy_zero
 
@@ -21,17 +20,6 @@ def test_l3_is_single_outward_ray():
 def test_l1_l2_ray_angles():
     assert named_contour("l1").segments[0].angle == pytest.approx(-2 * math.pi / 3)
     assert named_contour("l2").segments[0].angle == pytest.approx(2 * math.pi / 3)
-
-
-def test_gamma1_left_shape_and_angles():
-    p = named_contour("Gamma1_left", 0.5)
-    rays = [s for s in p.segments if isinstance(s, Ray)]
-    assert rays[0].angle == pytest.approx(-math.pi / 2)
-    assert rays[1].angle == pytest.approx(5 * math.pi / 6)
-    # the arc keeps the path left of the origin: it sweeps through arg = -pi
-    arc = [s for s in p.segments if isinstance(s, Arc)][0]
-    mid = arc.point_at(0.5 * (arc.angle_from + arc.angle_to))
-    assert mid.real < 0
 
 
 def test_gamma_passes_below_the_poles():
@@ -69,8 +57,6 @@ def test_path_validation():
         ContourPath((Line(0, 1), Line(2, 3)))  # disconnected
     with pytest.raises(ContourError):
         ContourPath((Line(0, 1), Ray(1.0, 0.0, inward=True)))  # inward not first
-    with pytest.raises(ContourError):
-        Arc(0.0, -1.0, 0.0, 1.0)
 
 
 def test_truncate_cubic_tail_bound():
@@ -102,11 +88,3 @@ def test_decay_model_validation():
         DecayModel("cubic_exp", -1.0)
     with pytest.raises(ContourError):
         DecayModel("weird", 1.0)
-
-
-def test_reversed_path_and_json():
-    p = named_contour("Gamma1_left", 0.7)
-    r = p.reversed()
-    assert isinstance(r.segments[0], Ray) and r.segments[0].inward
-    data = p.to_json()
-    assert '"arc"' in data and '"ray"' in data

@@ -35,6 +35,17 @@ def test_pole_split_identity():
     assert abs(caret - 1.0 / (2j * math.pi * t) - entire) < 1e-10
 
 
+def test_pole_split_reports_its_arms_error():
+    # near the pole the caret is 1/(2 pi i t) plus the entire part on the
+    # default arms: its error estimate is at least those arms' error
+    t = 0.03
+    for bc in (pk.DIRICHLET, pk.robin(0.4 - 0.6j)):
+        ev = pk.pekeris_caret(t, bc)
+        assert ev.representation_used == "pole_split"
+        _, err = pk._caret_forked(t, bc, QuadOptions(), 2 * math.pi / 3, 0.0)
+        assert ev.error_estimate >= err
+
+
 def test_robin_zero_impedance_is_neumann():
     t = 1.0
     assert abs(pk.pekeris_entire(t, pk.robin(0.0)) -

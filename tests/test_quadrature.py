@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from tangentray import pekeris as pk
 from tangentray import quadrature
-from tangentray.contours import (Arc, ContourPath, DecayModel, Line, Ray, named_contour,
-                                 truncate)
+from tangentray.contours import ContourPath, DecayModel, Line, Ray, named_contour, truncate
 from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, QuadOptions, QuadratureError,
                                    _initial_panels, _nodes, _segment_table, integrate,
                                    integrate_batch, integrate_exp_batch)
@@ -43,7 +42,8 @@ def test_reversal_negates():
     path = gamma0_truncated()
     f = lambda t: np.exp(1j * t ** 3 / 3 - 0.1 * t)
     a = integrate(f, path, TIGHT).value
-    b = integrate(f, path.reversed(), TIGHT).value
+    back = ContourPath(tuple(Line(s.end, s.start) for s in reversed(path.segments)))
+    b = integrate(f, back, TIGHT).value
     assert abs(a + b) <= 1e-14 * max(1.0, abs(a))
 
 
@@ -202,13 +202,8 @@ def _panel_loop_reference(path, f):
         s = path.segments[j]
         um, uh = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
         u = um + uh * _XK
-        if isinstance(s, Line):
-            z = s.start + u * (s.end - s.start)
-            jac = np.full(u.shape, (s.end - s.start) * uh)
-        else:
-            ang = s.angle_from + u * (s.angle_to - s.angle_from)
-            z = s.center + s.radius * np.exp(1j * ang)
-            jac = 1j * s.radius * np.exp(1j * ang) * (s.angle_to - s.angle_from) * uh
+        z = s.start + u * (s.end - s.start)
+        jac = np.full(u.shape, (s.end - s.start) * uh)
         zv, jv = _nodes(table, np.array([j]), np.array([u0]), np.array([u1]))
         assert np.array_equal(zv[0], z) and np.array_equal(jv[0], jac)
         g = f(z) * jac
@@ -219,8 +214,8 @@ def _panel_loop_reference(path, f):
 
 
 def test_vectorised_panels_match_panel_loop():
-    path = ContourPath((Line(-2.0 - 1.0j, 0.0), Arc(1.0, 1.0, math.pi, 0.0),
-                        Line(2.0, 2.0 + 3.0j)))
+    path = ContourPath((Line(-2.0 - 1.0j, 0.0), Line(0.0, 2.0 + 1.0j),
+                        Line(2.0 + 1.0j, 2.0 + 3.0j)))
     f = lambda t: np.exp(1j * t) / (3.0 + t * t)
     # a loose rule accepts the starting panels, so the driver's sums are
     # those of the reference loop up to summation order
@@ -293,8 +288,8 @@ def _caret_families(count: int):
     batch with ``count`` members each, on their ladder paths."""
     ts = 3.0 * np.exp(1j * np.linspace(2.3, 2.9, count))
     l_rates = pk._ray_rates(ts, pk.L_OFFSETS)
-    l_path, _ = pk._ray_path(pk._l_contour(pk._l_vertex(pk.DIRICHLET.impedance)), l_rates,
-                             pk.L_TAIL_SCALE, 1e-12)
+    l_path, _ = pk._ray_path(named_contour("L", pk._l_vertex(pk.DIRICHLET.impedance)),
+                             l_rates, pk.L_TAIL_SCALE, 1e-12)
     shifts = np.maximum(0.0, pk._lit_log_magnitude(ts))
     beta2, _, _ = pk._forked_angles(complex(ts[0]))
     arm_rates = pk._ray_rates(ts, beta2, pk.ARM_TURN)
@@ -374,7 +369,7 @@ def test_exp_batch_blocks(monkeypatch):
     assert np.all(np.abs(errs - ref_errs) <= 1e-14 * np.abs(ref))
 
 
-def test_exp_batch_rejects_nonfinite_factor_and_arcs():
+def test_exp_batch_rejects_nonfinite_factor():
     path = ContourPath((Line(-1.0, 1.0),))
     a = np.linspace(0.0, 1.0, 5) + 0.5j
 
@@ -390,6 +385,3 @@ def test_exp_batch_rejects_nonfinite_factor_and_arcs():
                 integrate_exp_batch(factor, members, 0.0, path, TIGHT)
             assert exc.value.reason == "nonfinite"
             assert "t = " in str(exc.value)
-    arc = ContourPath((Arc(0.0, 1.0, math.pi, 0.0),))
-    with pytest.raises(ValueError):
-        integrate_exp_batch(lambda z: (np.ones(z.shape), np.zeros(z.shape)), a, 0.0, arc)
