@@ -23,7 +23,8 @@ Evaluation strategy (vectorised over numpy arrays):
 
 The scaled evaluator returns (ai, aip, expo) with Ai = ai * exp(expo),
 Ai' = aip * exp(expo) and expo real, so that ratios of Airy functions at
-large arguments never overflow.
+large arguments never overflow.  In every band a point gets the value of its
+single-point call, so an integrand makes one merged call (``_scaled_each``).
 
 The roots of the impedance equation alpha e^{i pi/3} Ai(eta) + beta Ai'(eta)
 = 0 (the zeros of Ai for the pair (1, 0), of Ai' for (0, 1), the Robin roots
@@ -355,6 +356,15 @@ def airy_scaled_vec(z):
     if np.any(far):
         ai[far], aip[far], expo[far] = _far_scaled_vec(z[far])
     return ai, aip, expo
+
+
+def _scaled_each(*zs):
+    """``airy_scaled_vec`` of each array in one call: a list of one (ai, aip,
+    expo) triple per array, exact because a point's value never sees its batch."""
+    zs = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in zs]
+    cuts = np.cumsum([z.size for z in zs])[:-1]
+    parts = [np.split(p, cuts) for p in airy_scaled_vec(np.concatenate([z.ravel() for z in zs]))]
+    return [tuple(p[k].reshape(z.shape) for p in parts) for k, z in enumerate(zs)]
 
 
 def airy_vec(z):

@@ -271,12 +271,6 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
 # Forked-contour representation (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _a1_shift_parts(sigma: np.ndarray, n_hat: float):
-    """A1(sigma - n_hat) as (weight, real log-scale)."""
-    a, ap, e = airy.airy_scaled_vec(pk.OMEGA * (np.asarray(sigma, dtype=complex) - n_hat))
-    return pk.OMEGA * a, e
-
-
 def _arm_model(rate_32: float, lin: float) -> DecayModel:
     return DecayModel("power_three_halves", rate_32 / 2.0, scale=20.0,
                       min_radius=(2.0 * max(lin, 0.0) / rate_32) ** 2 + 4.0)
@@ -291,19 +285,20 @@ def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
     n = y + x * x / 4.0
     tail = opts.truncation_tail_tol
 
+    # one Airy call per evaluation: A1(s - n) = omega Ai(omega (s - n)) and the ratio
     def f1(s):
-        w, e = _a1_shift_parts(s, n)
-        return w * np.exp(1j * x * s / 2.0 + e)
+        a, _, e = airy.airy_scaled_vec(pk.OMEGA * (s - n))
+        return pk.OMEGA * a * np.exp(1j * x * s / 2.0 + e)
 
     def f2(s):
-        w, e = _a1_shift_parts(s, n)
-        wr, er = pk.ratio_l2_parts(s, bc)
-        return w * wr * np.exp(1j * x * s / 2.0 + e + er)
+        (a, _, e), *r = airy._scaled_each(pk.OMEGA * (s - n), pk.OMEGA * s, pk.OMEGA ** 2 * s)
+        wr, er = pk._ratio_l2(*r, bc)
+        return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
 
     def f3(s):
-        w, e = _a1_shift_parts(s, n)
-        wr, er = pk.ratio_l3_parts(s, bc)
-        return w * wr * np.exp(1j * x * s / 2.0 + e + er)
+        (a, _, e), *r = airy._scaled_each(pk.OMEGA * (s - n), s, pk.OMEGA * s)
+        wr, er = pk._ratio_l3(*r, bc)
+        return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
 
     lin = 0.866 * abs(x) / 2.0
     p1 = truncate(ContourPath((Ray(0.0, -2 * math.pi / 3, inward=False),)),
@@ -345,21 +340,24 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
 
     def f_out(s):
         s = np.asarray(s, dtype=complex)
-        a0, _, e0 = airy.airy_scaled_vec(s - n)
-        w1, e1 = _a1_shift_parts(s, n)
-        wr, er = pk.ratio_l3_parts(s, bc)
+        (a0, _, e0), (a1, _, e1), *r = airy._scaled_each(s - n, pk.OMEGA * (s - n),
+                                                          s, pk.OMEGA * s)
+        wr, er = pk._ratio_l3(*r, bc)
+        w1 = pk.OMEGA * a1
         big = np.maximum(e0, er + e1)
         diff = a0 * np.exp(e0 - big) - wr * w1 * np.exp(er + e1 - big)
         return diff * np.exp(1j * x * s / 2.0 + big)
 
     def f_in(s):
         s = np.asarray(s, dtype=complex)
-        w1, e1 = _a1_shift_parts(s, n)
-        wb, eb = pk.ratio_l2_parts(s, bc)
-        wd, ed = pk.ratio_l2_parts(s - n, pk.DIRICHLET)
+        sn = s - n
+        (a1, _, e1), b1, b2, d1, d2 = airy._scaled_each(
+            pk.OMEGA * sn, pk.OMEGA * s, pk.OMEGA ** 2 * s, pk.OMEGA * sn, pk.OMEGA ** 2 * sn)
+        wb, eb = pk._ratio_l2(b1, b2, bc)
+        wd, ed = pk._ratio_l2(d1, d2, pk.DIRICHLET)
         big = np.maximum(eb, ed)
         diff = wb * np.exp(eb - big) - wd * np.exp(ed - big)
-        return diff * w1 * np.exp(1j * x * s / 2.0 + big + e1)
+        return diff * (pk.OMEGA * a1) * np.exp(1j * x * s / 2.0 + big + e1)
 
     # keep clear of poles near the incoming leg; the zeros of Ai and Ai' map
     # to poles on the arg = pi/3 line, pi/3 away from it

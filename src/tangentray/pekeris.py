@@ -122,28 +122,34 @@ class CaretEval:
 # sigma-plane ratio integrands (shared with the Fock-field module)
 # ---------------------------------------------------------------------------
 
-def ratio_l2_parts(sigma: np.ndarray, bc: BoundaryKind):
-    """A2-type over A1-type ratio on the l2 arm as (weight, real log-scale):
-    (alpha A2 - beta A2') / (alpha A1 - beta A1'), A_j(sigma) = omega^j
-    Ai(omega^j sigma) and ' = d/dsigma."""
-    sigma = np.asarray(sigma, dtype=complex)
-    alpha, beta = bc.impedance
-    a1, ap1, e1 = airy.airy_scaled_vec(OMEGA * sigma)
-    a2, ap2, e2 = airy.airy_scaled_vec(OMEGA ** 2 * sigma)
+def _ratio_l2(r1, r2, bc: BoundaryKind):
+    """``ratio_l2_parts`` from the scaled Airy triples of omega sigma, omega^2 sigma."""
+    (alpha, beta), (a1, ap1, e1), (a2, ap2, e2) = bc.impedance, r1, r2
     num = OMEGA ** 2 * (alpha * a2 - beta * OMEGA ** 2 * ap2)
     den = OMEGA * (alpha * a1 - beta * OMEGA * ap1)
     return num / den, e2 - e1
 
 
-def ratio_l3_parts(sigma: np.ndarray, bc: BoundaryKind):
-    """A0-type over A1-type ratio on the l3 arm and on gamma, as parts."""
-    sigma = np.asarray(sigma, dtype=complex)
-    alpha, beta = bc.impedance
-    a0, ap0, e0 = airy.airy_scaled_vec(sigma)
-    a1, ap1, e1 = airy.airy_scaled_vec(OMEGA * sigma)
+def _ratio_l3(r0, r1, bc: BoundaryKind):
+    """``ratio_l3_parts`` from the scaled Airy triples of sigma, omega sigma."""
+    (alpha, beta), (a0, ap0, e0), (a1, ap1, e1) = bc.impedance, r0, r1
     num = alpha * a0 - beta * ap0
     den = OMEGA * (alpha * a1 - beta * OMEGA * ap1)
     return num / den, e0 - e1
+
+
+def ratio_l2_parts(sigma: np.ndarray, bc: BoundaryKind):
+    """A2-type over A1-type ratio on the l2 arm as (weight, real log-scale):
+    (alpha A2 - beta A2') / (alpha A1 - beta A1'), A_j(sigma) = omega^j
+    Ai(omega^j sigma) and ' = d/dsigma."""
+    sigma = np.asarray(sigma, dtype=complex)
+    return _ratio_l2(*airy._scaled_each(OMEGA * sigma, OMEGA ** 2 * sigma), bc)
+
+
+def ratio_l3_parts(sigma: np.ndarray, bc: BoundaryKind):
+    """A0-type over A1-type ratio on the l3 arm and on gamma, as parts."""
+    sigma = np.asarray(sigma, dtype=complex)
+    return _ratio_l3(*airy._scaled_each(sigma, OMEGA * sigma), bc)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,8 @@ _MAX_ROUNDS = 200
 # eps x integrand peak accumulated over the refined panels)
 FLOOR_FACTOR = 1e4
 # most elements (members x nodes) one integrand call returns: a round with
-# more panels is evaluated one block of panels per call, so a wide batch on
-# a deeply refined path does not hold gigabytes of integrand values at once
+# more is evaluated one block of panels (or of an exponential family's members)
+# per call, so a wide batch on a long path holds no gigabytes of values at once
 CALL_ELEMENTS = 1 << 20
 
 
@@ -409,7 +409,14 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
 
         evaluate = functools.partial(_evaluate, fmat)
     else:
-        evaluate = functools.partial(_evaluate_exp, factor, a, b)
+        def evaluate(table, seg, u0, u1, members):
+            step = max(1, CALL_ELEMENTS // (15 * seg.size))
+            if a.size <= step:
+                return _evaluate_exp(factor, a, b, table, seg, u0, u1, members)
+            bm = np.broadcast_to(b, (a.size, 1))
+            parts = [_evaluate_exp(factor, a[m:m + step], bm[m:m + step], table, seg, u0, u1,
+                                   members) for m in range(0, a.size, step)]
+            return tuple(np.concatenate(p) for p in zip(*parts))
     total, err_total, evals, _, accepted = _adapt(evaluate, path, opts, abs_floor, a.size,
                                                   strict)
     return total, err_total, evals, accepted

@@ -82,10 +82,9 @@ def check_airy_identities(n_points: int = 100, seed: int = 42) -> VerificationCh
         rng = np.random.default_rng(seed)
         z = rng.uniform(-10, 10, 4 * n_points) + 1j * rng.uniform(-10, 10, 4 * n_points)
         z = z[np.abs(z) <= 10][:n_points]
-        vals = []
-        for j in range(3):
-            a, ap = airy.airy_vec(_OMEGA ** j * z)
-            vals.append((_OMEGA ** j * a, _OMEGA ** (2 * j) * ap))
+        rotations = airy._scaled_each(*(_OMEGA ** j * z for j in range(3)))   # one Airy call
+        vals = [(_OMEGA ** j * (a * np.exp(e)), _OMEGA ** (2 * j) * (ap * np.exp(e)))
+                for j, (a, ap, e) in enumerate(rotations)]
         conn = np.abs(vals[0][0] + vals[1][0] + vals[2][0])
         conn_rel = conn / np.max(np.abs([v[0] for v in vals]), axis=0)
         worst = float(np.max(conn_rel))

@@ -244,14 +244,25 @@ def test_wedge_impedance_roots_converge():
 
 
 def test_far_value_independent_of_batch():
-    # the far band sums each point's own number of asymptotic terms
+    # the far band sums each point's own number of asymptotic terms, and one
+    # batch mixes every kind of point: lattice, far series, connection
+    # formula and non-finite, so callers may merge the arguments of several
+    # Airy factors into one call
     rng = np.random.default_rng(1)
-    r = rng.uniform(8.6, 30.0, 3000)
-    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, 3000))
+    r = np.concatenate([rng.uniform(0.0, 8.5, 1000), rng.uniform(8.6, 30.0, 3000)])
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+    bad = [complex(math.nan, 0.0), complex(math.inf, 1.0), complex(1.0, -math.inf),
+           complex(-math.inf, math.nan)]
+    z = rng.permutation(np.concatenate([z, bad]))
+    finite = np.isfinite(z)
+    near = np.abs(z) <= 8.5
+    conn = finite & ~near & (np.abs(np.angle(z)) > 2.0 * math.pi / 3.0 - 0.1)
+    assert near.sum() > 500 and conn.sum() > 500 and (finite & ~near & ~conn).sum() > 500
     batch = ta.airy_scaled_vec(z)
     one = [ta.airy_scaled_vec(z[k:k + 1]) for k in range(z.size)]
     for j in range(3):
-        assert np.array_equal(batch[j], np.concatenate([o[j] for o in one]))
+        assert np.array_equal(batch[j], np.concatenate([o[j] for o in one]), equal_nan=True)
+    assert np.isnan(batch[2][~finite]).all()
 
 
 def test_zeros_against_scipy():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tangentray import airy, fock
+from tangentray import matching as mt
 from tangentray import pekeris as pk
 from tangentray.contours import ContourPath, DecayModel, Ray, truncate
 from tangentray.quadrature import QuadOptions, QuadratureError, QuadResult, integrate
@@ -173,3 +174,151 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
     with pytest.raises(QuadratureError) as info:
         fock.scattered_new(fock.FockPoint(-1.0, 0.5), D, opts)
     assert info.value.reason == "stalled"
+
+
+# ---------------------------------------------------------------------------
+# sigma-plane integrands: one Airy call per evaluation, bit for bit the
+# formulas that evaluate each Airy argument on its own
+# ---------------------------------------------------------------------------
+
+W = pk.OMEGA
+SIGMA_POINTS = [(-3.0, 1.0), (0.5, 0.2), (2.0, -0.5)]    # lit, penumbra, shadow
+SIGMA_BCS = [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)]
+
+
+def _a1_shift(s, n):
+    a, _, e = airy.airy_scaled_vec(W * (np.asarray(s, dtype=complex) - n))
+    return W * a, e
+
+
+def _r2(s, bc):
+    s = np.asarray(s, dtype=complex)
+    alpha, beta = bc.impedance
+    a1, ap1, e1 = airy.airy_scaled_vec(W * s)
+    a2, ap2, e2 = airy.airy_scaled_vec(W ** 2 * s)
+    num = W ** 2 * (alpha * a2 - beta * W ** 2 * ap2)
+    den = W * (alpha * a1 - beta * W * ap1)
+    return num / den, e2 - e1
+
+
+def _r3(s, bc):
+    s = np.asarray(s, dtype=complex)
+    alpha, beta = bc.impedance
+    a0, ap0, e0 = airy.airy_scaled_vec(s)
+    a1, ap1, e1 = airy.airy_scaled_vec(W * s)
+    num = alpha * a0 - beta * ap0
+    den = W * (alpha * a1 - beta * W * ap1)
+    return num / den, e0 - e1
+
+
+def _reference_integrands(x, n, bc):
+    """Per field function, its integrands in the order it integrates them,
+    with one Airy call per argument."""
+    def f1(s):
+        w, e = _a1_shift(s, n)
+        return w * np.exp(1j * x * s / 2.0 + e)
+
+    def arm(ratio):
+        def f(s):
+            w, e = _a1_shift(s, n)
+            wr, er = ratio(s, bc)
+            return w * wr * np.exp(1j * x * s / 2.0 + e + er)
+        return f
+
+    def f_in(s):
+        s = np.asarray(s, dtype=complex)
+        w1, e1 = _a1_shift(s, n)
+        wb, eb = _r2(s, bc)
+        wd, ed = _r2(s - n, pk.DIRICHLET)
+        big = np.maximum(eb, ed)
+        diff = wb * np.exp(eb - big) - wd * np.exp(ed - big)
+        return diff * w1 * np.exp(1j * x * s / 2.0 + big + e1)
+
+    def f_out(s):
+        s = np.asarray(s, dtype=complex)
+        a0, _, e0 = airy.airy_scaled_vec(s - n)
+        w1, e1 = _a1_shift(s, n)
+        wr, er = _r3(s, bc)
+        big = np.maximum(e0, er + e1)
+        diff = a0 * np.exp(e0 - big) - wr * w1 * np.exp(er + e1 - big)
+        return diff * np.exp(1j * x * s / 2.0 + big)
+
+    return {"scattered_forked": [f1, arm(_r2), arm(_r3)], "total_gamma": [f_in, f_out]}
+
+
+def _substituted(integrands):
+    """An ``integrate`` that runs the next of ``integrands`` in place of the
+    integrand it is handed, on the caller's path."""
+    def run(f, path, opts):
+        return integrate(integrands.pop(0), path, opts)
+    return run
+
+
+def _airy_calls_per_evaluation(m, module):
+    """Counts of Airy calls, one per integrand evaluation through
+    ``module.integrate``, and of Airy calls in all."""
+    per_eval, calls = [], []
+    evaluate = airy.airy_scaled_vec
+
+    def counted(z):
+        calls.append(np.size(z))
+        return evaluate(z)
+
+    def run(f, path, opts=QuadOptions()):
+        def g(s):
+            before = len(calls)
+            out = f(s)
+            per_eval.append(len(calls) - before)
+            return out
+        return integrate(g, path, opts)
+
+    m.setattr(airy, "airy_scaled_vec", counted)
+    m.setattr(module, "integrate", run)
+    return per_eval, calls
+
+
+@pytest.mark.parametrize("bc", SIGMA_BCS, ids=lambda bc: bc.label())
+def test_sigma_integrands_one_airy_call_bit_identical(monkeypatch, bc):
+    cfg = fock.ProblemConfig(bc)
+    for x_hat, y_hat in SIGMA_POINTS:
+        pt = fock.FockPoint(x_hat, y_hat)
+        x, y = fock._scaled_coords(pt, cfg)
+        refs = _reference_integrands(x, y + x * x / 4.0, bc)
+        for field in (fock.scattered_forked, fock.total_gamma):
+            todo = refs[field.__name__]
+            with monkeypatch.context() as m:
+                m.setattr(fock, "integrate", _substituted(todo))
+                ref = field(pt, cfg)
+            assert todo == []
+            with monkeypatch.context() as m:
+                per_eval, _ = _airy_calls_per_evaluation(m, fock)
+                got = field(pt, cfg)
+            assert per_eval and set(per_eval) == {1}
+            assert got.amplitude == ref.amplitude
+            assert got.error_estimate == ref.error_estimate
+    # the ratio parts, on nodes from the lattice and both far bands
+    s = np.concatenate([np.linspace(-12.0, 12.0, 25), 9.0 * np.exp(1j * np.linspace(-3, 3, 13))])
+    for parts, ref in ((pk.ratio_l2_parts, _r2), (pk.ratio_l3_parts, _r3)):
+        want = ref(s, bc)
+        with monkeypatch.context() as m:
+            _, calls = _airy_calls_per_evaluation(m, fock)
+            got = parts(s, bc)
+        assert calls == [2 * s.size]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_i_sigma_one_airy_call_bit_identical(monkeypatch):
+    t = 1.5
+
+    def f(s):
+        w, expo = _r3(s, pk.DIRICHLET)
+        return w * np.exp(1j * t * s + expo)
+
+    with monkeypatch.context() as m:
+        m.setattr(mt, "integrate", _substituted([f]))
+        ref = mt.i_sigma(t, 4.0)
+    with monkeypatch.context() as m:
+        per_eval, _ = _airy_calls_per_evaluation(m, mt)
+        got = mt.i_sigma(t, 4.0)
+    assert per_eval and set(per_eval) == {1}
+    assert got == ref

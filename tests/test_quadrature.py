@@ -369,6 +369,33 @@ def test_exp_batch_blocks(monkeypatch):
     assert np.all(np.abs(errs - ref_errs) <= 1e-14 * np.abs(ref))
 
 
+def test_exp_batch_splits_members_beyond_call_elements(monkeypatch):
+    # a family wider than CALL_ELEMENTS / 15 members is split by members as
+    # well as by panels, so no kernel call holds more members x nodes
+    budget = 15 * 10                   # one panel of at most ten members per call
+    kernel = quadrature._evaluate_exp
+    sizes = []
+
+    def counted(factor, a, b, table, seg, *rest):
+        sizes.append(a.size * 15 * seg.size)
+        return kernel(factor, a, b, table, seg, *rest)
+
+    for factor, a, b, path, floors in _caret_families(24):
+        ref, ref_errs, ref_evals, _ = integrate_exp_batch(factor, a, b, path, QuadOptions(),
+                                                          floors)
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "CALL_ELEMENTS", budget)
+            m.setattr(quadrature, "_evaluate_exp", counted)
+            vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path,
+                                                              QuadOptions(), floors)
+        assert accepted.all()
+        assert sizes and max(sizes) <= budget
+        assert evals == ref_evals
+        assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
+        assert np.all(np.abs(errs - ref_errs) <= 1e-14 * np.abs(ref))
+
+
 def test_exp_batch_rejects_nonfinite_factor():
     path = ContourPath((Line(-1.0, 1.0),))
     a = np.linspace(0.0, 1.0, 5) + 0.5j
