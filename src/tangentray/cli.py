@@ -104,11 +104,11 @@ def cmd_field(args) -> int:
                     tot = fock.total_gamma(pt, cfg, opts)
                     a, err = tot.amplitude, tot.error_estimate
                     a_s = a - 1.0
-                rows.append(",".join([_fmt(xh), _fmt(yh), _fmt(pt.n_hat),
+                rows.append(",".join([_fmt(xh), _fmt(yh), _fmt(cfg.n_hat(pt)),
                                       _fmt(a.real), _fmt(a.imag),
                                       _fmt(a_s.real), _fmt(a_s.imag), _fmt(err)]))
             except (fock.FockDomainError, QuadratureError):
-                rows.append(",".join([_fmt(xh), _fmt(yh), _fmt(pt.n_hat),
+                rows.append(",".join([_fmt(xh), _fmt(yh), _fmt(cfg.n_hat(pt)),
                                       "nan", "nan", "nan", "nan", "nan"]))
     _write(args.out, "\n".join(rows) + "\n")
     return 0

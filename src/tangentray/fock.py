@@ -55,10 +55,6 @@ class FockPoint:
     x_hat: float
     y_hat: float
 
-    @property
-    def n_hat(self) -> float:
-        return self.y_hat + self.x_hat ** 2 / 4.0
-
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -69,6 +65,10 @@ class ProblemConfig:
         if self.kappa <= 0:
             raise ValueError("curvature kappa must be positive")
 
+    def n_hat(self, pt: FockPoint) -> float:
+        """Height y_hat + kappa x_hat^2/2 above the boundary y_hat = -kappa x_hat^2/2."""
+        return pt.y_hat + self.kappa * pt.x_hat ** 2 / 2.0
+
 
 @dataclass(frozen=True)
 class FieldValue:
@@ -77,72 +77,25 @@ class FieldValue:
 
 
 def _scaled_coords(pt: FockPoint, cfg: ProblemConfig) -> tuple[float, float]:
-    """Rescale to the kappa = 1/2 frame: x -> (2k)^{2/3} x, y -> (2k)^{1/3} y."""
+    """Rescale to the kappa = 1/2 frame: x -> (2k)^{2/3} x, y -> (2k)^{1/3} y.
+
+    Raises FockDomainError for a point inside the obstacle."""
     s = 2.0 * cfg.kappa
-    return s ** (2.0 / 3.0) * pt.x_hat, s ** (1.0 / 3.0) * pt.y_hat
-
-
-def _require_exterior(x: float, y: float):
+    x, y = s ** (2.0 / 3.0) * pt.x_hat, s ** (1.0 / 3.0) * pt.y_hat
     if y + x * x / 4.0 < -1e-12:
-        raise FockDomainError(f"point (x_hat={x}, y_hat={y}) lies inside the obstacle")
+        raise FockDomainError(f"point ({pt.x_hat}, {pt.y_hat}) lies inside the obstacle")
+    return x, y
 
 
-def _saddle_minus(x: float, y: float) -> float:
-    d = max(x * x + 3.0 * y, 0.0)
-    return (2.0 / 3.0) * (x - math.sqrt(d))
+def _saddles(x: float, y: float) -> tuple[float, float]:
+    """Real saddles t_pm = (2/3)(x +- sqrt(x^2 + 3y)), the root clamped at 0."""
+    r = math.sqrt(max(x * x + 3.0 * y, 0.0))
+    return (2.0 / 3.0) * (x - r), (2.0 / 3.0) * (x + r)
 
 
 # ---------------------------------------------------------------------------
-# Integrand: exp(i Phi) times the caret factor, in log space
+# Caret representation: exp(i Phi) times the caret factor, in log space
 # ---------------------------------------------------------------------------
-
-class _CaretFactor:
-    """Cached caret-factor log-evaluator for one field computation.
-
-    Computed caret values are used in the residue sector, for |t| <= T_CARET,
-    and within SADDLE_DISC of the dominant saddle t_saddle; outside those the
-    lit-sector asymptotic log-model takes over (its neighbourhood carries
-    weight below the truncation tolerance by the contour construction).
-    """
-
-    def __init__(self, bc: pk.BoundaryKind, opts: QuadOptions, t_saddle: float | None):
-        self.bc = bc
-        # the caret factor only needs relative accuracy: the field quadrature
-        # carries the absolute budget
-        self.opts = replace(opts, rel_tol=max(opts.rel_tol, 1e-10),
-                            abs_tol=max(opts.abs_tol, 3e-11))
-        self.t_saddle = t_saddle
-        self.rel_err = 0.0
-
-    def log_values(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=complex)
-        out = np.empty(ts.shape, dtype=complex)
-        computed = pk._in_residue_sector(ts) | (np.abs(ts) <= T_CARET)
-        if self.t_saddle is not None:
-            computed |= np.abs(ts - self.t_saddle) <= SADDLE_DISC
-        if np.any(computed):
-            lv, lr = pk.caret_log_many(ts[computed], self.bc, self.opts)
-            out[computed] = lv
-            self.rel_err = max(self.rel_err, float(np.max(lr)))
-        rest = ~computed
-        if np.any(rest):
-            out[rest] = pk.caret_lit_log_asymptotic(ts[rest], self.bc)
-        return out
-
-
-def _field_integrand(x: float, y: float, caret: _CaretFactor, extra_it: bool = False):
-    """exp(i(-y t - x t^2/2 + t^3/3)) * caret(t), optionally times (-i t)."""
-
-    def f(ts):
-        ts = np.asarray(ts, dtype=complex)
-        iphi = 1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0)
-        g = np.exp(iphi + caret.log_values(ts))
-        if extra_it:
-            g = g * (-1j * ts)
-        return g
-
-    return f
-
 
 def _truncation_model(x: float, y: float, vertex_scale: float) -> DecayModel:
     """Cubic tail model for the caret-against-cubic-phase integrand.
@@ -168,7 +121,7 @@ def _channel_path(x: float, y: float, du: float, h: float) -> ContourPath:
     direction without a ridge when the pole and saddle interact.  The path
     passes right of the pole (Gamma_1-right class).
     """
-    tm = _saddle_minus(x, y)
+    tm, _ = _saddles(x, y)
     u0 = tm + du
     segs = (Ray(complex(u0, 0.0), -math.pi / 2.0, inward=True),
             Line(complex(u0, 0.0), complex(tm, h)),
@@ -183,7 +136,7 @@ def _scattered_path(x: float, y: float) -> tuple[ContourPath, float, float]:
     blocked by an exponential ridge; there the integral is taken along the
     descent channel right of the pole and the crossing residue -1 is added
     (the deformation argument of the transition-region analysis)."""
-    tm = _saddle_minus(x, y)
+    tm, _ = _saddles(x, y)
     if tm <= -0.3:
         return _vee(complex(tm, 0.0)), abs(tm), 0.0
     return _channel_path(x, y, 0.5, 0.55), max(abs(tm), C0) + 1.0, -1.0
@@ -191,12 +144,11 @@ def _scattered_path(x: float, y: float) -> tuple[ContourPath, float, float]:
 
 def _total_path(x: float, y: float) -> tuple[ContourPath | None, float]:
     """Gamma_1-right realisation, or None when the residue shift is used."""
-    tm = _saddle_minus(x, y)
+    tm, tp = _saddles(x, y)
     if tm > -0.3:
         return _channel_path(x, y, 0.35, 0.35), max(abs(tm), C0) + 1.0
     if tm >= -T_HONEST:
         # pass right of the pole, then cross above it to the saddle vertical
-        tp = (2.0 / 3.0) * (x + math.sqrt(max(x * x + 3 * y, 0.0)))
         dmax = max(abs(y), abs((x / 2) ** 2 - x * (x / 2) - y), abs(tp * tp - x * tp - y))
         h = min(C0, 4.0 / max(1.0, dmax))
         segs = (Ray(complex(C0, 0.0), -math.pi / 2.0, inward=True),
@@ -209,29 +161,52 @@ def _total_path(x: float, y: float) -> tuple[ContourPath | None, float]:
 
 def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
                vertex_scale: float, opts: QuadOptions, extra_it: bool = False) -> FieldValue:
-    tm = _saddle_minus(x, y)
-    # beyond a saddle radius of SADDLE_ASY the dominant region is served by
-    # the lit-sector asymptotic model; its O(|t|^-3) relative error enters the
-    # reported estimate instead of a (hopelessly slow) exact evaluation
+    """Integrate exp(i(-y t - x t^2/2 + t^3/3)) caret(t), optionally times
+    (-i t), along ``path``.
+
+    The caret factor is computed in the residue sector, for |t| <= T_CARET
+    and within SADDLE_DISC of the saddle t_-; elsewhere the lit-sector
+    asymptotic log-model serves (its neighbourhood carries weight below the
+    truncation tolerance by the contour construction).  Beyond a saddle
+    radius of SADDLE_ASY that model serves the saddle too, and its
+    O(|t|^-3) relative error enters the estimate instead of a (hopelessly
+    slow) exact evaluation; so does the largest caret relative error.
+    """
+    tm, _ = _saddles(x, y)
     asy_rel = 4.0 / abs(tm) ** 3 if abs(tm) > SADDLE_ASY else 0.0
-    caret = _CaretFactor(bc, opts, tm if C0 < abs(tm) <= SADDLE_ASY else None)
-    model = _truncation_model(x, y, vertex_scale)
-    fin = truncate(path, model, opts.truncation_tail_tol)
-    res = integrate(_field_integrand(x, y, caret, extra_it), fin, opts)
-    err = (res.error_estimate + (caret.rel_err + asy_rel) * abs(res.value)
+    saddle = tm if C0 < abs(tm) <= SADDLE_ASY else None
+    # the caret factor only needs relative accuracy: the field quadrature
+    # carries the absolute budget
+    caret_opts = replace(opts, rel_tol=max(opts.rel_tol, 1e-10), abs_tol=max(opts.abs_tol, 3e-11))
+    caret_rel = 0.0
+
+    def f(ts):
+        nonlocal caret_rel
+        ts = np.asarray(ts, dtype=complex)
+        log_caret = np.empty(ts.shape, dtype=complex)
+        computed = pk._in_residue_sector(ts) | (np.abs(ts) <= T_CARET)
+        if saddle is not None:
+            computed |= np.abs(ts - saddle) <= SADDLE_DISC
+        if np.any(computed):
+            lv, lr = pk.caret_log_many(ts[computed], bc, caret_opts)
+            log_caret[computed] = lv
+            caret_rel = max(caret_rel, float(np.max(lr)))
+        if not np.all(computed):
+            log_caret[~computed] = pk.caret_lit_log_asymptotic(ts[~computed], bc)
+        g = np.exp(1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0) + log_caret)
+        return g * (-1j * ts) if extra_it else g
+
+    fin = truncate(path, _truncation_model(x, y, vertex_scale), opts.truncation_tail_tol)
+    res = integrate(f, fin, opts)
+    err = (res.error_estimate + (caret_rel + asy_rel) * abs(res.value)
            + 4.0 * opts.truncation_tail_tol)
     return FieldValue(res.value, err)
 
-
-# ---------------------------------------------------------------------------
-# Field operations
-# ---------------------------------------------------------------------------
 
 def scattered_new(pt: FockPoint, cfg: ProblemConfig,
                   opts: QuadOptions = DEFAULT_OPTS) -> FieldValue:
     """Scattered amplitude via the single-contour caret representation."""
     x, y = _scaled_coords(pt, cfg)
-    _require_exterior(x, y)
     path, vs, shift = _scattered_path(x, y)
     out = _run_field(x, y, cfg.bc, path, vs, opts)
     if shift:
@@ -248,7 +223,6 @@ def total_new(pt: FockPoint, cfg: ProblemConfig,
     shift A = A_s + 1 across the simple pole is applied instead.
     """
     x, y = _scaled_coords(pt, cfg)
-    _require_exterior(x, y)
     path, vs = _total_path(x, y)
     if path is None:
         sc = scattered_new(pt, cfg, opts)
@@ -260,7 +234,6 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
                  opts: QuadOptions = DEFAULT_OPTS) -> FieldValue:
     """dA/dy of the total field, via the factor (-i t) in the integrand."""
     x, y = _scaled_coords(pt, cfg)
-    _require_exterior(x, y)
     path, vs = _total_path(x, y)
     if path is None:
         raise FockDomainError("derivative field is not provided in the far-illuminated regime")
@@ -268,7 +241,7 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
 
 
 # ---------------------------------------------------------------------------
-# Forked-contour representation (independent oracle)
+# Sigma-plane representations: the forked contour and the gamma contour
 # ---------------------------------------------------------------------------
 
 def _arm_model(rate_32: float, lin: float) -> DecayModel:
@@ -276,14 +249,31 @@ def _arm_model(rate_32: float, lin: float) -> DecayModel:
                       min_radius=(2.0 * max(lin, 0.0) / rate_32) ** 2 + 4.0)
 
 
+def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:
+    """Plane-phase prefactor e^{-i(x y/2 + x^3/12)} times the sum over the
+    legs (sign, angle, lin, integrand) of sign x the integral along the
+    outward ray from 0 at that angle, truncated by ``_arm_model(2/3, lin)``.
+
+    The estimate adds two tail tolerances per leg and 3e-10 of |sum| to
+    the quadrature errors."""
+    tail = opts.truncation_tail_tol
+    total = err = 0.0
+    for sign, angle, lin, f in legs:
+        path = truncate(ContourPath((Ray(0.0, angle, inward=False),)),
+                        _arm_model(2.0 / 3.0, lin), tail)
+        res = integrate(f, path, opts)
+        total, err = total + sign * res.value, err + res.error_estimate
+    pref = np.exp(-1j * (x * y / 2.0 + x ** 3 / 12.0))
+    return FieldValue(pref * total, err + 2 * len(legs) * tail + 3e-10 * abs(total))
+
+
 def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
                      opts: QuadOptions = DEFAULT_OPTS) -> FieldValue:
-    """Three-armed (l1, l2, l3) representation with the plane-phase prefactor."""
+    """Three-armed (l1, l2, l3) representation with the plane-phase prefactor;
+    l1 and l2 run from infinity towards 0."""
     x, y = _scaled_coords(pt, cfg)
-    _require_exterior(x, y)
     bc = cfg.bc
     n = y + x * x / 4.0
-    tail = opts.truncation_tail_tol
 
     # one Airy call per evaluation: A1(s - n) = omega Ai(omega (s - n)) and the ratio
     def f1(s):
@@ -300,43 +290,25 @@ def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
         wr, er = pk._ratio_l3(*r, bc)
         return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
 
-    lin = 0.866 * abs(x) / 2.0
-    p1 = truncate(ContourPath((Ray(0.0, -2 * math.pi / 3, inward=False),)),
-                  _arm_model(2.0 / 3.0, lin + 0.5 * n ** 0.5), tail)
-    p2 = truncate(ContourPath((Ray(0.0, 2 * math.pi / 3, inward=False),)),
-                  _arm_model(2.0 / 3.0, lin + 0.5 * n ** 0.5), tail)
-    p3 = truncate(ContourPath((Ray(0.0, 0.0, inward=False),)),
-                  _arm_model(2.0 / 3.0, n ** 0.5), tail)
-    r1 = integrate(f1, p1, opts)
-    r2 = integrate(f2, p2, opts)
-    r3 = integrate(f3, p3, opts)
-    # l1 and l2 run from infinity towards 0
-    total = -r1.value - r2.value - r3.value
-    pref = np.exp(-1j * (x * y / 2.0 + x ** 3 / 12.0))
-    err = (r1.error_estimate + r2.error_estimate + r3.error_estimate
-           + 6.0 * tail + 3e-10 * abs(total))
-    return FieldValue(pref * total, err)
+    rn = max(n, 0.0) ** 0.5      # n rounds below 0 on the boundary of some kappa
+    lin = 0.866 * abs(x) / 2.0 + 0.5 * rn
+    return _leg_sum(x, y, [(-1, -2 * math.pi / 3, lin, f1), (-1, 2 * math.pi / 3, lin, f2),
+                           (-1, 0.0, rn, f3)], opts)
 
-
-# ---------------------------------------------------------------------------
-# Gamma-contour total field (third oracle)
-# ---------------------------------------------------------------------------
 
 def total_gamma(pt: FockPoint, cfg: ProblemConfig,
                 opts: QuadOptions = DEFAULT_OPTS) -> FieldValue:
     """Total amplitude by the single gamma-contour regularisation.
 
-    On the incoming e^{2i pi/3} ray the plain difference
-    A0(s-n) - r3(s) A1(s-n) cancels below roundoff while both terms grow;
-    the connection formula turns it into the stable ratio-difference form
-    [r2_bc(s) - r2_dirichlet(s-n)] A1(s-n) used there.  On the outgoing real
-    ray the plain difference decays and is used directly.
+    On the incoming e^{2i pi/3} ray (traversed from infinity to 0) the plain
+    difference A0(s-n) - r3(s) A1(s-n) cancels below roundoff while both
+    terms grow; the connection formula turns it into the stable
+    ratio-difference form [r2_bc(s) - r2_dirichlet(s-n)] A1(s-n) used there.
+    On the outgoing real ray the plain difference decays and is used directly.
     """
     x, y = _scaled_coords(pt, cfg)
-    _require_exterior(x, y)
     bc = cfg.bc
     n = y + x * x / 4.0
-    tail = opts.truncation_tail_tol
 
     def f_out(s):
         s = np.asarray(s, dtype=complex)
@@ -349,15 +321,16 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
         return diff * np.exp(1j * x * s / 2.0 + big)
 
     def f_in(s):
+        # A1(s - n) = omega Ai(omega (s - n)) is also the Dirichlet r2(s - n) denominator
         s = np.asarray(s, dtype=complex)
         sn = s - n
-        (a1, _, e1), b1, b2, d1, d2 = airy._scaled_each(
-            pk.OMEGA * sn, pk.OMEGA * s, pk.OMEGA ** 2 * s, pk.OMEGA * sn, pk.OMEGA ** 2 * sn)
+        d1, b1, b2, d2 = airy._scaled_each(pk.OMEGA * sn, pk.OMEGA * s, pk.OMEGA ** 2 * s,
+                                           pk.OMEGA ** 2 * sn)
         wb, eb = pk._ratio_l2(b1, b2, bc)
         wd, ed = pk._ratio_l2(d1, d2, pk.DIRICHLET)
         big = np.maximum(eb, ed)
         diff = wb * np.exp(eb - big) - wd * np.exp(ed - big)
-        return diff * (pk.OMEGA * a1) * np.exp(1j * x * s / 2.0 + big + e1)
+        return diff * (pk.OMEGA * d1[0]) * np.exp(1j * x * s / 2.0 + big + d1[2])
 
     # keep clear of poles near the incoming leg; the zeros of Ai and Ai' map
     # to poles on the arg = pi/3 line, pi/3 away from it
@@ -365,19 +338,9 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     poles = np.conj(pk.OMEGA) * airy.impedance_roots(3, *bc.impedance)
     if np.min(np.abs(np.angle(poles) - ang_in)) < 0.08:
         ang_in -= 0.1
-    lin = 0.866 * abs(x) / 2.0 + 0.6 * max(n, 0.0) ** 0.5
-    leg_in = truncate(ContourPath((Ray(0.0, ang_in, inward=False),)),
-                      _arm_model(2.0 / 3.0, lin), tail)
-    leg_out = truncate(ContourPath((Ray(0.0, 0.0, inward=False),)),
-                       _arm_model(2.0 / 3.0, 0.6 * max(n, 0.0) ** 0.5), tail)
-    r_in = integrate(f_in, leg_in, opts)
-    r_out = integrate(f_out, leg_out, opts)
-    # the gamma contour traverses the incoming leg from infinity to 0
-    total = -r_in.value + r_out.value
-    pref = np.exp(-1j * (x * y / 2.0 + x ** 3 / 12.0))
-    return FieldValue(pref * total,
-                      r_in.error_estimate + r_out.error_estimate
-                      + 4.0 * tail + 3e-10 * abs(total))
+    lin = 0.6 * max(n, 0.0) ** 0.5
+    return _leg_sum(x, y, [(-1, ang_in, 0.866 * abs(x) / 2.0 + lin, f_in),
+                           (1, 0.0, lin, f_out)], opts)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +350,8 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
 def boundary_residual(x_hat: float, cfg: ProblemConfig,
                       opts: QuadOptions = DEFAULT_OPTS) -> float:
     """Boundary-condition defect |beta (dA/dy + i x A/2) + alpha A| of the
-    total field at the boundary point (x_hat, -x_hat^2/4), for the impedance
-    pair (alpha, beta) of the boundary kind: |A| for Dirichlet.
+    total field at the boundary point (x_hat, -kappa x_hat^2/2), for the
+    impedance pair (alpha, beta) of the boundary kind: |A| for Dirichlet.
 
     The impedance parameter enters the boundary operator with a plus sign:
     a Wronskian identity shows the Robin Airy-ratio family satisfies
@@ -396,7 +359,7 @@ def boundary_residual(x_hat: float, cfg: ProblemConfig,
     opposite-sign variant leaves an O(1) defect proportional to
     2 mu W(A0, A1).
     """
-    pt = FockPoint(x_hat, -x_hat ** 2 / 4.0)
+    pt = FockPoint(x_hat, -cfg.kappa * x_hat ** 2 / 2.0)
     alpha, beta = cfg.bc.impedance
     x, _ = _scaled_coords(pt, cfg)
     a = total_new(pt, cfg, opts).amplitude
@@ -410,7 +373,7 @@ def pwe_residual(points: list[FockPoint], cfg: ProblemConfig, h: float,
     """Max centred-difference residual of 2i dA/dx + d2A/dy2 over the points."""
     worst = 0.0
     for p in points:
-        if p.n_hat < 2.0 * h:
+        if cfg.n_hat(p) < 2.0 * h:
             raise FockDomainError("grid point too close to the boundary for the stencil")
         amps = {}
         for dx, dy in [(0, 0), (h, 0), (-h, 0), (0, h), (0, -h)]:

@@ -74,11 +74,9 @@ class SaddleData:
 
 def saddles(x: float, y: float) -> SaddleData:
     """Real saddle points tau_pm = (2/3)(x +- sqrt(x^2 + 3y))."""
-    d = x * x + 3.0 * y
-    if d < 0:
+    if x * x + 3.0 * y < 0:
         raise RegimeError("saddles are complex outside the propagation domain")
-    r = math.sqrt(d)
-    return SaddleData((2.0 / 3.0) * (x - r), (2.0 / 3.0) * (x + r))
+    return SaddleData(*fock._saddles(x, y))
 
 
 # ---------------------------------------------------------------------------

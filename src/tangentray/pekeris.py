@@ -43,7 +43,7 @@ import numpy as np
 from . import airy
 from .contours import (ContourPath, DecayModel, Line, Ray, named_contour,
                        path_point_distance, truncate)
-from .quadrature import QuadOptions, QuadratureError, integrate, integrate_exp_batch
+from .quadrature import QuadOptions, QuadratureError, integrate_exp_batch
 
 TWO_PI = 2.0 * math.pi
 EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))      # e^{i pi/3}
@@ -446,8 +446,10 @@ def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
                    beta2: float = 2 * math.pi / 3, beta3: float = 0.0) -> complex:
     """The entire part: (1/2pi) [ int_{l2} e^{i t sigma} r2 - int_{l3} e^{i t sigma} r3 ].
 
-    Smooth across t = 0.  The l2/l3 rays may be rotated within their decay
-    bands (pi/3, pi) and (-pi/3, pi/3) without changing the value.
+    Smooth across t = 0.  For Dirichlet and Neumann the l2/l3 rays may be
+    rotated within their decay bands (pi/3, pi) and (-pi/3, pi/3) without
+    changing the value; the poles of a Robin ratio move with mu_hat into
+    those bands, and a rotation across one changes it.
     """
     vals, _ = _entire(np.array([complex(t)]), bc, opts or QuadOptions(), beta2, beta3)
     return complex(vals[0])
@@ -623,13 +625,11 @@ def _caret_saddle(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[comp
                                min_radius=abs(points[-1]) + 5.0),
                     opts.truncation_tail_tol)
 
-    def f(eta):
-        w, expo = _reciprocal_weight(eta, bc)
-        return w * np.exp(a * eta + expo - h(eta_star))
-
-    res = integrate(f, path, opts)
+    vals, errs, _, _ = integrate_exp_batch(lambda eta: _reciprocal_weight(eta, bc), a,
+                                           -h(eta_star), path, opts)
+    v = complex(vals[0])
     pref = -1.0 / (4.0 * math.pi ** 2 * t) * np.exp(h(eta_star))
-    return complex(pref * res.value), abs(pref) * (res.error_estimate + 1e-14 * abs(res.value))
+    return complex(pref * v), abs(pref) * (float(errs[0]) + 1e-14 * abs(v))
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +646,8 @@ def caret_fourier(t: complex, bc: BoundaryKind, tol: float = 1e-5) -> complex:
     s_left = (-math.log(tol) + 3.0) / abs(t.imag) + 2.0
     path = ContourPath((Line(-s_left, s_right),))
     opts = QuadOptions(rel_tol=tol * 1e-2, abs_tol=tol * 1e-3, max_subdivisions=4000)
-    def f3(s):
-        w, expo = ratio_l3_parts(s, bc)
-        return w * np.exp(1j * t * s + expo)
-
-    res = integrate(f3, path, opts)
-    return -res.value / TWO_PI
+    vals, _, _, _ = integrate_exp_batch(lambda s: ratio_l3_parts(s, bc), 1j * t, 0.0, path, opts)
+    return -complex(vals[0]) / TWO_PI
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_boundary_residuals():
     assert fock.boundary_residual(0.0, D) <= 1e-6
     assert fock.boundary_residual(0.8, fock.ProblemConfig(pk.NEUMANN)) <= 1e-5
     assert fock.boundary_residual(-0.5, fock.ProblemConfig(pk.robin(2j))) <= 1e-5
+    # the boundary of curvature kappa is y_hat = -kappa x_hat^2/2
+    assert fock.boundary_residual(0.8, fock.ProblemConfig(pk.DIRICHLET, kappa=1.0)) <= 1e-6
+    assert fock.boundary_residual(-0.5, fock.ProblemConfig(pk.robin(2j), kappa=0.25)) <= 1e-5
 
 
 def test_pwe_stencil_on_constant_field():
@@ -184,6 +187,10 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
 W = pk.OMEGA
 SIGMA_POINTS = [(-3.0, 1.0), (0.5, 0.2), (2.0, -0.5)]    # lit, penumbra, shadow
 SIGMA_BCS = [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)]
+# per integrand, the Airy points per node of its one call per evaluation;
+# f_in's A1(s - n) serves both its A1 factor and the Dirichlet r2(s - n)
+SIGMA_AIRY_POINTS = {"scattered_forked": {("f1", (1,)), ("f2", (3,)), ("f3", (3,))},
+                     "total_gamma": {("f_in", (4,)), ("f_out", (4,))}}
 
 
 def _a1_shift(s, n):
@@ -255,8 +262,9 @@ def _substituted(integrands):
 
 
 def _airy_calls_per_evaluation(m, module):
-    """Counts of Airy calls, one per integrand evaluation through
-    ``module.integrate``, and of Airy calls in all."""
+    """Per integrand evaluation through ``module.integrate``, the integrand's
+    name and the Airy points per node of each Airy call it made; and the
+    sizes of all Airy calls."""
     per_eval, calls = [], []
     evaluate = airy.airy_scaled_vec
 
@@ -268,7 +276,7 @@ def _airy_calls_per_evaluation(m, module):
         def g(s):
             before = len(calls)
             out = f(s)
-            per_eval.append(len(calls) - before)
+            per_eval.append((f.__name__, tuple(c / np.size(s) for c in calls[before:])))
             return out
         return integrate(g, path, opts)
 
@@ -293,7 +301,7 @@ def test_sigma_integrands_one_airy_call_bit_identical(monkeypatch, bc):
             with monkeypatch.context() as m:
                 per_eval, _ = _airy_calls_per_evaluation(m, fock)
                 got = field(pt, cfg)
-            assert per_eval and set(per_eval) == {1}
+            assert set(per_eval) == SIGMA_AIRY_POINTS[field.__name__]
             assert got.amplitude == ref.amplitude
             assert got.error_estimate == ref.error_estimate
     # the ratio parts, on nodes from the lattice and both far bands
@@ -320,5 +328,15 @@ def test_i_sigma_one_airy_call_bit_identical(monkeypatch):
     with monkeypatch.context() as m:
         per_eval, _ = _airy_calls_per_evaluation(m, mt)
         got = mt.i_sigma(t, 4.0)
-    assert per_eval and set(per_eval) == {1}
+    assert per_eval and {len(calls) for _, calls in per_eval} == {1}
     assert got == ref
+
+
+def test_forked_on_the_boundary_of_any_kappa():
+    # on the boundary y_hat = -kappa x_hat^2/2 the scaled height n rounds
+    # below 0 for some kappa != 1/2; the forked form must still give the
+    # Dirichlet total field A_s + 1 = 0 there
+    for kappa, x_hat in ((1.0, -2.0), (1.0, -1.5), (0.25, -1.5), (0.25, 0.7)):
+        cfg = fock.ProblemConfig(pk.DIRICHLET, kappa=kappa)
+        a_s = fock.scattered_forked(fock.FockPoint(x_hat, -kappa * x_hat ** 2 / 2.0), cfg)
+        assert abs(a_s.amplitude + 1.0) <= 1e-6
