@@ -182,8 +182,9 @@ def _asym_scaled_vec(z: np.ndarray):
     point sums its own number of terms, from its own |zeta|: up to the
     smallest term (optimal truncation, terms grow beyond k ~ |zeta|), or to
     the first term below 1e-18 if that comes earlier.  One Horner sum serves
-    the whole batch, with the coefficients past a point's count set to 0, so
-    a point's value never depends on its batch.
+    the whole batch: with the points sorted by term count, step k updates in
+    place only the leading points whose count reaches k, so a point's value
+    never depends on its batch.
     """
     z = np.asarray(z, dtype=complex)
     zeta = (2.0 / 3.0) * z ** 1.5
@@ -192,10 +193,16 @@ def _asym_scaled_vec(z: np.ndarray):
     # table; its first is the first term below 1e-18
     first_tiny = np.searchsorted(-_TERM_RADII, -np.log(azeta), side="right") + 1
     terms = np.minimum(np.minimum(azeta, float(_ASYM_TERMS)).astype(int), first_tiny)
-    inv = -1.0 / zeta
-    sums = np.zeros((2,) + z.shape, dtype=complex)
+    order = np.argsort(-terms, kind="stable")
+    neg_sorted = -terms[order]
+    inv = (-1.0 / zeta)[order]
+    acc = np.zeros((2, z.size), dtype=complex)
     for k in range(int(np.max(terms, initial=0)), -1, -1):
-        sums = sums * inv + _UVK[:, k:k + 1] * (k <= terms)
+        active = acc[:, :np.searchsorted(neg_sorted, -k, side="right")]
+        active *= inv[:active.shape[1]]
+        active += _UVK[:, k:k + 1]
+    sums = np.empty_like(acc)
+    sums[:, order] = acc
     s_ai, s_aip = sums
     q = z ** 0.25
     ai = s_ai / (2.0 * math.sqrt(math.pi) * q)
@@ -212,8 +219,9 @@ def _far_scaled_vec(z: np.ndarray):
     conn = np.abs(np.angle(z)) > _CONNECTION_ARG
     w = z[conn]
     series = _asym_scaled_vec(np.concatenate([z[~conn], _OMEGA * w, np.conj(_OMEGA) * w]))
+    n = z.size - w.size
     (a, a1, a2), (ap, ap1, ap2), (e, e1, e2) = (
-        np.split(v, [z.size - w.size, z.size]) for v in series)
+        (v[:n], v[n:z.size], v[z.size:]) for v in series)
     ai = np.empty_like(z)
     aip = np.empty_like(z)
     expo = np.empty(z.shape, dtype=float)
@@ -362,9 +370,10 @@ def _scaled_each(*zs):
     """``airy_scaled_vec`` of each array in one call: a list of one (ai, aip,
     expo) triple per array, exact because a point's value never sees its batch."""
     zs = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in zs]
-    cuts = np.cumsum([z.size for z in zs])[:-1]
-    parts = [np.split(p, cuts) for p in airy_scaled_vec(np.concatenate([z.ravel() for z in zs]))]
-    return [tuple(p[k].reshape(z.shape) for p in parts) for k, z in enumerate(zs)]
+    ends = np.cumsum([z.size for z in zs])
+    parts = airy_scaled_vec(np.concatenate([z.ravel() for z in zs]))
+    return [tuple(p[end - z.size:end].reshape(z.shape) for p in parts)
+            for z, end in zip(zs, ends)]
 
 
 def airy_vec(z):

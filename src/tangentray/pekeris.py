@@ -60,6 +60,7 @@ COND_L = 16.0                # cancellation exponent up to which L is taken outr
 COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
 EPS_CANCEL = 3e-16           # unit roundoff proxy for cancellation floors
 NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~6 MB)
+FAMILY_PHASE = 2.0           # radians of e^{a z} per starting panel of a ray family
 
 
 class PoleError(ZeroDivisionError):
@@ -397,13 +398,33 @@ def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
     (values, errors).  The node factor (w, expo) = parts(z, bc) is memoised
     in ``tables`` (None: evaluated directly) under the key (parts, impedance
     pair) + ``key`` + (rung,).  A member the quadrature does not accept
-    raises ``QuadratureError`` ("stalled")."""
+    raises ``QuadratureError`` ("stalled").  The starting panels are sized
+    from the members' largest |a| (``_family_width``)."""
     path, rung = _ray_path(path, rates, scale, opts.truncation_tail_tol)
     factor = functools.partial(parts, bc=bc)
     if tables is not None:
         key = (parts.__name__, bc.impedance) + key + (rung,)
         factor = functools.partial(tables.lookup, key, evaluate=factor)
-    return integrate_exp_batch(factor, a, b, path, opts, floors)[:2]
+    return integrate_exp_batch(factor, a, b, path, opts, floors, width=_family_width(a))[:2]
+
+
+def _family_width(a) -> float:
+    """Starting panel width of a ray family: about FAMILY_PHASE radians of
+    e^{a z} per panel at the members' largest |a|, rounded down to a power of
+    2 and at most 1, so batches of similar |a| start on the same panels (and
+    share their node-table entries).
+
+    A family of one keeps the default 2-unit start: every member of the
+    scalar ``pekeris_caret`` runs alone, so its values (oracles of the
+    matching identities and of the caret tables) and its equality with a
+    batch of one stay as they were."""
+    a = np.atleast_1d(a)
+    if a.size == 1:
+        return 2.0
+    amax = float(np.max(np.abs(a)))
+    if amax <= FAMILY_PHASE:
+        return 1.0
+    return 2.0 ** math.floor(math.log2(FAMILY_PHASE / amax))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ holding more than its share of the defect is bisected, and the nodes of all
 new panels go to the integrand in a single call (in blocks, where members x
 nodes would pass ``CALL_ELEMENTS``).  The cost is then dominated by a few
 large vectorised special-function evaluations instead of one small call per
-panel.  ``integrate`` is the one-member case of ``integrate_batch``.
+panel.  Each line starts as equal panels, 2 units long unless the caller
+passes a width sized from its integrand's rates, so that most integrals
+converge in their first round.  ``integrate`` is the one-member case of
+``integrate_batch``.
 ``integrate_exp_batch`` serves families w(z) e^{expo(z) + a_m z + b_m} whose
 members differ only in the exponential: on a panel the member factor
 splits into one exponential at the midpoint and one shared by all panels of
@@ -157,15 +160,20 @@ def _segment_table(path: ContourPath):
             np.array([s.end - s.start for s in path.segments], dtype=complex))
 
 
-def _initial_panels(path: ContourPath):
+def _initial_panels(path: ContourPath, width: float = 2.0):
     """(segment index, u0, u1) arrays of the starting panels.
 
-    Panels start no longer than ~2 units so the embedded error estimate is
-    meaningful before any refinement (guards against aliasing acceptance).
+    Each segment starts as n equal panels, n = ceil(length / ``width``)
+    within [2, 64], so they are no longer than ``width`` up to a length of
+    64 widths.  The default of 2 units makes the embedded error estimate
+    meaningful before any refinement (guards against aliasing acceptance);
+    callers that know their integrand's rates pass a smaller width, so it
+    converges in fewer rounds.  Every later panel of a segment is a dyadic
+    part of its starting width, as ``_evaluate_exp`` requires.
     """
     seg, u0, u1 = [], [], []
     for j, s in enumerate(path.segments):
-        n = max(2, int(math.ceil(abs(s.end - s.start) / 2.0)))
+        n = max(2, int(math.ceil(abs(s.end - s.start) / width)))
         n = min(n, 64)
         seg += [j] * n
         u0 += [k / n for k in range(n)]
@@ -174,14 +182,13 @@ def _initial_panels(path: ContourPath):
 
 
 def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):
-    """GK15 nodes z and Jacobian weights dz/du * du/dx, both (P, 15)."""
+    """GK15 nodes z (P, 15) and Jacobians dz/du * du/dx (P, 1), one per panel."""
     base, step = table
     um = 0.5 * (u0 + u1)
     uh = (0.5 * (u1 - u0))[:, None]
     u = um[:, None] + uh * _XK
     z = base[seg, None] + u * step[seg, None]
-    jac = np.repeat(step[seg, None] * uh, 15, axis=1)
-    return z, jac
+    return z, step[seg, None] * uh
 
 
 def _in_blocks(evaluate, table, seg, u0, u1, members, block: int, out=None):
@@ -263,13 +270,17 @@ def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
     _, first, group = np.unique(seg * 4096 + np.frexp(uh)[1], return_index=True,
                                 return_inverse=True)
     h = table[1][seg[first]] * uh[first]
-    shared = np.exp(a[:, None, None] * (h[:, None] * _XK))
-    sums = np.empty((2, a.size, seg.size), dtype=complex)
+    shared = np.exp((h[:, None] * _XK)[:, None, :] * a[:, None])
+    k15 = np.empty((a.size, seg.size), dtype=complex)
+    g7 = np.empty_like(k15)
     for k in range(first.size):
         rows = np.nonzero(group == k)[0]
-        sums[:, :, rows] = shared[:, k, :] @ (g[rows, None, :] * _WKG).transpose(1, 2, 0)
-    k15 = mid * sums[0]
-    defect = np.abs(k15 - mid * sums[1])
+        # one (members, 15) @ (15, 2 rows) product: the K15 then the G7
+        # weighted node values of the group's panels
+        sums = shared[k] @ (_WKG[:, None, :] * g[rows]).reshape(-1, 15).T
+        k15[:, rows], g7[:, rows] = sums[:, :rows.size], sums[:, rows.size:]
+    k15 *= mid
+    defect = np.abs(k15 - mid * g7)
     if not np.isfinite(defect).all():
         bad = ~(np.isfinite(w) & np.isfinite(expo))
         node = z[bad][0] if bad.any() else z[np.argmin(np.isfinite(defect).all(axis=0)), 7]
@@ -278,7 +289,7 @@ def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
 
 
 def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: int | None,
-           strict: bool):
+           strict: bool, width: float = 2.0):
     """The adaptive core and its one acceptance rule, on panel sums from
     ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
     ``_evaluate_exp`` with their integrand bound).
@@ -294,11 +305,12 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: i
     ("stalled") with its best result.  The blocks of one integrand call
     (``CALL_ELEMENTS``) are sized by the member count: before the first call
     from ``members`` or, for a batch, the per-member ``abs_floor`` array.
+    The first round evaluates the panels of ``_initial_panels(path, width)``.
 
     Returns (values, errors, evaluations, rounds, accepted).
     """
     table = _segment_table(path)
-    seg, u0, u1 = _initial_panels(path)
+    seg, u0, u1 = _initial_panels(path, width)
     block = max(1, CALL_ELEMENTS // (15 * (members or np.size(abs_floor))))
     vals, errs = _in_blocks(evaluate, table, seg, u0, u1, members, block)
     members = vals.shape[0]
@@ -350,16 +362,16 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: i
 
 
 def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
-              abs_floor: float = 0.0) -> QuadResult:
+              abs_floor: float = 0.0, width: float = 2.0) -> QuadResult:
     """Adaptively integrate ``f(t: ndarray(n,)) -> ndarray(n,)`` along the
-    finite ``path``.
+    finite ``path``, from starting panels no longer than ``width``.
 
     The strict one-member case of ``integrate_batch``.  Deterministic for
     fixed inputs.  A result that is not accepted raises ``QuadratureError``
     with reason ``"stalled"`` and the best result.
     """
     total, err_total, evals, rounds, _ = _adapt(functools.partial(_evaluate, f), path, opts,
-                                                abs_floor, 1, True)
+                                                abs_floor, 1, True, width)
     return QuadResult(complex(total[0]), float(err_total[0]), evals,
                       path.truncation_radius, rounds)
 
@@ -384,14 +396,15 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions(),
 
 
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
-                        abs_floor=0.0, strict: bool = True):
+                        abs_floor=0.0, strict: bool = True, width: float = 2.0):
     """``integrate_batch`` for the exponential family
     w(z) e^{expo(z) + a_m z + b_m}, members m.
 
     ``factor(t: ndarray(n,)) -> (w, expo)``, complex and real arrays (n,),
     holds the member-independent part F = w e^{expo}; ``a`` and ``b`` are
     the members' complex coefficients (``b`` may be a scalar).  The driver,
-    its refinement and its acceptance are those of ``integrate_batch``.  A
+    its refinement and its acceptance are those of ``integrate_batch``; the
+    starting panels are no longer than ``width``.  A
     family of several members costs one complex exponential per member and
     panel instead of one per member and node (see ``_evaluate_exp``); a
     family of one evaluates each node's exponential directly, as
@@ -418,7 +431,7 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
                                    members) for m in range(0, a.size, step)]
             return tuple(np.concatenate(p) for p in zip(*parts))
     total, err_total, evals, _, accepted = _adapt(evaluate, path, opts, abs_floor, a.size,
-                                                  strict)
+                                                  strict, width)
     return total, err_total, evals, accepted
 
 

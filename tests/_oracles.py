@@ -3,13 +3,16 @@
 Everything here is deliberately decoupled from the package internals: plain
 Python complex arithmetic, gamma-function constants, bisection, and
 composite Simpson quadrature.  Expected values frozen into the tests were
-computed with these.
+computed with these.  One exception is a reference copy of a vectorised
+loop the package replaced, which a test compares with bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
@@ -68,3 +71,26 @@ def simpson_line(f, a: complex, b: complex, n: int = 4000) -> complex:
 
 GAUSS_FRESNEL = 0.5 * math.sqrt(math.pi) * cmath.exp(1j * math.pi / 4)
 """int_0^inf e^{i zeta^2} d zeta, exact."""
+
+
+def asym_scaled_reference(z, uvk, term_radii):
+    """The far-band asymptotic series as one whole-batch Horner loop: every
+    point takes every step, with the coefficients past its term count set
+    to 0.  A reference copy of the loop ``airy._asym_scaled_vec`` replaced,
+    given that module's coefficient table ``uvk`` (rows u_k, v_k) and its
+    term radii."""
+    z = np.asarray(z, dtype=complex)
+    zeta = (2.0 / 3.0) * z ** 1.5
+    azeta = np.abs(zeta)
+    first_tiny = np.searchsorted(-term_radii, -np.log(azeta), side="right") + 1
+    terms = np.minimum(np.minimum(azeta, float(uvk.shape[1] - 1)).astype(int), first_tiny)
+    inv = -1.0 / zeta
+    sums = np.zeros((2,) + z.shape, dtype=complex)
+    for k in range(int(np.max(terms, initial=0)), -1, -1):
+        sums = sums * inv + uvk[:, k:k + 1] * (k <= terms)
+    s_ai, s_aip = sums
+    q = z ** 0.25
+    ai = s_ai / (2.0 * math.sqrt(math.pi) * q)
+    aip = -q * s_aip / (2.0 * math.sqrt(math.pi))
+    phase = np.exp(-1j * zeta.imag)
+    return ai * phase, aip * phase, -zeta.real

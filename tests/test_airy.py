@@ -8,7 +8,7 @@ from scipy import special
 
 from tangentray import airy as ta
 
-from _oracles import AI0, AIP0, airy_series, bisect_airy_zero
+from _oracles import AI0, AIP0, airy_series, asym_scaled_reference, bisect_airy_zero
 
 ETA0 = -2.3381074104597670   # bisection on the series oracle
 ETA1 = -4.0879494441309706
@@ -263,6 +263,19 @@ def test_far_value_independent_of_batch():
     for j in range(3):
         assert np.array_equal(batch[j], np.concatenate([o[j] for o in one]), equal_nan=True)
     assert np.isnan(batch[2][~finite]).all()
+
+
+def test_far_series_matches_whole_batch_horner():
+    # the far series sorts its points by term count and updates only those
+    # still active: bit for bit the whole-batch loop, where every point takes
+    # every step with the coefficients past its count set to 0
+    rng = np.random.default_rng(7)
+    r = 8.5 * np.exp(rng.uniform(0.0, math.log(1000.0), 40000))
+    z = r * np.exp(1j * rng.uniform(-2.2, 2.2, r.size))
+    ref = asym_scaled_reference(z, ta._UVK, ta._TERM_RADII)
+    got = ta._asym_scaled_vec(z)
+    for j in range(3):
+        assert np.array_equal(got[j], ref[j])
 
 
 def test_zeros_against_scipy():

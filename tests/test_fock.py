@@ -149,6 +149,29 @@ def test_field_value_does_not_depend_on_warm_node_tables():
     assert warm.error_estimate == cold.error_estimate
 
 
+# (x_hat, y_hat) -> most caret_log_many calls one Dirichlet scattered_new may
+# make: one per round of its field integral.  Its starting panels resolve
+# (0, 0.25) and (2, 4) in round 0, where 2-unit panels take three rounds; the
+# far-lit point (n_hat = 5) starts on the 64-panel cap of its long truncated
+# path and refines four times
+FIELD_ROUND_CAPS = {(-4.0, 1.0): 5, (0.0, 0.25): 1, (2.0, 4.0): 1}
+
+
+@pytest.mark.parametrize("point", sorted(FIELD_ROUND_CAPS), ids=lambda p: f"{p[0]:g},{p[1]:g}")
+def test_field_caret_batches_capped(monkeypatch, point):
+    many = pk.caret_log_many
+    calls = []
+
+    def counted(ts, bc, opts):
+        calls.append(np.size(ts))
+        return many(ts, bc, opts)
+
+    monkeypatch.setattr(pk, "caret_log_many", counted)
+    res = fock.scattered_new(fock.FockPoint(*point), D)
+    assert np.isfinite(res.amplitude)
+    assert 1 <= len(calls) <= FIELD_ROUND_CAPS[point]
+
+
 def test_caret_failure_is_not_a_field_stall(monkeypatch):
     # a stall inside the caret factor must not pass for the field integral's
     # own stall, whose best result would then be the inner caret integral
@@ -163,8 +186,10 @@ def test_caret_failure_is_not_a_field_stall(monkeypatch):
 
 def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
     # caret values at their usual panel cap but reported with relative error
-    # 1, and a one-panel cap on the field integral: the field declares no
-    # roundoff floor, so caret noise must not let its stall pass
+    # 1, and a field integral that cannot converge: a one-panel cap and
+    # tolerances below double roundoff, which no round's error sum reaches.
+    # The field declares no roundoff floor, so caret noise must not let its
+    # stall pass
     many = pk.caret_log_many
     cap = fock.DEFAULT_OPTS.max_subdivisions
 
@@ -173,7 +198,8 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
         return lv, np.ones_like(lr)
 
     monkeypatch.setattr(pk, "caret_log_many", noisy)
-    opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=1)
+    opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=1, rel_tol=1e-18,
+                               abs_tol=1e-300)
     with pytest.raises(QuadratureError) as info:
         fock.scattered_new(fock.FockPoint(-1.0, 0.5), D, opts)
     assert info.value.reason == "stalled"

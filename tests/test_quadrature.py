@@ -205,7 +205,7 @@ def _panel_loop_reference(path, f):
         z = s.start + u * (s.end - s.start)
         jac = np.full(u.shape, (s.end - s.start) * uh)
         zv, jv = _nodes(table, np.array([j]), np.array([u0]), np.array([u1]))
-        assert np.array_equal(zv[0], z) and np.array_equal(jv[0], jac)
+        assert np.array_equal(zv[0], z) and np.array_equal(np.broadcast_to(jv[0], jac.shape), jac)
         g = f(z) * jac
         k15 = np.sum(_WK * g)
         total += k15
@@ -327,6 +327,25 @@ def test_exp_batch_matches_node_integrand(count):
         if count == 1:
             # one member takes the node integrand's own arithmetic
             assert vals[0] == ref[0] and errs[0] == ref_errs[0] and evals == ref_evals
+
+
+def test_exp_kernel_width_groups_match_node_integrand():
+    # panels of three widths on the first segment and two on the second (of
+    # L; the arm has one), in mixed order: each width group takes its own
+    # shared exponentials and its own matrix product, and every panel's K15
+    # value and defect are those of the node integrand
+    u0 = np.array([0.0, 0.0, 0.25, 0.5, 0.5, 0.625, 0.75])
+    u1 = np.array([0.25, 0.5, 0.5, 0.625, 0.75, 0.6875, 1.0])
+    for factor, a, b, path, _ in _caret_families(24):
+        seg = np.minimum([0, 1, 0, 0, 1, 0, 1], len(path.segments) - 1)
+        table = _segment_table(path)
+        k15, defect = quadrature._evaluate_exp(factor, a, np.reshape(b, (-1, 1)), table, seg,
+                                               u0, u1, a.size)
+        ref, ref_defect = quadrature._evaluate(_node_integrand(factor, a, b), table, seg, u0,
+                                               u1, a.size)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(k15 - ref) <= 1e-13 * scale)
+        assert np.all(np.abs(defect - ref_defect) <= 1e-13 * scale)
 
 
 def test_exp_batch_one_factor_call_per_round():
