@@ -154,32 +154,21 @@ class DecayModel:
         return self.scale * math.exp(expo) / (c * p * r ** (p - 1.0))
 
     def radius_for(self, tail_tol: float) -> float:
-        """Smallest convenient radius with ``tail_bound(radius) <= tail_tol``."""
+        """The first rung 2^(k/4) (k >= 0 an integer) at or beyond
+        ``min_radius`` with ``tail_bound(radius) <= tail_tol``: every
+        truncated ray ends on this one ladder, so nearby models give the
+        same path.  The bound falls to 0 as r grows, so the walk ends."""
         if tail_tol <= 0.0:
             raise ContourError("tail_tol must be positive")
-        r = max(self.min_radius, 1.0)
-        if self.tail_bound(r) <= tail_tol:
-            return r
-        hi = r
-        for _ in range(200):
-            hi *= 2.0
-            if self.tail_bound(hi) <= tail_tol:
-                break
-        else:
-            raise ContourError("decay model does not reach the requested tail tolerance")
-        lo = hi / 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.tail_bound(mid) <= tail_tol:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        k = math.ceil(4.0 * math.log2(max(self.min_radius, 1.0)))
+        while 2.0 ** (k / 4.0) < self.min_radius or self.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
+            k += 1
+        return 2.0 ** (k / 4.0)
 
 
 def truncate(path: ContourPath, decay: DecayModel, tail_tol: float) -> ContourPath:
-    """Replace the ray ends of ``path`` by finite lines out to a radius R with
-    analytic tail bound <= tail_tol.  R is recorded on the returned path."""
+    """Replace the ray ends of ``path`` by finite lines out to the radius
+    R = ``decay.radius_for(tail_tol)``, recorded on the returned path."""
     if path.is_finite:
         return path
     radius = decay.radius_for(tail_tol)

@@ -98,15 +98,37 @@ def _saddles(x: float, y: float) -> tuple[float, float]:
 # Caret representation: exp(i Phi) times the caret factor, in log space
 # ---------------------------------------------------------------------------
 
-def _truncation_model(x: float, y: float, vertex_scale: float) -> DecayModel:
-    """Cubic tail model for the caret-against-cubic-phase integrand.
+def _truncation_model(x: float, y: float, path: ContourPath, bc: pk.BoundaryKind,
+                      extra_it: bool) -> DecayModel:
+    """Cubic tail model of the field integrand on the end rays of ``path``.
 
-    The integrand decays like e^{-w^3/4} along the -pi/2 and 5pi/6 rays;
-    beyond min_radius the linear/quadratic phase terms are dominated and
-    e^{-w^3/9} is a safe overestimate with unit scale.
-    """
-    w0 = max(8.0 * (abs(x) + vertex_scale), 4.0 * math.sqrt(abs(y) + 1.0), 3.0)
-    return DecayModel("cubic_exp", 1.0 / 9.0, scale=10.0, min_radius=w0)
+    A ray t = v + r e at -pi/2 or 5pi/6 leaves the residue sector
+    Re(t e^{-i pi/6}) > 0 by r = 2 Re(v e^{-i pi/6}).  Beyond, the bound is
+    the lit-sector model, with a margin 2 for the caret computed at |t| <=
+    T_CARET: |t|^m |b| e^{E(r)}/sqrt(pi), m = 1/2 (3/2 with the factor -i t),
+    b = (t - p)/(t + p) the boundary-kind factor, at most 1 + 2|p|/d at
+    distance d from -p, E(r) = Re[i(t^3/4 - x t^2/2 - y t)] = a0 + a1 r +
+    a2 r^2 - r^3/4.  Past R, the largest of that exit, 1 and the root of
+    3r^2/8 - 2 a2+ r - a1+ - m, h(r) = r^3/8 - a2 r^2 - a1 r - m ln(|v| + r)
+    increases: |f| <= e^{a0 - h(R)} |b| e^{-r^3/8}/sqrt(pi); the two rays' max serves."""
+    m = 1.5 if extra_it else 0.5
+    alpha, beta = bc.impedance
+    p = 2j * alpha / beta if beta else 0.0
+    radius, log_scale = 0.0, -math.inf
+    for ray in (path.segments[0], path.segments[-1]):
+        v, e = ray.origin, ray.point_at(1.0) - ray.origin
+        a0 = (1j * (v ** 3 / 4.0 - x * v * v / 2.0 - y * v)).real
+        a1 = (1j * e * (0.75 * v * v - x * v - y)).real
+        a2 = (1j * e * e * (0.75 * v - x / 2.0)).real
+        q2, q1 = max(a2, 0.0), max(a1, 0.0) + m
+        r = max((2.0 * q2 + math.sqrt(4.0 * q2 * q2 + 1.5 * q1)) / 0.75, 1.0,
+                2.0 * (v * complex(math.cos(math.pi / 6), -0.5)).real)
+        d = abs(v + max(r, ((-p - v) * e.conjugate()).real) * e + p)   # the tail to -p
+        b = 1.0 + 2.0 * abs(p) / max(d, 1e-300)
+        h = r ** 3 / 8.0 - a2 * r * r - a1 * r - m * math.log(abs(v) + r)
+        radius = max(radius, r)
+        log_scale = max(log_scale, a0 - h + math.log(b / math.sqrt(math.pi)))
+    return DecayModel("cubic_exp", 1.0 / 8.0, scale=math.exp(log_scale), min_radius=radius)
 
 
 def _vee(vertex: complex) -> ContourPath:
@@ -130,8 +152,8 @@ def _channel_path(x: float, y: float, du: float, h: float) -> ContourPath:
     return ContourPath(segs)
 
 
-def _scattered_path(x: float, y: float) -> tuple[ContourPath, float, float]:
-    """Gamma_1-left class realisation: (path, vertex scale, residue shift).
+def _scattered_path(x: float, y: float) -> tuple[ContourPath, float]:
+    """Gamma_1-left class realisation: (path, residue shift to add).
 
     For saddles at or right of the pole every left-passing contour is
     blocked by an exponential ridge; there the integral is taken along the
@@ -139,15 +161,15 @@ def _scattered_path(x: float, y: float) -> tuple[ContourPath, float, float]:
     (the deformation argument of the transition-region analysis)."""
     tm, _ = _saddles(x, y)
     if tm <= -0.3:
-        return _vee(complex(tm, 0.0)), abs(tm), 0.0
-    return _channel_path(x, y, 0.5, 0.55), max(abs(tm), C0) + 1.0, -1.0
+        return _vee(complex(tm, 0.0)), 0.0
+    return _channel_path(x, y, 0.5, 0.55), -1.0
 
 
-def _total_path(x: float, y: float) -> tuple[ContourPath | None, float]:
+def _total_path(x: float, y: float) -> ContourPath | None:
     """Gamma_1-right realisation, or None when the residue shift is used."""
     tm, tp = _saddles(x, y)
     if tm > -0.3:
-        return _channel_path(x, y, 0.35, 0.35), max(abs(tm), C0) + 1.0
+        return _channel_path(x, y, 0.35, 0.35)
     if tm >= -T_HONEST:
         # pass right of the pole, then cross above it to the saddle vertical
         dmax = max(abs(y), abs((x / 2) ** 2 - x * (x / 2) - y), abs(tp * tp - x * tp - y))
@@ -156,12 +178,12 @@ def _total_path(x: float, y: float) -> tuple[ContourPath | None, float]:
                 Line(complex(C0, 0.0), complex(0.0, h)),
                 Line(complex(0.0, h), complex(tm, h)),
                 Ray(complex(tm, h), 5.0 * math.pi / 6.0, inward=False))
-        return ContourPath(segs), abs(tm) + h
-    return None, abs(tm)
+        return ContourPath(segs)
+    return None
 
 
 def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
-               vertex_scale: float, opts: QuadOptions, extra_it: bool = False) -> FieldValue:
+               opts: QuadOptions, extra_it: bool = False) -> FieldValue:
     """Integrate exp(i(-y t - x t^2/2 + t^3/3)) caret(t), optionally times
     (-i t), along ``path``.
 
@@ -178,7 +200,7 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     ``caret_log_many`` batch, whose planner and ray families carry a fixed
     overhead per batch, so a round saved is worth more than the extra nodes
     of a finer start.  Most points of the benchmark domain converge in
-    round 0; the long far-lit paths start on 64 panels per line and refine.
+    round 0; far-lit points (n_hat about 5) refine twice.
     """
     tm, _ = _saddles(x, y)
     asy_rel = 4.0 / abs(tm) ** 3 if abs(tm) > SADDLE_ASY else 0.0
@@ -204,7 +226,7 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
         g = np.exp(1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0) + log_caret)
         return g * (-1j * ts) if extra_it else g
 
-    fin = truncate(path, _truncation_model(x, y, vertex_scale), opts.truncation_tail_tol)
+    fin = truncate(path, _truncation_model(x, y, path, bc, extra_it), opts.truncation_tail_tol)
     res = integrate(f, fin, opts, width=FIELD_PANEL)
     err = (res.error_estimate + (caret_rel + asy_rel) * abs(res.value)
            + 4.0 * opts.truncation_tail_tol)
@@ -215,8 +237,8 @@ def scattered_new(pt: FockPoint, cfg: ProblemConfig,
                   opts: QuadOptions = DEFAULT_OPTS) -> FieldValue:
     """Scattered amplitude via the single-contour caret representation."""
     x, y = _scaled_coords(pt, cfg)
-    path, vs, shift = _scattered_path(x, y)
-    out = _run_field(x, y, cfg.bc, path, vs, opts)
+    path, shift = _scattered_path(x, y)
+    out = _run_field(x, y, cfg.bc, path, opts)
     if shift:
         return FieldValue(out.amplitude + shift, out.error_estimate)
     return out
@@ -231,21 +253,21 @@ def total_new(pt: FockPoint, cfg: ProblemConfig,
     shift A = A_s + 1 across the simple pole is applied instead.
     """
     x, y = _scaled_coords(pt, cfg)
-    path, vs = _total_path(x, y)
+    path = _total_path(x, y)
     if path is None:
         sc = scattered_new(pt, cfg, opts)
         return FieldValue(sc.amplitude + 1.0, sc.error_estimate)
-    return _run_field(x, y, cfg.bc, path, vs, opts)
+    return _run_field(x, y, cfg.bc, path, opts)
 
 
 def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
                  opts: QuadOptions = DEFAULT_OPTS) -> FieldValue:
     """dA/dy of the total field, via the factor (-i t) in the integrand."""
     x, y = _scaled_coords(pt, cfg)
-    path, vs = _total_path(x, y)
+    path = _total_path(x, y)
     if path is None:
         raise FockDomainError("derivative field is not provided in the far-illuminated regime")
-    return _run_field(x, y, cfg.bc, path, vs, opts, extra_it=True)
+    return _run_field(x, y, cfg.bc, path, opts, extra_it=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +276,7 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
 
 def _arm_model(rate_32: float, lin: float) -> DecayModel:
     return DecayModel("power_three_halves", rate_32 / 2.0, scale=20.0,
-                      min_radius=(2.0 * max(lin, 0.0) / rate_32) ** 2 + 4.0)
+                      min_radius=(2.0 * max(lin, 0.0) / rate_32) ** 2)
 
 
 def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:
@@ -378,15 +400,20 @@ def boundary_residual(x_hat: float, cfg: ProblemConfig,
 
 def pwe_residual(points: list[FockPoint], cfg: ProblemConfig, h: float,
                  opts: QuadOptions = DEFAULT_OPTS) -> float:
-    """Max centred-difference residual of 2i dA/dx + d2A/dy2 over the points."""
+    """Max centred-difference residual of 2i dA/dx + d2A/dy2 over the points;
+    each distinct stencil point (to 1e-9) is evaluated once per call."""
+    amps = {}
     worst = 0.0
     for p in points:
         if cfg.n_hat(p) < 2.0 * h:
             raise FockDomainError("grid point too close to the boundary for the stencil")
-        amps = {}
+        a = []
         for dx, dy in [(0, 0), (h, 0), (-h, 0), (0, h), (0, -h)]:
-            amps[(dx, dy)] = total_new(FockPoint(p.x_hat + dx, p.y_hat + dy), cfg, opts).amplitude
-        ddx = (amps[(h, 0)] - amps[(-h, 0)]) / (2.0 * h)
-        ddy2 = (amps[(0, h)] - 2.0 * amps[(0, 0)] + amps[(0, -h)]) / h ** 2
+            key = (round(p.x_hat + dx, 9), round(p.y_hat + dy, 9))
+            if key not in amps:
+                amps[key] = total_new(FockPoint(p.x_hat + dx, p.y_hat + dy), cfg, opts).amplitude
+            a.append(amps[key])
+        ddx = (a[1] - a[2]) / (2.0 * h)
+        ddy2 = (a[3] - 2.0 * a[0] + a[4]) / h ** 2
         worst = max(worst, abs(2j * ddx + ddy2))
     return worst

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -370,25 +370,21 @@ def _ray_peaks(rates, angles) -> np.ndarray:
 
 
 def _ray_path(path: ContourPath, rates, scale: float, tail_tol: float):
-    """The rays of ``path`` truncated at the first radius 2^(k/4) of a fixed
-    geometric ladder whose tail bound meets ``tail_tol``: (path, k).  The
-    bound takes the largest growth rate in ``rates``, the slowest Airy decay
-    B of the rays and the tail scale ``scale``; a ray without decay raises
-    ``SectorError``.  A caret path is then a function of a small key (route,
-    impedance pair, arm angle, rung k; the L vertex follows from the pair),
-    so batches with similar growth rates share it."""
+    """The rays of ``path`` cut by ``truncate`` at a rung 2^(k/4): (path, k).
+    The tail model of e^{A s - B s^{3/2}} takes the largest growth rate A in
+    ``rates``, the slowest Airy decay B of the rays and the tail scale
+    ``scale``; a ray without decay raises ``SectorError``.  A caret path is
+    then a function of a small key (route, impedance pair, arm angle, rung
+    k; the L vertex follows from the pair), so batches with similar growth
+    rates share it."""
     B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle)
                    for ray in path.segments)
     if B < 1e-3:
         raise SectorError(f"ray angle {angle} has no ratio decay")
     A = max(float(np.max(rates)), 0.0)
-    low = max((2.0 * A / B) ** 2, 1.0)
-    model = DecayModel("power_three_halves", 0.5 * B, scale=scale)
-    k = math.ceil(4.0 * math.log2(low))
-    # the tail bound falls to 0 as the radius grows, so this ends
-    while 2.0 ** (k / 4.0) < low or model.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
-        k += 1
-    return truncate(path, replace(model, min_radius=2.0 ** (k / 4.0)), tail_tol), k
+    path = truncate(path, DecayModel("power_three_halves", 0.5 * B, scale=scale,
+                                     min_radius=(2.0 * A / B) ** 2), tail_tol)
+    return path, round(4.0 * math.log2(path.truncation_radius))
 
 
 def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,

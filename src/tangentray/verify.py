@@ -208,24 +208,11 @@ def check_boundary_conditions(quick: bool = False) -> VerificationCheck:
 def check_pwe_residual() -> VerificationCheck:
     """O(h^2) decay of the centred-difference PWE residual near (0, 1)."""
     cfg = fock.ProblemConfig(pk.DIRICHLET)
-    centre = (0.0, 1.0)
-    offsets = [-1, 0, 1]
 
     def max_resid(h):
-        # lattice shares amplitudes between neighbouring stencils
-        lat = {}
-        for i in range(-2, 3):
-            for j in range(-2, 3):
-                if abs(i) + abs(j) <= 3:
-                    lat[(i, j)] = fock.total_new(
-                        fock.FockPoint(centre[0] + i * h, centre[1] + j * h), cfg).amplitude
-        worst = 0.0
-        for i in offsets:
-            for j in offsets:
-                ddx = (lat[(i + 1, j)] - lat[(i - 1, j)]) / (2 * h)
-                ddy2 = (lat[(i, j + 1)] - 2 * lat[(i, j)] + lat[(i, j - 1)]) / h ** 2
-                worst = max(worst, abs(2j * ddx + ddy2))
-        return worst
+        # 3x3 centres around (0, 1): 21 distinct stencil points
+        centres = [fock.FockPoint(i * h, 1.0 + j * h) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        return fock.pwe_residual(centres, cfg, h)
 
     ratio = max_resid(0.04) / max_resid(0.02)
     return ratio, 3.5 <= ratio <= 4.5, "residual(h=0.04)/residual(h=0.02), expect ~4"

@@ -69,18 +69,41 @@ def test_truncate_cubic_tail_bound():
     assert tail <= 1e-12
 
 
+def _assert_on_ladder(model, tol, radius):
+    # the radius is a rung 2^(k/4), and the rung below it is under
+    # min_radius, fails the tail bound or is below the first rung 1
+    k = round(4.0 * math.log2(radius))
+    assert radius == 2.0 ** (k / 4.0)
+    below = 2.0 ** ((k - 1) / 4.0)
+    assert k == 0 or below < model.min_radius or model.tail_bound(below) > tol
+
+
+LADDER_MODELS = [DecayModel("power_three_halves", 4.0 / 3.0),
+                 DecayModel("cubic_exp", 1.0 / 6.0, scale=3.0),
+                 DecayModel("cubic_exp", 1.0 / 8.0, scale=0.2, min_radius=1.3),
+                 DecayModel("power_three_halves", 1.0 / 3.0, scale=20.0, min_radius=2.9)]
+
+
 def test_truncate_monotone_in_tolerance():
-    model = DecayModel("power_three_halves", 4.0 / 3.0)
-    radii = [truncate(named_contour("L"), model, tol).truncation_radius
-             for tol in (1e-6, 1e-8, 1e-10, 1e-12)]
-    assert all(np.isfinite(radii))
-    assert all(b >= a for a, b in zip(radii, radii[1:]))
+    tols = (1e-6, 1e-8, 1e-10, 1e-12)
+    for model in LADDER_MODELS:
+        radii = [truncate(named_contour("L"), model, tol).truncation_radius for tol in tols]
+        assert all(np.isfinite(radii))
+        assert all(b >= a for a, b in zip(radii, radii[1:]))
+        for tol, radius in zip(tols, radii):
+            assert model.tail_bound(radius) <= tol
+            _assert_on_ladder(model, tol, radius)
 
 
 def test_truncate_respects_min_radius():
-    model = DecayModel("cubic_exp", 1.0, min_radius=17.0)
-    path = truncate(named_contour("l3"), model, 1e-6)
-    assert path.truncation_radius >= 17.0
+    cases = [(DecayModel("cubic_exp", 1.0, min_radius=17.0), 1e-6),
+             (DecayModel("cubic_exp", 1.0 / 8.0, scale=5.0, min_radius=3.0), 1e-12),
+             (DecayModel("power_three_halves", 0.5, scale=10.0, min_radius=40.0), 1e-12),
+             (DecayModel("power_three_halves", 2.0 / 3.0, min_radius=0.5), 1e-3)]
+    for model, tol in cases:
+        path = truncate(named_contour("l3"), model, tol)
+        assert path.truncation_radius >= model.min_radius
+        _assert_on_ladder(model, tol, path.truncation_radius)
 
 
 def test_decay_model_validation():

@@ -149,12 +149,13 @@ def test_field_value_does_not_depend_on_warm_node_tables():
     assert warm.error_estimate == cold.error_estimate
 
 
-# (x_hat, y_hat) -> most caret_log_many calls one Dirichlet scattered_new may
-# make: one per round of its field integral.  Its starting panels resolve
-# (0, 0.25) and (2, 4) in round 0, where 2-unit panels take three rounds; the
-# far-lit point (n_hat = 5) starts on the 64-panel cap of its long truncated
-# path and refines four times
-FIELD_ROUND_CAPS = {(-4.0, 1.0): 5, (0.0, 0.25): 1, (2.0, 4.0): 1}
+# (x_hat, y_hat) -> most caret_log_many calls one Dirichlet or Neumann
+# scattered_new may make: one per round of its field integral.  Its starting
+# panels resolve (0, 0.25) and (2, 4) in round 0, where 2-unit panels take
+# three rounds; the far-lit points (n_hat = 5 to 6) take three rounds on
+# vee rays cut where their own cubic decay meets the tail tolerance
+FIELD_ROUND_CAPS = {(-4.0, 1.0): 3, (-4.0, 1.5): 3, (-4.0, 2.0): 3, (0.0, 0.25): 1,
+                    (2.0, 4.0): 1}
 
 
 @pytest.mark.parametrize("point", sorted(FIELD_ROUND_CAPS), ids=lambda p: f"{p[0]:g},{p[1]:g}")
@@ -167,9 +168,50 @@ def test_field_caret_batches_capped(monkeypatch, point):
         return many(ts, bc, opts)
 
     monkeypatch.setattr(pk, "caret_log_many", counted)
-    res = fock.scattered_new(fock.FockPoint(*point), D)
-    assert np.isfinite(res.amplitude)
-    assert 1 <= len(calls) <= FIELD_ROUND_CAPS[point]
+    for bc in (pk.DIRICHLET, pk.NEUMANN):
+        calls.clear()
+        res = fock.scattered_new(fock.FockPoint(*point), fock.ProblemConfig(bc))
+        assert np.isfinite(res.amplitude)
+        assert 1 <= len(calls) <= FIELD_ROUND_CAPS[point], bc.kind
+
+
+# (field, point): a far-lit vee, a shadow channel, a penumbra vee, a
+# right-passing total_new path and a derivative field on the boundary
+TAIL_CASES = [(fock.scattered_new, (-4.0, 2.0)), (fock.scattered_new, (4.0, -3.75)),
+              (fock.scattered_new, (0.0, 0.25)), (fock.total_new, (-2.0, 1.0)),
+              (fock.total_new_dy, (-0.5, -0.0625))]
+
+
+@pytest.mark.parametrize("bc", [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)],
+                         ids=lambda bc: bc.label())
+def test_field_truncation_tail_is_sound(monkeypatch, bc):
+    # cutting the field rays at twice the radius of their tail model must
+    # move the integral by at most 4 tail tolerances (two rays, with margin)
+    # plus the two quadrature errors
+    runs = []
+
+    def recorded(f, path, opts, **kwargs):
+        res = integrate(f, path, opts, **kwargs)
+        runs.append(res)
+        return res
+
+    def doubled(path, model, tail_tol):
+        radius = truncate(path, model, tail_tol).truncation_radius
+        return truncate(path, dataclasses.replace(model, min_radius=2.0 * radius), tail_tol)
+
+    monkeypatch.setattr(fock, "integrate", recorded)
+    cfg = fock.ProblemConfig(bc)
+    tail = fock.DEFAULT_OPTS.truncation_tail_tol
+    for field, point in TAIL_CASES:
+        runs.clear()
+        with monkeypatch.context() as m:
+            field(fock.FockPoint(*point), cfg)
+            m.setattr(fock, "truncate", doubled)
+            field(fock.FockPoint(*point), cfg)
+        cut, far = runs
+        assert far.truncation_radius == 2.0 * cut.truncation_radius
+        gap = abs(far.value - cut.value)
+        assert gap <= 4.0 * tail + cut.error_estimate + far.error_estimate, (field, point, gap)
 
 
 def test_caret_failure_is_not_a_field_stall(monkeypatch):
