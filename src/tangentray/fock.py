@@ -12,16 +12,15 @@ Three independent representations of the same field are provided:
 Contour realisations adapt to the field regime.  With saddle points
 t_pm = (2/3)(x +- sqrt(x^2 + 3y)):
 
-* illuminated (t_- well left of the pole): a translated vee through t_-,
-* penumbra (t_- near 0): a vee with a fixed clearance from the pole,
-* shadow (t_- right of the pole): for the total field a vee at x/2; for
-  the scattered field a path hugging the real axis past the pole on the
-  left before rising through the creeping saddle zone.
+* scattered: for t_- <= -0.3 a vee at t_-, left of the pole; else the
+  descent channel through t_- right of the pole plus the residue -1,
+* total: for t_- > -0.3 the same channel; down to -T_HONEST a path right
+  of the pole that crosses above it to t_-; beyond, scattered + 1.
 
 On every path the integrand is evaluated in combined log form
-exp(i Phi(t) + log h(t)); the caret factor switches to its lit-sector
-asymptotic beyond a radius where the remaining contribution is below the
-truncation tolerance.
+exp(i Phi(t) + log h(t)).  The caret factor is computed in the residue
+sector, for |t| <= T_CARET and near the saddle t_- (``_run_field``);
+elsewhere its lit-sector model serves.
 """
 
 from __future__ import annotations

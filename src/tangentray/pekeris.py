@@ -58,7 +58,6 @@ RESIDUE_CAP = 300            # residue terms before the series counts as unconve
 L_CLEARANCE = 0.5            # vertex offset of the reciprocal-Airy contour
 COND_L = 16.0                # cancellation exponent up to which L is taken outright
 COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
-EPS_CANCEL = 3e-16           # unit roundoff proxy for cancellation floors
 NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~6 MB)
 FAMILY_PHASE = 2.0           # radians of e^{a z} per starting panel of a ray family
 
@@ -388,7 +387,7 @@ def _ray_path(path: ContourPath, rates, scale: float, tail_tol: float):
 
 
 def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
-                path: ContourPath, rates, scale: float, a, b, opts: QuadOptions, floors):
+                path: ContourPath, rates, scale: float, a, b, opts: QuadOptions):
     """Each member's int w e^{expo + a z + b} along ``path`` truncated for
     the members' ``rates`` (``_ray_path``), in one ``integrate_exp_batch``:
     (values, errors).  The node factor (w, expo) = parts(z, bc) is memoised
@@ -401,7 +400,7 @@ def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
     if tables is not None:
         key = (parts.__name__, bc.impedance) + key + (rung,)
         factor = functools.partial(tables.lookup, key, evaluate=factor)
-    return integrate_exp_batch(factor, a, b, path, opts, floors, width=_family_width(a))[:2]
+    return integrate_exp_batch(factor, a, b, path, opts, width=_family_width(a))[:2]
 
 
 def _family_width(a) -> float:
@@ -434,16 +433,13 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
 
     On each arm, the members at one angle are one ray family
     (``_ray_family``).  Returns (values, errors).  A member's error is the
-    sum of its two arms' quadrature errors (before the 1/2pi, so with that
-    much margin) plus its cancellation floor, from the peaks of its own arms,
-    which is also its roundoff floor in the quadrature.
+    sum of its two arms' quadrature errors before the 1/2pi (so with that
+    much margin).
     """
     shifts = np.zeros(ts.shape) if shifts is None else shifts
     arms = np.empty((ts.size, 2))
     arms[:, 0], arms[:, 1] = beta2, beta3
     rates = _ray_rates(ts, arms, ARM_TURN)
-    floors = np.exp(np.minimum(_ray_peaks(rates, arms).max(axis=1) - shifts,
-                               700.0)) * EPS_CANCEL
     total = np.zeros(ts.shape, dtype=complex)
     errs = np.zeros(ts.shape)
     for j, parts in enumerate((ratio_l2_parts, ratio_l3_parts)):
@@ -451,11 +447,11 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
             sel = np.nonzero(arms[:, j] == beta)[0]
             ray = ContourPath((Ray(0.0, float(beta), inward=False),))
             v, e = _ray_family(parts, bc, tables, (float(beta),), ray, rates[sel, j],
-                               ARM_TAIL_SCALE, 1j * ts[sel], -shifts[sel], opts, floors[sel])
+                               ARM_TAIL_SCALE, 1j * ts[sel], -shifts[sel], opts)
             # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
             total[sel] -= v
             errs[sel] += e
-    return total / TWO_PI, errs + floors
+    return total / TWO_PI, errs
 
 
 def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
@@ -547,14 +543,13 @@ def _l_vertex(impedance: tuple[complex, complex]) -> float:
 
 
 def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
-    """Reciprocal-Airy contour L, integrated to each member's cancellation floor.
+    """Reciprocal-Airy contour L: (values, errors, 0.0).
 
     Members are grouped by the growth rate of |e^{a eta}| (a = e^{-i pi/6} t)
     on the faster L ray, so slow-decay members do not force a long truncated
     path (and deep refinement) onto the whole batch; each group is one ray
     family (``_ray_family``) on L with the vertex of the impedance pair."""
     rates = _ray_rates(ts, L_OFFSETS)
-    floors = np.exp(np.minimum(_ray_peaks(rates, L_ANGLES).max(axis=1), 700.0)) * EPS_CANCEL
     group = np.maximum(0, np.ceil(rates.max(axis=1) / 1.5)).astype(int)
     contour = named_contour("L", _l_vertex(bc.impedance))
     vals = np.empty(ts.shape, dtype=complex)
@@ -562,10 +557,10 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     for g in np.unique(group):
         sel = np.nonzero(group == g)[0]
         v, e = _ray_family(_reciprocal_weight, bc, tables, (), contour, rates[sel],
-                           L_TAIL_SCALE, EMIP6 * ts[sel], 0.0, opts, floors[sel])
+                           L_TAIL_SCALE, EMIP6 * ts[sel], 0.0, opts)
         pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
-        errs[sel] = np.abs(pref) * (e + floors[sel])
+        errs[sel] = np.abs(pref) * e
     return vals, errs, 0.0
 
 

@@ -23,7 +23,7 @@ instead of one per member and node.
 
 The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
-floor the caller declared.  Anything else has stalled.
+floor it measures from its own panel sums.  Anything else has stalled.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class QuadratureError(RuntimeError):
     ``reason`` is one of ``REASONS``:
 
     * ``"stalled"``: refinement stopped (panel or round cap) above both the
-      tolerance target and ``FLOOR_FACTOR`` times the declared roundoff
-      floor; ``result`` holds that member's best value and its error sum,
+      tolerance target and ``FLOOR_FACTOR`` times the measured roundoff
+      floor; ``result`` holds that member's best value and its error,
     * ``"nonfinite"``: the integrand returned inf or nan on a node,
     * ``"untruncated"``: the path still has infinite rays,
     * ``"shape"``: the integrand returned an array of the wrong shape,
@@ -140,9 +140,11 @@ class QuadResult:
 
 # backstop only: 200 bisections shrink a panel far below double precision
 _MAX_ROUNDS = 200
-# a member stopped by a cap is still accepted within this multiple of the
-# roundoff floor its caller declares (panel-defect sums bottom out around
-# eps x integrand peak accumulated over the refined panels)
+# a member's roundoff floor is ROUNDOFF x the sum of its panels' |K15|
+# (QUADPACK's measure); a member stopped by a cap is still accepted within
+# FLOOR_FACTOR times it (panel-defect sums bottom out around eps x integrand
+# peak accumulated over the refined panels)
+ROUNDOFF = 3e-16
 FLOOR_FACTOR = 1e4
 # most elements (members x nodes) one integrand call returns: a round with
 # more is evaluated one block of panels (or of an exponential family's members)
@@ -191,19 +193,22 @@ def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):
     return z, step[seg, None] * uh
 
 
-def _in_blocks(evaluate, table, seg, u0, u1, members, block: int, out=None):
-    """K15 values and defects, both (members, P), from one
-    ``evaluate(table, seg, u0, u1, members)`` call per block of at most
-    ``block`` panels, written into the pair of arrays ``out`` if given."""
-    for i in range(0, seg.size, block):
-        k15, defect = evaluate(table, seg[i:i + block], u0[i:i + block], u1[i:i + block],
-                               members)
+def _in_blocks(evaluate, table, seg, u0, u1, members: int | None, out=None):
+    """K15 values and defects, both (members, P), from ``evaluate(table, seg,
+    u0, u1, members)`` calls of at most ``CALL_ELEMENTS`` members x nodes (one
+    panel at least), written into the arrays ``out`` if given.  With
+    ``members`` None the first call is one panel, whose rows size the rest."""
+    i = 0
+    while i < seg.size:
+        n = max(1, CALL_ELEMENTS // (15 * members)) if members else 1
+        k15, defect = evaluate(table, seg[i:i + n], u0[i:i + n], u1[i:i + n], members)
         if out is None:
-            if seg.size <= block:
+            if n >= seg.size:
                 return k15, defect
             members = k15.shape[0]
             out = np.empty((members, seg.size), dtype=complex), np.empty((members, seg.size))
-        out[0][:, i:i + block], out[1][:, i:i + block] = k15, defect
+        out[0][:, i:i + n], out[1][:, i:i + n] = k15, defect
+        i += n
     return out
 
 
@@ -288,40 +293,38 @@ def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
     return k15, defect
 
 
-def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: int | None,
+def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
            strict: bool, width: float = 2.0):
     """The adaptive core and its one acceptance rule, on panel sums from
     ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
     ``_evaluate_exp`` with their integrand bound).
 
-    Each member is measured against its own target
-    ``max(abs_tol, abs_floor_i, rel_tol |value_i|)``; a panel is bisected when
+    Each round measures every member's roundoff floor from its own panel
+    sums, ``floor_i = ROUNDOFF sum_p |K15_ip|``, and its target
+    ``max(abs_tol, floor_i, rel_tol |value_i|)``; a panel is bisected when
     its defect exceeds 1/(4P) of that target for some member (the worst panel
     when none does).  Refinement stops when every member meets its target or
     at the panel or round cap.  A member is accepted if it met its target, or
-    if its error is within ``FLOOR_FACTOR`` times its declared roundoff floor
-    ``abs_floor_i`` (floor-limited, QUADPACK's roundoff status).  With
-    ``strict`` the first member not accepted raises ``QuadratureError``
-    ("stalled") with its best result.  The blocks of one integrand call
-    (``CALL_ELEMENTS``) are sized by the member count: before the first call
-    from ``members`` or, for a batch, the per-member ``abs_floor`` array.
-    The first round evaluates the panels of ``_initial_panels(path, width)``.
+    if its defect sum is within ``FLOOR_FACTOR`` times its floor
+    (floor-limited, QUADPACK's roundoff status); its error is that defect
+    sum plus the floor.  With ``strict`` the first member not accepted
+    raises ``QuadratureError`` ("stalled") with its best result.  The first
+    round evaluates ``_initial_panels(path, width)``; ``members`` is None
+    where the integrand's first call tells it (``_in_blocks``).
 
     Returns (values, errors, evaluations, rounds, accepted).
     """
     table = _segment_table(path)
     seg, u0, u1 = _initial_panels(path, width)
-    block = max(1, CALL_ELEMENTS // (15 * (members or np.size(abs_floor))))
-    vals, errs = _in_blocks(evaluate, table, seg, u0, u1, members, block)
+    vals, errs = _in_blocks(evaluate, table, seg, u0, u1, members)
     members = vals.shape[0]
-    block = max(1, CALL_ELEMENTS // (15 * members))
     evals = 15 * seg.size
     rounds = 0
     while True:
         total = vals.sum(axis=1)
         err_total = errs.sum(axis=1)
-        target = np.maximum(np.maximum(opts.abs_tol, abs_floor),
-                            opts.rel_tol * np.abs(total))
+        floor = ROUNDOFF * np.abs(vals).sum(axis=1)
+        target = np.maximum(np.maximum(opts.abs_tol, floor), opts.rel_tol * np.abs(total))
         converged = err_total <= target
         if converged.all() or seg.size >= opts.max_subdivisions or rounds == _MAX_ROUNDS:
             break
@@ -343,14 +346,15 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: i
         kept = vals.shape[1]
         vals = _widened(vals, new_seg.size)
         errs = _widened(errs, new_seg.size)
-        _in_blocks(evaluate, table, new_seg, new_u0, new_u1, members, block,
+        _in_blocks(evaluate, table, new_seg, new_u0, new_u1, members,
                    (vals[:, kept:], errs[:, kept:]))
         evals += 15 * new_seg.size
         rounds += 1
         seg = np.concatenate((seg[keep], new_seg))
         u0 = np.concatenate((u0[keep], new_u0))
         u1 = np.concatenate((u1[keep], new_u1))
-    accepted = converged | (err_total <= FLOOR_FACTOR * abs_floor)
+    accepted = converged | (err_total <= FLOOR_FACTOR * floor)
+    err_total = err_total + floor
     if strict and not accepted.all():
         k = int(np.argmin(accepted))
         v, e = complex(total[k]), float(err_total[k])
@@ -362,7 +366,7 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, abs_floor, members: i
 
 
 def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
-              abs_floor: float = 0.0, width: float = 2.0) -> QuadResult:
+              width: float = 2.0) -> QuadResult:
     """Adaptively integrate ``f(t: ndarray(n,)) -> ndarray(n,)`` along the
     finite ``path``, from starting panels no longer than ``width``.
 
@@ -371,32 +375,31 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     with reason ``"stalled"`` and the best result.
     """
     total, err_total, evals, rounds, _ = _adapt(functools.partial(_evaluate, f), path, opts,
-                                                abs_floor, 1, True, width)
+                                                1, True, width)
     return QuadResult(complex(total[0]), float(err_total[0]), evals,
                       path.truncation_radius, rounds)
 
 
 def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions(),
-                    abs_floor=0.0, strict: bool = True):
+                    strict: bool = True):
     """Integrate a family of integrands sharing one path.
 
     ``fmat(t: ndarray(n,)) -> ndarray(m, n)`` returns all family members on
-    the given nodes; ``abs_floor`` may be an array of per-member roundoff
-    floors.  Each round bisects every panel whose defect exceeds 1/(4P) of
-    some member's target, and ``_adapt`` decides acceptance.  With
+    the given nodes.  Each round bisects every panel whose defect exceeds
+    1/(4P) of some member's target, and ``_adapt`` decides acceptance.  With
     ``strict`` the first member not accepted raises ``QuadratureError``
     ("stalled") with its best result; with ``strict=False`` the best values
-    and their honest error sums come back with ``accepted`` false for it.
+    and their honest errors come back with ``accepted`` false for it.
 
     Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
     """
     total, err_total, evals, _, accepted = _adapt(functools.partial(_evaluate, fmat), path,
-                                                  opts, abs_floor, None, strict)
+                                                  opts, None, strict)
     return total, err_total, evals, accepted
 
 
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
-                        abs_floor=0.0, strict: bool = True, width: float = 2.0):
+                        strict: bool = True, width: float = 2.0):
     """``integrate_batch`` for the exponential family
     w(z) e^{expo(z) + a_m z + b_m}, members m.
 
@@ -430,8 +433,8 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
             parts = [_evaluate_exp(factor, a[m:m + step], bm[m:m + step], table, seg, u0, u1,
                                    members) for m in range(0, a.size, step)]
             return tuple(np.concatenate(p) for p in zip(*parts))
-    total, err_total, evals, _, accepted = _adapt(evaluate, path, opts, abs_floor, a.size,
-                                                  strict, width)
+    total, err_total, evals, _, accepted = _adapt(evaluate, path, opts, a.size, strict,
+                                                  width)
     return total, err_total, evals, accepted
 
 

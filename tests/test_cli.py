@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tangentray import cli
@@ -109,6 +111,26 @@ def test_verify_quick_passes_quickly(tmp_path):
     assert {c["name"] for c in data["checks"]} >= {"airy_identities",
                                                    "fock_three_way_oracle"}
 
+
+
+def test_unconverged_residue_series_fails_the_caret_check(tmp_path, monkeypatch):
+    # a residue value that did not converge is a failed check naming its
+    # point, in the report of a verify run that exits 1 (no traceback, and no
+    # assert for python -O to skip)
+    from tangentray import pekeris as pk
+    series = pk.caret_residue_series
+
+    def unconverged(*args, **kwargs):
+        vals, errs, ok = series(*args, **kwargs)
+        return vals, errs, np.zeros_like(ok)
+
+    monkeypatch.setattr(pk, "caret_residue_series", unconverged)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--quick", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    caret = checks["caret_representation_agreement"]
+    assert not caret["passed"] and caret["measured"] == math.inf
+    assert "t = 0.5+0j" in caret["detail"] and "dirichlet" in caret["detail"]
 
 def test_env_tolerance_override(tmp_path, monkeypatch):
     monkeypatch.setenv("TANGENTRAY_RTOL", "1e-6")

@@ -228,10 +228,10 @@ def test_caret_failure_is_not_a_field_stall(monkeypatch):
 
 def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
     # caret values at their usual panel cap but reported with relative error
-    # 1, and a field integral that cannot converge: a one-panel cap and
-    # tolerances below double roundoff, which no round's error sum reaches.
-    # The field declares no roundoff floor, so caret noise must not let its
-    # stall pass
+    # 1, and a field integral that cannot converge: a one-panel cap,
+    # tolerances below double roundoff, and 2-unit starting panels, whose
+    # error sum stays above FLOOR_FACTOR times the roundoff floor the driver
+    # measures.  Caret noise must not let that stall pass
     many = pk.caret_log_many
     cap = fock.DEFAULT_OPTS.max_subdivisions
 
@@ -240,6 +240,7 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
         return lv, np.ones_like(lr)
 
     monkeypatch.setattr(pk, "caret_log_many", noisy)
+    monkeypatch.setattr(fock, "FIELD_PANEL", 2.0)
     opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=1, rel_tol=1e-18,
                                abs_tol=1e-300)
     with pytest.raises(QuadratureError) as info:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from tangentray import pekeris as pk
 from tangentray import quadrature
 from tangentray.contours import ContourPath, DecayModel, Line, Ray, named_contour, truncate
-from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, QuadOptions, QuadratureError,
-                                   _initial_panels, _nodes, _segment_table, integrate,
-                                   integrate_batch, integrate_exp_batch)
+from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, ROUNDOFF, QuadOptions,
+                                   QuadratureError, _initial_panels, _nodes, _segment_table,
+                                   integrate, integrate_batch, integrate_exp_batch)
 
 from _oracles import AI0
 
@@ -175,19 +175,21 @@ def test_one_integrand_call_per_round():
 def test_wide_rounds_are_evaluated_in_blocks(monkeypatch):
     path = gamma0_truncated()
     coeffs = np.linspace(-1.0, 1.0, 7) + 0.3j
-    floors = np.zeros(coeffs.size)
     sizes = []
 
     def fmat(t):
         sizes.append(coeffs.size * t.size)
         return np.exp(1j * t[None, :] ** 3 / 3 + coeffs[:, None] * t[None, :] / 5)
 
-    ref, ref_errs, ref_evals, _ = integrate_batch(fmat, path, TIGHT, floors)
+    ref, ref_errs, ref_evals, _ = integrate_batch(fmat, path, TIGHT)
     budget = coeffs.size * 15 * 4          # four panels per call
     assert max(sizes) > budget
     sizes.clear()
     monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
-    vals, errs, evals, _ = integrate_batch(fmat, path, TIGHT, floors)
+    vals, errs, evals, _ = integrate_batch(fmat, path, TIGHT)
+    # the batch learns its member count from its first call, of one panel,
+    # and sizes every later block from it
+    assert sizes[0] == coeffs.size * 15
     assert max(sizes) <= budget
     assert evals == ref_evals
     assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
@@ -242,36 +244,39 @@ def test_batch_matches_scalar():
 
 
 # member 0 converges; member 1 oscillates too fast for the 40-panel cap and
-# ends with an error of about 1.2e-2
+# ends with an error of about 1.2e-2.  Member 1's term c (t - 8) integrates
+# to 0 but lifts the sum of its panels' |K15| to 64 c (8 stays a panel end,
+# so no panel straddles the sign change): its roundoff floor is ROUNDOFF 64 c
 _CAPPED_PATH = ContourPath((Line(0.0, 16.0),))
 _CAPPED_OPTS = QuadOptions(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=40)
 
 
-def _capped_pair(t):
-    return np.stack((np.exp(1j * t), np.exp(1j * 60 * t)))
+def _capped_pair(c):
+    return lambda t: np.stack((np.exp(1j * t), np.exp(1j * 60 * t) + c * (t - 8.0)))
 
 
 def test_capped_member_within_floor_factor_is_accepted():
-    floors = np.array([0.0, 1e-5])
-    vals, errs, _, accepted = integrate_batch(_capped_pair, _CAPPED_PATH, _CAPPED_OPTS,
-                                              floors, strict=False)
+    c = 1e9
+    floor = ROUNDOFF * 64 * c
+    vals, errs, _, accepted = integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS,
+                                              strict=False)
     # member 1 misses its target but ends within FLOOR_FACTOR x its floor
-    assert errs[1] > max(_CAPPED_OPTS.abs_tol, floors[1], _CAPPED_OPTS.rel_tol * abs(vals[1]))
-    assert errs[1] <= FLOOR_FACTOR * floors[1]
+    assert errs[1] > 100 * max(_CAPPED_OPTS.abs_tol, floor, _CAPPED_OPTS.rel_tol * abs(vals[1]))
+    assert errs[1] <= 0.5 * FLOOR_FACTOR * floor
     assert accepted.all()
-    strict_vals, _, _, strict_accepted = integrate_batch(_capped_pair, _CAPPED_PATH,
-                                                         _CAPPED_OPTS, floors)
+    strict_vals, _, _, strict_accepted = integrate_batch(_capped_pair(c), _CAPPED_PATH,
+                                                         _CAPPED_OPTS)
     assert np.array_equal(strict_vals, vals) and strict_accepted.all()
 
 
 def test_capped_member_above_floor_factor_stalls():
-    floors = np.array([0.0, 1e-7])
-    vals, errs, evals, accepted = integrate_batch(_capped_pair, _CAPPED_PATH, _CAPPED_OPTS,
-                                                  floors, strict=False)
-    assert errs[1] > FLOOR_FACTOR * floors[1]
+    c = 1e7
+    vals, errs, evals, accepted = integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS,
+                                                  strict=False)
+    assert errs[1] > 2.0 * FLOOR_FACTOR * ROUNDOFF * 64 * c
     assert accepted.tolist() == [True, False]
     with pytest.raises(QuadratureError) as exc:
-        integrate_batch(_capped_pair, _CAPPED_PATH, _CAPPED_OPTS, floors)
+        integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS)
     assert exc.value.reason == "stalled"
     assert "member 1" in str(exc.value)
     best = exc.value.result
@@ -279,13 +284,25 @@ def test_capped_member_above_floor_factor_stalls():
     assert best.evaluations == evals
 
 
+def test_cancelling_integral_is_accepted_at_its_roundoff_floor():
+    # 1e6 sin t over four whole periods: the value is roundoff of the 1e6
+    # terms, so no error sum reaches abs_tol=1e-300; the floor the driver
+    # measures from its panel sums, at most ROUNDOFF x 1.6e7 (the integral of
+    # |f|), accepts it, and the reported error is the defect plus the floor
+    path = ContourPath((Line(0.0, 8.0 * math.pi),))
+    opts = QuadOptions(rel_tol=1e-12, abs_tol=1e-300)
+    res = integrate(lambda t: 1e6 * np.sin(t), path, opts)
+    assert abs(res.value) <= res.error_estimate
+    assert 0.0 < res.error_estimate <= 2.0 * ROUNDOFF * 1.6e7
+
+
 # ---------------------------------------------------------------------------
 # exponential families: integrate_exp_batch against the node integrand
 # ---------------------------------------------------------------------------
 
 def _caret_families(count: int):
-    """(factor, a, b, path, floors) of a reciprocal-Airy L batch and an l2 arm
-    batch with ``count`` members each, on their ladder paths."""
+    """(factor, a, b, path) of a reciprocal-Airy L batch and an l2 arm batch
+    with ``count`` members each, on their ladder paths."""
     ts = 3.0 * np.exp(1j * np.linspace(2.3, 2.9, count))
     l_rates = pk._ray_rates(ts, pk.L_OFFSETS)
     l_path, _ = pk._ray_path(named_contour("L", pk._l_vertex(pk.DIRICHLET.impedance)),
@@ -296,11 +313,8 @@ def _caret_families(count: int):
     arm_path, _ = pk._ray_path(ContourPath((Ray(0.0, beta2, inward=False),)), arm_rates,
                                pk.ARM_TAIL_SCALE, 1e-12)
     return [
-        (lambda z: pk._reciprocal_weight(z, pk.DIRICHLET), pk.EMIP6 * ts, 0.0, l_path,
-         np.exp(np.minimum(pk._ray_peaks(l_rates, pk.L_ANGLES).max(axis=1), 700.0))
-         * pk.EPS_CANCEL),
-        (lambda z: pk.ratio_l2_parts(z, pk.NEUMANN), 1j * ts, -shifts, arm_path,
-         np.exp(pk._ray_peaks(arm_rates, beta2)[:, 0] - shifts) * pk.EPS_CANCEL),
+        (lambda z: pk._reciprocal_weight(z, pk.DIRICHLET), pk.EMIP6 * ts, 0.0, l_path),
+        (lambda z: pk.ratio_l2_parts(z, pk.NEUMANN), 1j * ts, -shifts, arm_path),
     ]
 
 
@@ -316,11 +330,10 @@ def _node_integrand(factor, a, b):
 
 @pytest.mark.parametrize("count", [1, 24])
 def test_exp_batch_matches_node_integrand(count):
-    for factor, a, b, path, floors in _caret_families(count):
-        vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path, QuadOptions(),
-                                                          floors)
+    for factor, a, b, path in _caret_families(count):
+        vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path, QuadOptions())
         ref, ref_errs, ref_evals, _ = integrate_batch(_node_integrand(factor, a, b), path,
-                                                      QuadOptions(), floors)
+                                                      QuadOptions())
         assert accepted.all()
         assert evals > 15 * _initial_panels(path)[0].size   # refined
         assert np.all(np.abs(vals - ref) <= errs + ref_errs)
@@ -336,7 +349,7 @@ def test_exp_kernel_width_groups_match_node_integrand():
     # value and defect are those of the node integrand
     u0 = np.array([0.0, 0.0, 0.25, 0.5, 0.5, 0.625, 0.75])
     u1 = np.array([0.25, 0.5, 0.5, 0.625, 0.75, 0.6875, 1.0])
-    for factor, a, b, path, _ in _caret_families(24):
+    for factor, a, b, path in _caret_families(24):
         seg = np.minimum([0, 1, 0, 0, 1, 0, 1], len(path.segments) - 1)
         table = _segment_table(path)
         k15, defect = quadrature._evaluate_exp(factor, a, np.reshape(b, (-1, 1)), table, seg,
@@ -349,7 +362,7 @@ def test_exp_kernel_width_groups_match_node_integrand():
 
 
 def test_exp_batch_one_factor_call_per_round():
-    factor, a, b, path, floors = _caret_families(24)[1]
+    factor, a, b, path = _caret_families(24)[1]
     calls, node_calls = [], []
 
     def counted(z):
@@ -360,28 +373,30 @@ def test_exp_batch_one_factor_call_per_round():
         node_calls.append(z.size)
         return _node_integrand(factor, a, b)(z)
 
-    _, _, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions(), floors)
-    integrate_batch(node_counted, path, QuadOptions(), floors)
+    _, _, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions())
+    integrate_batch(node_counted, path, QuadOptions())
     assert sum(calls) == evals
-    assert len(calls) == len(node_calls) >= 3   # one call per round, as the node driver
+    # one call per round, as the node driver, whose first round adds a
+    # one-panel call that tells it the member count
+    assert len(calls) == len(node_calls) - 1 >= 3
+    assert node_calls[0] == 15
     assert max(calls) > 15
 
 
 def test_exp_batch_blocks(monkeypatch):
-    factor, a, b, path, floors = _caret_families(24)[1]
+    factor, a, b, path = _caret_families(24)[1]
     sizes = []
 
     def counted(z):
         sizes.append(a.size * z.size)
         return factor(z)
 
-    ref, ref_errs, ref_evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions(),
-                                                      floors)
+    ref, ref_errs, ref_evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions())
     budget = a.size * 15 * 3           # three panels per call
     assert max(sizes) > budget
     sizes.clear()
     monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
-    vals, errs, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions(), floors)
+    vals, errs, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions())
     assert max(sizes) <= budget
     assert evals == ref_evals
     assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
@@ -399,15 +414,14 @@ def test_exp_batch_splits_members_beyond_call_elements(monkeypatch):
         sizes.append(a.size * 15 * seg.size)
         return kernel(factor, a, b, table, seg, *rest)
 
-    for factor, a, b, path, floors in _caret_families(24):
-        ref, ref_errs, ref_evals, _ = integrate_exp_batch(factor, a, b, path, QuadOptions(),
-                                                          floors)
+    for factor, a, b, path in _caret_families(24):
+        ref, ref_errs, ref_evals, _ = integrate_exp_batch(factor, a, b, path, QuadOptions())
         sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(quadrature, "CALL_ELEMENTS", budget)
             m.setattr(quadrature, "_evaluate_exp", counted)
             vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path,
-                                                              QuadOptions(), floors)
+                                                              QuadOptions())
         assert accepted.all()
         assert sizes and max(sizes) <= budget
         assert evals == ref_evals
