@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
             print(f"{status:4s}  {c.name:32s} measured={c.measured:.3e} "
-                  f"tol={c.tolerance:.1e} ({c.runtime:.1f}s)")
+                  f"{c.compare} {c.tolerance} ({c.runtime:.1f}s)")
         print("overall:", "pass" if report.passed else "FAIL")
     return 0 if report.passed else 1
 

@@ -117,18 +117,18 @@ _DECAY_KINDS = ("cubic_exp", "power_three_halves")
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Tail bound ``|f| <= scale * exp(-c * r**p)`` along a ray, ``r >= min_radius``.
+    """Tail bound ``|f| <= scale exp(rate r - c r^p)`` along a ray, ``r >= min_radius``.
 
     ``kind`` selects the power p: ``cubic_exp`` (p=3) or ``power_three_halves``
-    (p=3/2).  ``min_radius`` is the radius beyond which the stated bound is
-    valid; callers fold linear growth factors of the integrand into (c,
-    scale, min_radius).
+    (p=3/2).  ``rate`` is a linear growth rate of the integrand (0 for none);
+    ``min_radius`` is the radius beyond which the stated bound is valid.
     """
 
     kind: str
     c: float
     scale: float = 1.0
     min_radius: float = 0.0
+    rate: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _DECAY_KINDS:
@@ -141,17 +141,19 @@ class DecayModel:
         return {"cubic_exp": 3.0, "power_three_halves": 1.5}[self.kind]
 
     def tail_bound(self, r: float) -> float:
-        """Closed-form overestimate of ``scale * int_r^inf exp(-c w**p) dw``.
+        """Closed-form overestimate of ``scale int_r^inf e^{g(w)} dw``, g(w) = rate w - c w^p.
 
-        For p >= 1 and r > 0,  int_r^inf e^{-c w^p} dw <= e^{-c r^p}/(c p r^{p-1}).
+        g is concave (p > 1), so past its peak the integral is at most
+        e^{g(r)}/(-g'(r)) = e^{g(r)}/(c p r^{p-1} - rate); before it, inf.
         """
         p, c = self.power, self.c
-        if r <= 0.0:
+        slope = c * p * r ** (p - 1.0) - self.rate if r > 0.0 else 0.0
+        if slope <= 0.0:
             return math.inf
-        expo = -c * r**p
+        expo = self.rate * r - c * r**p
         if expo < -700.0:
             return 0.0
-        return self.scale * math.exp(expo) / (c * p * r ** (p - 1.0))
+        return self.scale * math.exp(min(expo, 700.0)) / slope
 
     def radius_for(self, tail_tol: float) -> float:
         """The first rung 2^(k/4) (k >= 0 an integer) at or beyond

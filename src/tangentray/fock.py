@@ -274,8 +274,7 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
 # ---------------------------------------------------------------------------
 
 def _arm_model(rate_32: float, lin: float) -> DecayModel:
-    return DecayModel("power_three_halves", rate_32 / 2.0, scale=20.0,
-                      min_radius=(2.0 * max(lin, 0.0) / rate_32) ** 2)
+    return DecayModel("power_three_halves", rate_32, scale=20.0, rate=max(lin, 0.0))
 
 
 def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:

@@ -58,8 +58,8 @@ RESIDUE_CAP = 300            # residue terms before the series counts as unconve
 L_CLEARANCE = 0.5            # vertex offset of the reciprocal-Airy contour
 COND_L = 16.0                # cancellation exponent up to which L is taken outright
 COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
-NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~6 MB)
-FAMILY_PHASE = 2.0           # radians of e^{a z} per starting panel of a ray family
+NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~10 MB)
+FAMILY_PHASE = 4.0           # radians of e^{a z} per starting panel of a ray family
 
 
 class PoleError(ZeroDivisionError):
@@ -274,12 +274,13 @@ class _NodeTables:
 
     One table per path key holds its panels sorted by midpoint (node 7 of a
     panel's 15; the panels of one path have distinct midpoints, being dyadic
-    sub-panels of disjoint segments), with node 0 to confirm a hit.  A hit
-    returns the bytes a fresh evaluation gives, since every Airy value
-    depends only on its own point: no result depends on what ran before or
-    on how threads interleave.  Tables are replaced, never mutated, under
-    the lock.  An insert that would pass ``NODE_TABLE_CAP`` stored panels
-    clears every table first.
+    sub-panels of disjoint segments), with its 15 nodes, which a hit must
+    match bit for bit (one panel reached from two starting widths can differ
+    in an inner node by an ulp).  A hit returns the bytes a fresh evaluation
+    gives, since every Airy value depends only on its own point: no result
+    depends on what ran before or on how threads interleave.  Tables are
+    replaced, never mutated, under the lock.  An insert that would pass
+    ``NODE_TABLE_CAP`` stored panels clears every table first.
     """
 
     def __init__(self):
@@ -301,7 +302,7 @@ class _NodeTables:
         hit = np.zeros(len(z), dtype=bool)
         if table is not None:
             found, rows = _find_panels(table, z)
-            hit = found & (table[1][rows] == z[:, 0])
+            hit = found & (table[1][rows] == z).all(axis=1)
         w = np.empty(z.shape, dtype=complex)
         expo = np.empty(z.shape)
         if hit.any():
@@ -326,7 +327,7 @@ class _NodeTables:
                 self.panels = 0
                 table = None
             order = np.argsort(z[:, 7], kind="stable")
-            rows = (z[order, 7], z[order, 0], w[order], expo[order])
+            rows = (z[order, 7], z[order], w[order], expo[order])
             if table is not None:
                 at = np.searchsorted(table[0], rows[0])
                 rows = tuple(np.insert(old, at, add, axis=0) for old, add in zip(table, rows))
@@ -351,7 +352,8 @@ _NODE_TABLES = _NodeTables()
 L_ANGLES = np.array([2 * math.pi / 3, -2 * math.pi / 3])
 L_OFFSETS = np.array([math.pi / 2, -5 * math.pi / 6])
 ARM_TURN = math.pi / 2
-L_TAIL_SCALE, ARM_TAIL_SCALE = 50.0, 10.0   # tail-bound scales of the Airy factors
+# tail-bound scale of the arms' Airy ratios, and the rate L adds to its own (``_l_contour``)
+ARM_TAIL_SCALE, L_TAIL_RATE = 10.0, 0.25
 
 
 def _ray_rates(ts, offsets, turn=0.0) -> np.ndarray:
@@ -370,19 +372,16 @@ def _ray_peaks(rates, angles) -> np.ndarray:
 
 def _ray_path(path: ContourPath, rates, scale: float, tail_tol: float):
     """The rays of ``path`` cut by ``truncate`` at a rung 2^(k/4): (path, k).
-    The tail model of e^{A s - B s^{3/2}} takes the largest growth rate A in
-    ``rates``, the slowest Airy decay B of the rays and the tail scale
-    ``scale``; a ray without decay raises ``SectorError``.  A caret path is
-    then a function of a small key (route, impedance pair, arm angle, rung
-    k; the L vertex follows from the pair), so batches with similar growth
-    rates share it."""
+    The tail model is ``scale`` e^{A s - B s^{3/2}}, with the largest growth
+    rate A in ``rates`` and the slowest Airy decay B of the rays (none raises
+    ``SectorError``).  A caret path is then a function of a small key (route,
+    impedance pair, arm angle, rung k), so similar batches share it."""
     B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle)
                    for ray in path.segments)
     if B < 1e-3:
         raise SectorError(f"ray angle {angle} has no ratio decay")
-    A = max(float(np.max(rates)), 0.0)
-    path = truncate(path, DecayModel("power_three_halves", 0.5 * B, scale=scale,
-                                     min_radius=(2.0 * A / B) ** 2), tail_tol)
+    model = DecayModel("power_three_halves", B, scale=scale, rate=max(float(np.max(rates)), 0.0))
+    path = truncate(path, model, tail_tol)
     return path, round(4.0 * math.log2(path.truncation_radius))
 
 
@@ -390,17 +389,21 @@ def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
                 path: ContourPath, rates, scale: float, a, b, opts: QuadOptions):
     """Each member's int w e^{expo + a z + b} along ``path`` truncated for
     the members' ``rates`` (``_ray_path``), in one ``integrate_exp_batch``:
-    (values, errors).  The node factor (w, expo) = parts(z, bc) is memoised
-    in ``tables`` (None: evaluated directly) under the key (parts, impedance
-    pair) + ``key`` + (rung,).  A member the quadrature does not accept
-    raises ``QuadratureError`` ("stalled").  The starting panels are sized
-    from the members' largest |a| (``_family_width``)."""
-    path, rung = _ray_path(path, rates, scale, opts.truncation_tail_tol)
+    (values, errors + one tail tolerance per ray).  The tail scale takes the
+    members' largest factor |e^{a v + b}| (at least 1) at the rays' origin v.
+    The node factor (w, expo) = parts(z, bc) is memoised in ``tables`` (None:
+    evaluated directly) under the key (parts, impedance pair) + ``key`` +
+    (rung,).  A member the quadrature does not accept raises
+    ``QuadratureError`` ("stalled").  The starting panels are sized from the
+    members' largest |a| (``_family_width``)."""
+    lift = max(0.0, float(np.max(np.real(a * path.segments[0].origin + b))))
+    path, rung = _ray_path(path, rates, scale * math.exp(lift), opts.truncation_tail_tol)
     factor = functools.partial(parts, bc=bc)
     if tables is not None:
         key = (parts.__name__, bc.impedance) + key + (rung,)
         factor = functools.partial(tables.lookup, key, evaluate=factor)
-    return integrate_exp_batch(factor, a, b, path, opts, width=_family_width(a))[:2]
+    vals, errs = integrate_exp_batch(factor, a, b, path, opts, width=_family_width(a))[:2]
+    return vals, errs + len(path.segments) * opts.truncation_tail_tol
 
 
 def _family_width(a) -> float:
@@ -528,18 +531,23 @@ def _reciprocal_weight(eta: np.ndarray, bc: BoundaryKind):
 
 
 @functools.lru_cache(maxsize=1024)
-def _l_vertex(impedance: tuple[complex, complex]) -> float:
-    """Vertex of L clearing the first roots of the impedance pair by 0.35."""
+def _l_contour(bc: BoundaryKind) -> tuple[ContourPath, float]:
+    """L, its vertex clearing the first roots of the impedance pair by 0.35,
+    and its tail scale: twice the largest |w e^{expo}| e^{(4/3) s^{3/2} -
+    L_TAIL_RATE s} on its rays, sampled for s <= 64, which bounds the weight's
+    envelope (e^{O(s^{1/2})}, peaked near a Robin root) for |mu_hat| <= 10."""
     vertex = L_CLEARANCE
     # the zeros of Ai and Ai' (real, negative) stay more than 1.3 from the
     # standard L, so only a Robin root can move its vertex
-    roots = airy.impedance_roots(3, *impedance)
+    roots = airy.impedance_roots(3, *bc.impedance)
     for _ in range(6):
         path = named_contour("L", vertex)
         if min(path_point_distance(path, complex(r)) for r in roots) >= 0.35:
             break
         vertex += 0.5
-    return vertex
+    s = np.tile(np.arange(513) / 8.0, 2)
+    w, expo = _reciprocal_weight(vertex + s * np.repeat(np.exp(1j * L_ANGLES), 513), bc)
+    return path, 2.0 * float(np.max(np.abs(w) * np.exp(expo + 4 / 3 * s ** 1.5 - L_TAIL_RATE * s)))
 
 
 def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
@@ -551,13 +559,13 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     family (``_ray_family``) on L with the vertex of the impedance pair."""
     rates = _ray_rates(ts, L_OFFSETS)
     group = np.maximum(0, np.ceil(rates.max(axis=1) / 1.5)).astype(int)
-    contour = named_contour("L", _l_vertex(bc.impedance))
+    contour, scale = _l_contour(bc)
     vals = np.empty(ts.shape, dtype=complex)
     errs = np.empty(ts.shape)
     for g in np.unique(group):
         sel = np.nonzero(group == g)[0]
-        v, e = _ray_family(_reciprocal_weight, bc, tables, (), contour, rates[sel],
-                           L_TAIL_SCALE, EMIP6 * ts[sel], 0.0, opts)
+        v, e = _ray_family(_reciprocal_weight, bc, tables, (), contour, rates[sel] + L_TAIL_RATE,
+                           scale, EMIP6 * ts[sel], 0.0, opts)
         pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
         errs[sel] = np.abs(pref) * e

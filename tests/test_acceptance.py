@@ -15,7 +15,7 @@ np.seterr(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def _report(n, check):
     status = "PASS" if check.passed else "FAIL"
     print(f"\n[criterion {n:>2}] {check.name}: {status} "
-          f"measured={check.measured:.3e} tol={check.tolerance:.1e} "
+          f"measured={check.measured:.3e} {check.compare} {check.tolerance} "
           f"({check.runtime:.1f}s) {check.detail}")
     assert check.passed, f"criterion {n} failed: {check.detail}"
 

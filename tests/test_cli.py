@@ -147,3 +147,25 @@ def test_env_tolerance_must_be_finite(capsys, monkeypatch, rtol):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "finite" in captured.err
     assert captured.out == ""
+
+
+def test_verify_states_each_checks_comparison(tmp_path, capsys, monkeypatch):
+    # a check that must reach a value or stay in a band says so in the text
+    # output and the JSON report, beside the upper bounds
+    from tangentray import verify as vf
+    sectors = vf.check_asymptotic_sectors()
+    assert sectors.passed and sectors.compare == ">=" and sectors.tolerance == 1.0
+    band = vf._check("band", (3.5, 4.5), compare="in")
+    checks = [sectors, band(lambda: 4.2)(), band(lambda: 4.6)(),
+              vf._check("bound", 1e-10)(lambda: 5e-11)()]
+    assert [c.passed for c in checks] == [True, True, False, True]
+    monkeypatch.setattr(vf, "run_suite", lambda quick=False: vf.VerificationReport(checks))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert f"measured={sectors.measured:.3e} >= 1.0 " in text
+    assert "measured=4.200e+00 in (3.5, 4.5) " in text
+    assert "measured=5.000e-11 <= 1e-10 " in text
+    data = json.loads(out.read_text())["checks"]
+    assert [(c["compare"], c["tolerance"]) for c in data] == [
+        (">=", 1.0), ("in", [3.5, 4.5]), ("in", [3.5, 4.5]), ("<=", 1e-10)]

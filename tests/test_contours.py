@@ -69,6 +69,17 @@ def test_truncate_cubic_tail_bound():
     assert tail <= 1e-12
 
 
+def test_tail_bound_with_growth_rate():
+    # scale e^{rate w - c w^{3/2}}: inf up to its peak at w = (rate/(c p))^2 = 9,
+    # and past it at least the integral of the tail
+    model = DecayModel("power_three_halves", 4.0 / 3.0, scale=2.0, rate=6.0)
+    assert model.tail_bound(4.0) == math.inf and model.tail_bound(9.0) == math.inf
+    for r in (9.5, 12.0, 20.0, 30.0):
+        w = np.linspace(r, r + 40.0, 400001)
+        tail = 2.0 * np.trapezoid(np.exp(6.0 * w - (4.0 / 3.0) * w ** 1.5), w)
+        assert tail <= model.tail_bound(r) <= 4.0 * tail
+
+
 def _assert_on_ladder(model, tol, radius):
     # the radius is a rung 2^(k/4), and the rung below it is under
     # min_radius, fails the tail bound or is below the first rung 1
@@ -81,7 +92,8 @@ def _assert_on_ladder(model, tol, radius):
 LADDER_MODELS = [DecayModel("power_three_halves", 4.0 / 3.0),
                  DecayModel("cubic_exp", 1.0 / 6.0, scale=3.0),
                  DecayModel("cubic_exp", 1.0 / 8.0, scale=0.2, min_radius=1.3),
-                 DecayModel("power_three_halves", 1.0 / 3.0, scale=20.0, min_radius=2.9)]
+                 DecayModel("power_three_halves", 1.0 / 3.0, scale=20.0, min_radius=2.9),
+                 DecayModel("power_three_halves", 4.0 / 3.0, scale=50.0, rate=6.0)]
 
 
 def test_truncate_monotone_in_tolerance():

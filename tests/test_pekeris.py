@@ -352,13 +352,17 @@ def test_node_tables_repeat_bit_identical(monkeypatch):
 
 def test_node_table_hit_needs_the_whole_panel():
     # two panels with one midpoint but different widths (float collisions of
-    # deeply refined panels): the second must not get the first one's factors
+    # deeply refined panels), and one whose inner node is an ulp off (one
+    # panel reached from two starting widths): neither may get the first
+    # one's factors
     tables = pk._NodeTables()
     evaluate = lambda z: (2.0 * z, z.real)
     wide = np.linspace(0.0, 1.0, 15) + 0.5j
     narrow = wide[7] + (wide - wide[7]) / 2
+    nudged = wide.copy()
+    nudged[3] = complex(np.nextafter(wide[3].real, 1.0), wide[3].imag)
     assert narrow[7] == wide[7] and narrow[0] != wide[0]
-    for z in (wide, narrow, wide, narrow):
+    for z in (wide, narrow, nudged, wide, narrow, nudged):
         w, expo = tables.lookup("path", z, evaluate)
         assert np.array_equal(w, 2.0 * z) and np.array_equal(expo, z.real)
     assert tables.panels == 1
@@ -410,3 +414,56 @@ def test_node_tables_stay_under_their_cap(monkeypatch):
             assert np.array_equal(got[0], lv) and np.array_equal(got[1], lr)
     assert sizes and max(sizes) <= cap
     pk._NODE_TABLES.clear()
+
+
+# seeded points |t| <= 8 over the whole plane, for each boundary kind; the
+# Robin impedances include three whose escaping first root comes within 1 of
+# the upper ray of L
+TAIL_KINDS = (pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j), pk.robin(1.74 + 0.17j),
+              pk.robin(1.92 + 0.52j), pk.robin(0.5 + 1.8j))
+_TAIL_RNG = np.random.default_rng(14)
+TAIL_TS = 8.0 * np.sqrt(_TAIL_RNG.uniform(0.0, 1.0, 12)) * np.exp(
+    1j * _TAIL_RNG.uniform(-math.pi, math.pi, 12))
+
+
+@pytest.mark.parametrize("bc", TAIL_KINDS, ids=lambda bc: bc.label())
+def test_caret_tail_cut_is_sound(bc):
+    # L and the forked arms cut at tail tolerances 1e-12 and 1e-8 agree with
+    # the same route cut at 1e-22 within the summed estimates: each cut ray's
+    # tail bound carries the members' factor at the ray origin, and each
+    # estimate carries one tail tolerance per ray
+    tight = QuadOptions(truncation_tail_tol=1e-22)
+    for t in map(complex, TAIL_TS):
+        beta2, beta3, _ = pk._forked_angles(t)
+        for route in (lambda o: pk._caret_reciprocal(t, bc, o),
+                      lambda o: pk._caret_forked(t, bc, o, beta2, beta3)):
+            ref, ref_err = route(tight)
+            for tol in (1e-12, 1e-8):
+                v, err = route(QuadOptions(truncation_tail_tol=tol))
+                assert abs(v - ref) <= err + ref_err, (t, tol)
+
+
+# Robin points of the caret_sheet benchmark (seeds 7, 9, 10, 31, 34, 52),
+# whose escaping first root comes within 1 of the upper ray of L: an L cut
+# with a fixed tail scale of 50, without the members' factor at the vertex
+# and without the tail tolerance in its estimate misses the residue series
+# by 1.8-20 times the summed estimates
+ROBIN_NEAR_L = [
+    (1.7426032055346703 + 0.1651353848889161j, 1.9313507008533015 + 0.04341749562038999j),
+    (1.7426032055346703 + 0.1651353848889161j, 1.1628353702515928 + 2.095624243614046j),
+    (1.874578524818862 + 0.5299395941241382j, 3.2555674434353117 - 0.9115287797594562j),
+    (1.9237494617153463 + 0.5196341230452494j, 2.8305033698775324 + 0.02661927589756886j),
+    (1.5336692500978915 + 0.17672371096305545j, 1.8206053733157146 + 2.608036226677692j),
+    (1.6277127424572821 + 0.22846051175554746j, 2.9962787222710467 - 0.018445722671776046j),
+    (1.5258805562738174 + 1.166534828409185j, 2.6667091410853137 - 0.010905238578931543j),
+    (1.8425459087616036 + 0.14797150245118199j, 1.6946978461924413 + 2.9591747644282025j),
+]
+
+
+@pytest.mark.parametrize("mu,t", ROBIN_NEAR_L)
+def test_robin_residue_series_matches_l_near_an_escaping_root(mu, t):
+    bc = pk.robin(mu)
+    v_res, e_res, ok = pk.caret_residue_series(t, bc)
+    v_l, e_l = pk._caret_reciprocal(t, bc, QuadOptions())
+    assert ok[0]
+    assert abs(complex(v_res[0]) - v_l) <= e_res[0] + e_l

@@ -305,8 +305,8 @@ def _caret_families(count: int):
     with ``count`` members each, on their ladder paths."""
     ts = 3.0 * np.exp(1j * np.linspace(2.3, 2.9, count))
     l_rates = pk._ray_rates(ts, pk.L_OFFSETS)
-    l_path, _ = pk._ray_path(named_contour("L", pk._l_vertex(pk.DIRICHLET.impedance)),
-                             l_rates, pk.L_TAIL_SCALE, 1e-12)
+    l_contour, l_scale = pk._l_contour(pk.DIRICHLET)
+    l_path, _ = pk._ray_path(l_contour, l_rates + pk.L_TAIL_RATE, l_scale, 1e-12)
     shifts = np.maximum(0.0, pk._lit_log_magnitude(ts))
     beta2, _, _ = pk._forked_angles(complex(ts[0]))
     arm_rates = pk._ray_rates(ts, beta2, pk.ARM_TURN)
