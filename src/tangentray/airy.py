@@ -49,6 +49,7 @@ ASYMPTOTIC_RADIUS = 7.0    # precondition radius for airy_asymptotic
 _LATTICE_RADIUS = 8.5      # internal: Taylor lattice inside, far expansions beyond
 _LATTICE_STEP = 0.5        # internal: spacing of the lattice centres
 _TAYLOR_TERMS = 20         # internal: terms of every lattice Taylor sum
+_SERIES_TERMS = 300        # internal: Maclaurin terms before ``_series_vec`` stops
 _INTEGRAL_REZETA = 2.5     # internal: integral-built centres where Re zeta exceeds this
 # beyond the Stokes line arg = 2pi/3 the recessive exponential re-enters Ai;
 # routing through the connection formula keeps both rotated terms on complete
@@ -90,7 +91,7 @@ class RobinRoot:
 # Maclaurin series
 # ---------------------------------------------------------------------------
 
-def _series_vec(z: np.ndarray, max_terms: int = 300):
+def _series_vec(z: np.ndarray):
     """Ai, Ai' by the two Maclaurin solutions of the Airy ODE.
 
     f  = sum 3^k (1/3)_k z^{3k} / (3k)!,   g = sum 3^k (2/3)_k z^{3k+1} / (3k+1)!,
@@ -115,7 +116,7 @@ def _series_vec(z: np.ndarray, max_terms: int = 300):
     # term count needed for |z| <= r is ~ (e/3) r^{3/2} + margin; checking the
     # tail bound only every 8 terms keeps reduction overhead off the hot path
     k = 1
-    while k <= max_terms:
+    while k <= _SERIES_TERMS:
         t = t * z3 / ((3 * k - 1) * (3 * k))
         u = u * z3 / ((3 * k) * (3 * k + 1))
         w = w * z3 / ((3 * k - 2) * (3 * k))

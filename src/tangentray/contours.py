@@ -15,7 +15,8 @@ diffraction integrals:
 
 A path is a connected chain of segments: finite ``Line``s, with an inward
 ``Ray`` allowed first and an outward ``Ray`` last.  ``truncate`` replaces the
-rays by lines, so every path the quadrature sees is a polyline.
+rays by lines, so every path the quadrature sees is a polyline, and records
+the tail it cut off, which the quadrature adds to every error it reports.
 
 All multivalued powers use principal branches.
 """
@@ -73,15 +74,18 @@ class Ray:
 Segment = Line | Ray
 
 _CONNECT_TOL = 1e-12
+_PROBE_RADIUS = 50.0    # how far ``path_point_distance`` follows a ray
 
 
 @dataclass(frozen=True)
 class ContourPath:
-    """Ordered, connected chain of segments, possibly with ray ends."""
+    """Ordered, connected chain of segments, possibly with ray ends; a path
+    made by ``truncate`` carries its cut radius and tail (``truncate``)."""
 
     segments: tuple[Segment, ...]
     name: str | None = None
     truncation_radius: float = 0.0
+    truncation_tail: float = 0.0
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -170,7 +174,8 @@ class DecayModel:
 
 def truncate(path: ContourPath, decay: DecayModel, tail_tol: float) -> ContourPath:
     """Replace the ray ends of ``path`` by finite lines out to the radius
-    R = ``decay.radius_for(tail_tol)``, recorded on the returned path."""
+    R = ``decay.radius_for(tail_tol)``.  The returned path records R and one
+    ``tail_tol`` per ray cut, the bound on the integral it leaves out."""
     if path.is_finite:
         return path
     radius = decay.radius_for(tail_tol)
@@ -181,7 +186,8 @@ def truncate(path: ContourPath, decay: DecayModel, tail_tol: float) -> ContourPa
             segs.append(Line(far, s.origin) if s.inward else Line(s.origin, far))
         else:
             segs.append(s)
-    return ContourPath(tuple(segs), name=path.name, truncation_radius=radius)
+    tail = sum(isinstance(s, Ray) for s in path.segments) * tail_tol
+    return ContourPath(tuple(segs), path.name, truncation_radius=radius, truncation_tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +234,15 @@ def named_contour(name: str, clearance: float = 0.5) -> ContourPath:
     raise ContourError(f"unknown contour name {name!r}; valid: {_NAMES}")
 
 
-def path_point_distance(path: ContourPath, z: complex, probe_radius: float = 50.0) -> float:
+def path_point_distance(path: ContourPath, z: complex) -> float:
     """Distance from ``z`` to the (possibly truncated) path; rays are probed
-    out to ``probe_radius``.  Used for pole-clearance checks."""
+    out to ``_PROBE_RADIUS``.  Used for pole-clearance checks."""
     d = math.inf
     for s in path.segments:
         if isinstance(s, Line):
             a, b = s.start, s.end
         else:
-            a, b = s.origin, s.point_at(probe_radius)
+            a, b = s.origin, s.point_at(_PROBE_RADIUS)
         ab = b - a
         denom = abs(ab) ** 2
         if denom == 0.0:

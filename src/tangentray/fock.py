@@ -192,7 +192,8 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     truncation tolerance by the contour construction).  Beyond a saddle
     radius of SADDLE_ASY that model serves the saddle too, and its
     O(|t|^-3) relative error enters the estimate instead of a (hopelessly
-    slow) exact evaluation; so does the largest caret relative error.
+    slow) exact evaluation; so does the largest caret relative error.  The
+    quadrature's own estimate carries the tails of the two cut rays.
 
     The integral starts on FIELD_PANEL-unit panels (a measured constant):
     each round evaluates the caret at its new nodes in one
@@ -227,9 +228,7 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
 
     fin = truncate(path, _truncation_model(x, y, path, bc, extra_it), opts.truncation_tail_tol)
     res = integrate(f, fin, opts, width=FIELD_PANEL)
-    err = (res.error_estimate + (caret_rel + asy_rel) * abs(res.value)
-           + 4.0 * opts.truncation_tail_tol)
-    return FieldValue(res.value, err)
+    return FieldValue(res.value, res.error_estimate + (caret_rel + asy_rel) * abs(res.value))
 
 
 def scattered_new(pt: FockPoint, cfg: ProblemConfig,
@@ -282,17 +281,16 @@ def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:
     legs (sign, angle, lin, integrand) of sign x the integral along the
     outward ray from 0 at that angle, truncated by ``_arm_model(2/3, lin)``.
 
-    The estimate adds two tail tolerances per leg and 3e-10 of |sum| to
-    the quadrature errors."""
-    tail = opts.truncation_tail_tol
+    The estimate adds 3e-10 of |sum| to the legs' quadrature errors, each of
+    which carries its cut tail (one tail tolerance per leg)."""
     total = err = 0.0
     for sign, angle, lin, f in legs:
         path = truncate(ContourPath((Ray(0.0, angle, inward=False),)),
-                        _arm_model(2.0 / 3.0, lin), tail)
+                        _arm_model(2.0 / 3.0, lin), opts.truncation_tail_tol)
         res = integrate(f, path, opts)
         total, err = total + sign * res.value, err + res.error_estimate
     pref = np.exp(-1j * (x * y / 2.0 + x ** 3 / 12.0))
-    return FieldValue(pref * total, err + 2 * len(legs) * tail + 3e-10 * abs(total))
+    return FieldValue(pref * total, err + 3e-10 * abs(total))
 
 
 def scattered_forked(pt: FockPoint, cfg: ProblemConfig,

@@ -66,19 +66,6 @@ class PenumbraPoint:
         return self.k ** (1.0 / 6.0) * self.y_tilde
 
 
-@dataclass(frozen=True)
-class SaddleData:
-    tau_minus: float
-    tau_plus: float
-
-
-def saddles(x: float, y: float) -> SaddleData:
-    """Real saddle points tau_pm = (2/3)(x +- sqrt(x^2 + 3y))."""
-    if x * x + 3.0 * y < 0:
-        raise RegimeError("saddles are complex outside the propagation domain")
-    return SaddleData(*fock._saddles(x, y))
-
-
 # ---------------------------------------------------------------------------
 # Illuminated region
 # ---------------------------------------------------------------------------
@@ -88,24 +75,24 @@ def reflected_outer(pt: OuterPoint, bc: pk.BoundaryKind = pk.DIRICHLET) -> compl
 
     Amplitude (1/sqrt(3)) (1 - x/sqrt(x^2+3y))^{1/2} with the phase
     exp(i k (4/27)(-x^3 - (9/2) x y + (x^2+3y)^{3/2})) and the reflection
-    prefactor (beta tau_-/2 - i alpha/k^{1/3})/(beta tau_-/2 + i alpha/k^{1/3})
-    of the impedance pair (alpha, beta): -1 (Dirichlet), +1 (Neumann),
+    prefactor ``reflection_factor(tau_-, alpha/k^{1/3}, beta)``, tau_- the
+    real saddle (2/3)(x - sqrt(x^2 + 3y)), of the impedance pair (alpha,
+    beta): -1 (Dirichlet), +1 (Neumann),
     (tau_-/2 - i mu/k)/(tau_-/2 + i mu/k) (Robin with mu = k^{2/3} mu_hat).
     """
     x, y, k = pt.x, pt.y, pt.k
     if y <= -x * x / 4.0:
         raise RegimeError("point inside the obstacle")
-    sd = saddles(x, y)
-    if sd.tau_minus > -1e-3:
+    # outside the obstacle x^2 + 3y > x^2/4 >= 0: the saddles are real
+    tau_minus, _ = fock._saddles(x, y)
+    if tau_minus > -1e-3:
         raise RegimeError("saddle too close to the shadow boundary for the "
                           "illuminated-regime formula")
     s = math.sqrt(x * x + 3.0 * y)
     amp = (1.0 / math.sqrt(3.0)) * (1.0 - x / s) ** 0.5
     phase = np.exp(1j * k * (4.0 / 27.0) * (-x ** 3 - 4.5 * x * y + s ** 3))
     alpha, beta = bc.impedance
-    mu_over_k = alpha * k ** (-1.0 / 3.0)
-    pref = ((beta * sd.tau_minus / 2 - 1j * mu_over_k)
-            / (beta * sd.tau_minus / 2 + 1j * mu_over_k))
+    pref = pk.reflection_factor(tau_minus, alpha * k ** (-1.0 / 3.0), beta)
     return complex(pref * amp * phase)
 
 

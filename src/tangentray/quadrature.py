@@ -23,7 +23,9 @@ instead of one per member and node.
 
 The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
-floor it measures from its own panel sums.  Anything else has stalled.
+floor it measures from its own panel sums.  Anything else has stalled and
+raises.  The driver alone also sets the error it reports: the defect sum,
+the floor, and the tail ``truncate`` cut off the path.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
 
 
 def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
-           strict: bool, width: float = 2.0):
+           width: float = 2.0):
     """The adaptive core and its one acceptance rule, on panel sums from
     ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
     ``_evaluate_exp`` with their integrand bound).
@@ -307,12 +309,12 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
     at the panel or round cap.  A member is accepted if it met its target, or
     if its defect sum is within ``FLOOR_FACTOR`` times its floor
     (floor-limited, QUADPACK's roundoff status); its error is that defect
-    sum plus the floor.  With ``strict`` the first member not accepted
-    raises ``QuadratureError`` ("stalled") with its best result.  The first
-    round evaluates ``_initial_panels(path, width)``; ``members`` is None
-    where the integrand's first call tells it (``_in_blocks``).
+    sum plus the floor plus the path's ``truncation_tail``.  The first member
+    not accepted raises ``QuadratureError`` ("stalled") with its best result.
+    The first round evaluates ``_initial_panels(path, width)``; ``members``
+    is None where the integrand's first call tells it (``_in_blocks``).
 
-    Returns (values, errors, evaluations, rounds, accepted).
+    Returns (values, errors, evaluations, rounds).
     """
     table = _segment_table(path)
     seg, u0, u1 = _initial_panels(path, width)
@@ -354,15 +356,15 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
         u0 = np.concatenate((u0[keep], new_u0))
         u1 = np.concatenate((u1[keep], new_u1))
     accepted = converged | (err_total <= FLOOR_FACTOR * floor)
-    err_total = err_total + floor
-    if strict and not accepted.all():
+    err_total = err_total + floor + path.truncation_tail
+    if not accepted.all():
         k = int(np.argmin(accepted))
         v, e = complex(total[k]), float(err_total[k])
         raise QuadratureError(
             f"member {k}: tolerance not reached after {rounds} rounds: "
             f"error {e:.3e} for value {v:.6e}",
             "stalled", QuadResult(v, e, evals, path.truncation_radius, rounds))
-    return total, err_total, evals, rounds, accepted
+    return total, err_total, evals, rounds
 
 
 def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
@@ -370,36 +372,32 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     """Adaptively integrate ``f(t: ndarray(n,)) -> ndarray(n,)`` along the
     finite ``path``, from starting panels no longer than ``width``.
 
-    The strict one-member case of ``integrate_batch``.  Deterministic for
-    fixed inputs.  A result that is not accepted raises ``QuadratureError``
-    with reason ``"stalled"`` and the best result.
+    The one-member case of ``integrate_batch``.  Deterministic for fixed
+    inputs.  A result that is not accepted raises ``QuadratureError`` with
+    reason ``"stalled"`` and the best result.
     """
-    total, err_total, evals, rounds, _ = _adapt(functools.partial(_evaluate, f), path, opts,
-                                                1, True, width)
+    total, err_total, evals, rounds = _adapt(functools.partial(_evaluate, f), path, opts, 1,
+                                             width)
     return QuadResult(complex(total[0]), float(err_total[0]), evals,
                       path.truncation_radius, rounds)
 
 
-def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions(),
-                    strict: bool = True):
+def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions()):
     """Integrate a family of integrands sharing one path.
 
     ``fmat(t: ndarray(n,)) -> ndarray(m, n)`` returns all family members on
     the given nodes.  Each round bisects every panel whose defect exceeds
-    1/(4P) of some member's target, and ``_adapt`` decides acceptance.  With
-    ``strict`` the first member not accepted raises ``QuadratureError``
-    ("stalled") with its best result; with ``strict=False`` the best values
-    and their honest errors come back with ``accepted`` false for it.
+    1/(4P) of some member's target, and ``_adapt`` decides acceptance: the
+    first member not accepted raises ``QuadratureError`` ("stalled") with its
+    best result.
 
-    Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
+    Returns ``(values (m,), errors (m,), evaluations)``.
     """
-    total, err_total, evals, _, accepted = _adapt(functools.partial(_evaluate, fmat), path,
-                                                  opts, None, strict)
-    return total, err_total, evals, accepted
+    return _adapt(functools.partial(_evaluate, fmat), path, opts, None)[:3]
 
 
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
-                        strict: bool = True, width: float = 2.0):
+                        width: float = 2.0):
     """``integrate_batch`` for the exponential family
     w(z) e^{expo(z) + a_m z + b_m}, members m.
 
@@ -409,12 +407,15 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
     its refinement and its acceptance are those of ``integrate_batch``; the
     starting panels are no longer than ``width``.  A
     family of several members costs one complex exponential per member and
-    panel instead of one per member and node (see ``_evaluate_exp``); a
+    panel instead of one per member and node (see ``_evaluate_exp``).  A
     family of one evaluates each node's exponential directly, as
-    ``integrate_batch`` would.  A non-finite w, expo or member factor raises
-    ``QuadratureError`` ("nonfinite") naming a node.
+    ``integrate_batch`` would: it has nothing to share, and sending it
+    through ``_evaluate_exp`` cost the scalar caret routes 2-19% of their
+    throughput (``caret_sheet`` benchmark, 3 alternating pairs on a 2-core
+    box: 814-917 against 935-1012 ops/s).  A non-finite w, expo or
+    member factor raises ``QuadratureError`` ("nonfinite") naming a node.
 
-    Returns ``(values (m,), errors (m,), evaluations, accepted (m,))``.
+    Returns ``(values (m,), errors (m,), evaluations)``.
     """
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.reshape(np.asarray(b, dtype=complex), (-1, 1))
@@ -433,9 +434,7 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
             parts = [_evaluate_exp(factor, a[m:m + step], bm[m:m + step], table, seg, u0, u1,
                                    members) for m in range(0, a.size, step)]
             return tuple(np.concatenate(p) for p in zip(*parts))
-    total, err_total, evals, _, accepted = _adapt(evaluate, path, opts, a.size, strict,
-                                                  width)
-    return total, err_total, evals, accepted
+    return _adapt(evaluate, path, opts, a.size, width)[:3]
 
 
 # Former name of the round-based driver, kept as an alias of ``integrate``

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def test_caret_log_many_matches_scalar():
 
 def test_one_batch_covers_every_route():
     ts = ROUTE_TS
-    routes = [pk.ROUTES[r] for r in pk._plan(ts)]
+    routes = [pk.ROUTES[r] for r in pk._plan(ts, pk.DIRICHLET)]
     assert routes == ["pole_split", "residue_series", "reciprocal_airy_contour",
                       "forked_contour", "traced_saddle"]
     lv, lr = pk.caret_log_many(ts, pk.DIRICHLET)
@@ -245,13 +246,54 @@ def test_forked_error_estimate_covers_arm_quadrature():
     assert abs(v_f - v_r) <= e_f + e_r
 
 
+def test_planner_conditions_on_the_lit_formula():
+    # the planner reads ln|caret| from caret_lit_log_asymptotic, its
+    # 1/(2 sqrt(pi)) included: at t = -4-4i that puts L past COND_L, and the
+    # forked form it takes instead agrees with L within the summed estimates
+    t = -4 - 4j
+    assert pk._plan(np.array([t]), pk.DIRICHLET)[0] == pk._FORKED
+    ev = pk.pekeris_caret(t)
+    v_l, e_l = pk._caret_reciprocal(t, pk.DIRICHLET, QuadOptions())
+    assert ev.representation_used == "forked_contour"
+    assert abs(ev.value - v_l) <= ev.error_estimate + e_l
+
+
+def test_lit_formula_zero_is_silent():
+    # the Robin(1+i) boundary factor vanishes at t = 2i alpha/beta = -2+2i,
+    # a point of the default table grid: the log of the lit model is -inf
+    # there, and no evaluation warns under numpy's default error handling
+    # (which conftest and cli.main switch off process-wide)
+    bc = pk.robin(1 + 1j)
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        assert pk.caret_lit_log_asymptotic(np.array([-2 + 2j]), bc).real[0] == -np.inf
+        ev = pk.pekeris_caret(-2 + 2j, bc)
+    assert np.isfinite(ev.value) and np.isfinite(ev.error_estimate)
+
+
+def test_saddle_estimate_carries_its_cut_tails():
+    # the traced saddle path cuts two rays, and its estimate |pref| (err +
+    # 1e-14 |v|) takes the tail tolerance of each from the driver: a loose
+    # tolerance moves the value by no more than the summed estimates
+    t = complex(ROUTE_TS[4])
+    a = pk.EMIP6 * t
+    eta = (a / 2) ** 2
+    pref = abs(np.exp(a * eta + 4 / 3 * eta ** 1.5) / (4 * math.pi ** 2 * t))
+    ref, ref_err = pk._caret_saddle(t, pk.DIRICHLET, QuadOptions())
+    for tol in (1e-12, 1e-6):
+        v, err = pk._caret_saddle(t, pk.DIRICHLET, QuadOptions(truncation_tail_tol=tol))
+        assert err >= 2 * pref * tol
+        assert abs(v - ref) <= err + ref_err
+
+
 def test_forked_batch_uses_each_members_arms(monkeypatch):
     # All 33 of FORKED_TS share one l3 angle across a wide range of arg t, so
     # that arm's path must be truncated for the group's growth rate, not its
     # largest |t|.
     ts = FORKED_TS
-    assert np.all(pk._plan(ts) == pk._FORKED)
-    assert np.sum(pk._lit_log_magnitude(ts) > 0) == 3
+    assert np.all(pk._plan(ts, pk.DIRICHLET) == pk._FORKED)
+    # three rows whose lit model exceeds 1 are scaled by e^-shift
+    assert np.sum(pk.caret_lit_log_asymptotic(ts, pk.DIRICHLET).real > 0) == 3
     beta2, beta3, _ = pk._fork_rays(ts)
     opts = QuadOptions()
     calls = []

@@ -33,9 +33,23 @@ def test_airy_representation_integral():
 
 
 def test_zero_integrand():
-    res = integrate(lambda t: np.zeros_like(t), gamma0_truncated(), TIGHT)
+    # the error of a zero integral is the tails of the two rays truncate cut
+    tail = TIGHT.truncation_tail_tol
+    res = integrate(lambda t: np.zeros_like(t), gamma0_truncated(tail), TIGHT)
     assert res.value == 0.0
-    assert res.error_estimate == 0.0
+    assert res.error_estimate == 2 * tail
+
+
+def test_cut_tails_move_no_value():
+    # the driver adds the cut tails after acceptance: the value and the work
+    # are those of the same lines without the record of the cut
+    tail = TIGHT.truncation_tail_tol
+    path = gamma0_truncated(tail)
+    f = lambda t: np.exp(1j * t ** 3 / 3)
+    cut = integrate(f, path, TIGHT)
+    bare = integrate(f, ContourPath(path.segments), TIGHT)
+    assert cut.value == bare.value and cut.evaluations == bare.evaluations
+    assert cut.error_estimate == bare.error_estimate + 2 * tail
 
 
 def test_reversal_negates():
@@ -139,11 +153,10 @@ def test_stall_is_typed_with_finite_best_result():
     # [cap, 2 cap); every split adds one panel and evaluates two
     final_panels = (best.evaluations // 15 + 8) // 2
     assert cap <= final_panels < 2 * cap
-    # strict=False hands back the same best values instead of raising
-    vals, errs, evals, accepted = integrate_batch(f, path, opts, strict=False)
-    assert vals[0] == best.value and errs[0] == best.error_estimate
-    assert evals == best.evaluations
-    assert not accepted[0]
+    # the batch driver raises the same stall with the same best result
+    with pytest.raises(QuadratureError) as batch:
+        integrate_batch(f, path, opts)
+    assert batch.value.reason == "stalled" and batch.value.result == best
 
 
 def test_integrate_is_member_zero_of_batch():
@@ -151,8 +164,7 @@ def test_integrate_is_member_zero_of_batch():
     path = gamma0_truncated()
     res = integrate(f, path, TIGHT)
     for fmat in (lambda t: f(t)[None, :], lambda t: np.stack((f(t), f(t)))):
-        vals, errs, evals, accepted = integrate_batch(fmat, path, TIGHT)
-        assert accepted.all()
+        vals, errs, evals = integrate_batch(fmat, path, TIGHT)
         assert vals[0] == res.value
         assert errs[0] == res.error_estimate
         assert evals == res.evaluations
@@ -181,12 +193,12 @@ def test_wide_rounds_are_evaluated_in_blocks(monkeypatch):
         sizes.append(coeffs.size * t.size)
         return np.exp(1j * t[None, :] ** 3 / 3 + coeffs[:, None] * t[None, :] / 5)
 
-    ref, ref_errs, ref_evals, _ = integrate_batch(fmat, path, TIGHT)
+    ref, ref_errs, ref_evals = integrate_batch(fmat, path, TIGHT)
     budget = coeffs.size * 15 * 4          # four panels per call
     assert max(sizes) > budget
     sizes.clear()
     monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
-    vals, errs, evals, _ = integrate_batch(fmat, path, TIGHT)
+    vals, errs, evals = integrate_batch(fmat, path, TIGHT)
     # the batch learns its member count from its first call, of one panel,
     # and sizes every later block from it
     assert sizes[0] == coeffs.size * 15
@@ -237,7 +249,7 @@ def test_batch_matches_scalar():
     def fmat(t):
         return np.exp(1j * t[None, :] ** 3 / 3) * np.exp(coeffs[:, None] * t[None, :] / 5)
 
-    vals, errs, _, _ = integrate_batch(fmat, path, TIGHT)
+    vals, errs, _ = integrate_batch(fmat, path, TIGHT)
     for c, v in zip(coeffs, vals):
         ref = integrate(lambda t: np.exp(1j * t ** 3 / 3 + c * t / 5), path, TIGHT).value
         assert abs(v - ref) < 1e-11
@@ -258,30 +270,23 @@ def _capped_pair(c):
 def test_capped_member_within_floor_factor_is_accepted():
     c = 1e9
     floor = ROUNDOFF * 64 * c
-    vals, errs, _, accepted = integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS,
-                                              strict=False)
-    # member 1 misses its target but ends within FLOOR_FACTOR x its floor
+    # member 1 misses its target but ends within FLOOR_FACTOR x its floor,
+    # so the batch returns instead of raising
+    vals, errs, _ = integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS)
     assert errs[1] > 100 * max(_CAPPED_OPTS.abs_tol, floor, _CAPPED_OPTS.rel_tol * abs(vals[1]))
     assert errs[1] <= 0.5 * FLOOR_FACTOR * floor
-    assert accepted.all()
-    strict_vals, _, _, strict_accepted = integrate_batch(_capped_pair(c), _CAPPED_PATH,
-                                                         _CAPPED_OPTS)
-    assert np.array_equal(strict_vals, vals) and strict_accepted.all()
 
 
 def test_capped_member_above_floor_factor_stalls():
     c = 1e7
-    vals, errs, evals, accepted = integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS,
-                                                  strict=False)
-    assert errs[1] > 2.0 * FLOOR_FACTOR * ROUNDOFF * 64 * c
-    assert accepted.tolist() == [True, False]
     with pytest.raises(QuadratureError) as exc:
         integrate_batch(_capped_pair(c), _CAPPED_PATH, _CAPPED_OPTS)
     assert exc.value.reason == "stalled"
+    # member 0 converges; member 1 ends above FLOOR_FACTOR x its floor
     assert "member 1" in str(exc.value)
     best = exc.value.result
-    assert best.value == vals[1] and best.error_estimate == errs[1]
-    assert best.evaluations == evals
+    assert best.error_estimate > 2.0 * FLOOR_FACTOR * ROUNDOFF * 64 * c
+    assert np.isfinite(best.value) and best.evaluations > 0
 
 
 def test_cancelling_integral_is_accepted_at_its_roundoff_floor():
@@ -307,7 +312,7 @@ def _caret_families(count: int):
     l_rates = pk._ray_rates(ts, pk.L_OFFSETS)
     l_contour, l_scale = pk._l_contour(pk.DIRICHLET)
     l_path, _ = pk._ray_path(l_contour, l_rates + pk.L_TAIL_RATE, l_scale, 1e-12)
-    shifts = np.maximum(0.0, pk._lit_log_magnitude(ts))
+    shifts = np.maximum(0.0, pk.caret_lit_log_asymptotic(ts, pk.NEUMANN).real)
     beta2, _, _ = pk._forked_angles(complex(ts[0]))
     arm_rates = pk._ray_rates(ts, beta2, pk.ARM_TURN)
     arm_path, _ = pk._ray_path(ContourPath((Ray(0.0, beta2, inward=False),)), arm_rates,
@@ -331,10 +336,9 @@ def _node_integrand(factor, a, b):
 @pytest.mark.parametrize("count", [1, 24])
 def test_exp_batch_matches_node_integrand(count):
     for factor, a, b, path in _caret_families(count):
-        vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path, QuadOptions())
-        ref, ref_errs, ref_evals, _ = integrate_batch(_node_integrand(factor, a, b), path,
-                                                      QuadOptions())
-        assert accepted.all()
+        vals, errs, evals = integrate_exp_batch(factor, a, b, path, QuadOptions())
+        ref, ref_errs, ref_evals = integrate_batch(_node_integrand(factor, a, b), path,
+                                                   QuadOptions())
         assert evals > 15 * _initial_panels(path)[0].size   # refined
         assert np.all(np.abs(vals - ref) <= errs + ref_errs)
         if count == 1:
@@ -373,7 +377,7 @@ def test_exp_batch_one_factor_call_per_round():
         node_calls.append(z.size)
         return _node_integrand(factor, a, b)(z)
 
-    _, _, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions())
+    _, _, evals = integrate_exp_batch(counted, a, b, path, QuadOptions())
     integrate_batch(node_counted, path, QuadOptions())
     assert sum(calls) == evals
     # one call per round, as the node driver, whose first round adds a
@@ -391,12 +395,12 @@ def test_exp_batch_blocks(monkeypatch):
         sizes.append(a.size * z.size)
         return factor(z)
 
-    ref, ref_errs, ref_evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions())
+    ref, ref_errs, ref_evals = integrate_exp_batch(counted, a, b, path, QuadOptions())
     budget = a.size * 15 * 3           # three panels per call
     assert max(sizes) > budget
     sizes.clear()
     monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
-    vals, errs, evals, _ = integrate_exp_batch(counted, a, b, path, QuadOptions())
+    vals, errs, evals = integrate_exp_batch(counted, a, b, path, QuadOptions())
     assert max(sizes) <= budget
     assert evals == ref_evals
     assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
@@ -415,14 +419,12 @@ def test_exp_batch_splits_members_beyond_call_elements(monkeypatch):
         return kernel(factor, a, b, table, seg, *rest)
 
     for factor, a, b, path in _caret_families(24):
-        ref, ref_errs, ref_evals, _ = integrate_exp_batch(factor, a, b, path, QuadOptions())
+        ref, ref_errs, ref_evals = integrate_exp_batch(factor, a, b, path, QuadOptions())
         sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(quadrature, "CALL_ELEMENTS", budget)
             m.setattr(quadrature, "_evaluate_exp", counted)
-            vals, errs, evals, accepted = integrate_exp_batch(factor, a, b, path,
-                                                              QuadOptions())
-        assert accepted.all()
+            vals, errs, evals = integrate_exp_batch(factor, a, b, path, QuadOptions())
         assert sizes and max(sizes) <= budget
         assert evals == ref_evals
         assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
