@@ -206,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    np.seterr(over="ignore", invalid="ignore", divide="ignore", under="ignore")
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+            return args.fn(args)
     except (ValueError, QuadratureError, airy.RootContinuationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ import numpy as np
 from . import airy
 from . import pekeris as pk
 from .contours import ContourPath, DecayModel, Line, Ray, truncate
-from .quadrature import QuadOptions, integrate
+from .quadrature import QuadOptions, integrate, integrate_lockstep
 
 C0 = 0.5                 # pole clearance of the vee vertices
 T_HONEST = 8.0           # |t_-| beyond which total_new uses the residue shift
@@ -278,16 +278,32 @@ def _arm_model(rate_32: float, lin: float) -> DecayModel:
 
 def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:
     """Plane-phase prefactor e^{-i(x y/2 + x^3/12)} times the sum over the
-    legs (sign, angle, lin, integrand) of sign x the integral along the
+    legs (sign, angle, lin, args, integrand) of sign x the integral along the
     outward ray from 0 at that angle, truncated by ``_arm_model(2/3, lin)``.
+    A leg's integrand at the nodes s is ``integrand(s, *airy)``, with ``airy``
+    the (ai, aip, expo) triples of ``args(s)``, its Airy arguments.
 
-    The estimate adds 3e-10 of |sum| to the legs' quadrature errors, each of
-    which carries its cut tail (one tail tolerance per leg)."""
+    The legs run in lockstep (``integrate_lockstep``): each round evaluates
+    the Airy arguments of every unfinished leg in one ``airy._scaled_each``
+    call.  An Airy value does not depend on its batch, so each leg's result
+    is that of its own ``integrate`` run.  The estimate adds 3e-10 of |sum|
+    to the legs' quadrature errors, each of which carries its cut tail (one
+    tail tolerance per leg)."""
+    paths = [truncate(ContourPath((Ray(0.0, angle, inward=False),)),
+                      _arm_model(2.0 / 3.0, lin), opts.truncation_tail_tol)
+             for _, angle, lin, _, _ in legs]
+
+    def joint(ks, nodes):
+        args = [legs[k][3](s) for k, s in zip(ks, nodes)]
+        values = airy._scaled_each(*(z for zs in args for z in zs))
+        out = []
+        for k, s, zs in zip(ks, nodes, args):
+            out.append(legs[k][4](s, *values[:len(zs)]))
+            values = values[len(zs):]
+        return out
+
     total = err = 0.0
-    for sign, angle, lin, f in legs:
-        path = truncate(ContourPath((Ray(0.0, angle, inward=False),)),
-                        _arm_model(2.0 / 3.0, lin), opts.truncation_tail_tol)
-        res = integrate(f, path, opts)
+    for (sign, *_), res in zip(legs, integrate_lockstep(joint, paths, opts)):
         total, err = total + sign * res.value, err + res.error_estimate
     pref = np.exp(-1j * (x * y / 2.0 + x ** 3 / 12.0))
     return FieldValue(pref * total, err + 3e-10 * abs(total))
@@ -301,25 +317,26 @@ def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
     bc = cfg.bc
     n = y + x * x / 4.0
 
-    # one Airy call per evaluation: A1(s - n) = omega Ai(omega (s - n)) and the ratio
-    def f1(s):
-        a, _, e = airy.airy_scaled_vec(pk.OMEGA * (s - n))
+    # A1(s - n) = omega Ai(omega (s - n)) and the arm's ratio
+    def f1(s, a1):
+        a, _, e = a1
         return pk.OMEGA * a * np.exp(1j * x * s / 2.0 + e)
 
-    def f2(s):
-        (a, _, e), *r = airy._scaled_each(pk.OMEGA * (s - n), pk.OMEGA * s, pk.OMEGA ** 2 * s)
-        wr, er = pk._ratio_l2(*r, bc)
+    def f2(s, a1, *r):
+        (a, _, e), (wr, er) = a1, pk._ratio_l2(*r, bc)
         return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
 
-    def f3(s):
-        (a, _, e), *r = airy._scaled_each(pk.OMEGA * (s - n), s, pk.OMEGA * s)
-        wr, er = pk._ratio_l3(*r, bc)
+    def f3(s, a1, *r):
+        (a, _, e), (wr, er) = a1, pk._ratio_l3(*r, bc)
         return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
 
     rn = max(n, 0.0) ** 0.5      # n rounds below 0 on the boundary of some kappa
     lin = 0.866 * abs(x) / 2.0 + 0.5 * rn
-    return _leg_sum(x, y, [(-1, -2 * math.pi / 3, lin, f1), (-1, 2 * math.pi / 3, lin, f2),
-                           (-1, 0.0, rn, f3)], opts)
+    return _leg_sum(x, y, [
+        (-1, -2 * math.pi / 3, lin, lambda s: (pk.OMEGA * (s - n),), f1),
+        (-1, 2 * math.pi / 3, lin, lambda s: (pk.OMEGA * (s - n), pk.OMEGA * s,
+                                              pk.OMEGA ** 2 * s), f2),
+        (-1, 0.0, rn, lambda s: (pk.OMEGA * (s - n), s, pk.OMEGA * s), f3)], opts)
 
 
 def total_gamma(pt: FockPoint, cfg: ProblemConfig,
@@ -336,22 +353,19 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     bc = cfg.bc
     n = y + x * x / 4.0
 
-    def f_out(s):
-        s = np.asarray(s, dtype=complex)
-        (a0, _, e0), (a1, _, e1), *r = airy._scaled_each(s - n, pk.OMEGA * (s - n),
-                                                          s, pk.OMEGA * s)
-        wr, er = pk._ratio_l3(*r, bc)
+    def f_out(s, d0, d1, *r):
+        (a0, _, e0), (a1, _, e1), (wr, er) = d0, d1, pk._ratio_l3(*r, bc)
         w1 = pk.OMEGA * a1
         big = np.maximum(e0, er + e1)
         diff = a0 * np.exp(e0 - big) - wr * w1 * np.exp(er + e1 - big)
         return diff * np.exp(1j * x * s / 2.0 + big)
 
-    def f_in(s):
-        # A1(s - n) = omega Ai(omega (s - n)) is also the Dirichlet r2(s - n) denominator
-        s = np.asarray(s, dtype=complex)
+    # A1(s - n) = omega Ai(omega (s - n)) is also the Dirichlet r2(s - n) denominator
+    def args_in(s):
         sn = s - n
-        d1, b1, b2, d2 = airy._scaled_each(pk.OMEGA * sn, pk.OMEGA * s, pk.OMEGA ** 2 * s,
-                                           pk.OMEGA ** 2 * sn)
+        return pk.OMEGA * sn, pk.OMEGA * s, pk.OMEGA ** 2 * s, pk.OMEGA ** 2 * sn
+
+    def f_in(s, d1, b1, b2, d2):
         wb, eb = pk._ratio_l2(b1, b2, bc)
         wd, ed = pk._ratio_l2(d1, d2, pk.DIRICHLET)
         big = np.maximum(eb, ed)
@@ -365,8 +379,9 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     if np.min(np.abs(np.angle(poles) - ang_in)) < 0.08:
         ang_in -= 0.1
     lin = 0.6 * max(n, 0.0) ** 0.5
-    return _leg_sum(x, y, [(-1, ang_in, 0.866 * abs(x) / 2.0 + lin, f_in),
-                           (1, 0.0, lin, f_out)], opts)
+    return _leg_sum(x, y, [
+        (-1, ang_in, 0.866 * abs(x) / 2.0 + lin, args_in, f_in),
+        (1, 0.0, lin, lambda s: (s - n, pk.OMEGA * (s - n), s, pk.OMEGA * s), f_out)], opts)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,20 @@ panel.  Each line starts as equal panels, 2 units long unless the caller
 passes a width sized from its integrand's rates, so that most integrals
 converge in their first round.  ``integrate`` is the one-member case of
 ``integrate_batch``.
+
 ``integrate_exp_batch`` serves families w(z) e^{expo(z) + a_m z + b_m} whose
 members differ only in the exponential: on a panel the member factor
 splits into one exponential at the midpoint and one shared by all panels of
 that width, so a round costs one complex exponential per member and panel
 instead of one per member and node.
+
+The driver is a stepper (``_adapt``): a generator that yields the panels it
+wants and takes back their sums.  ``integrate``, ``integrate_batch`` and
+``integrate_exp_batch`` each drive one stepper; ``integrate_lockstep``
+drives several in lockstep and hands each round's new nodes of every
+unfinished integral to one joint integrand call, so an integrand whose cost
+is mostly a fixed overhead per call (the Airy factors of the sigma-plane
+legs) pays it once per round for all of them.
 
 The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
@@ -221,14 +230,10 @@ def _widened(kept: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _evaluate(fmat, table, seg, u0, u1, members: int | None):
-    """K15 values and defects of ``fmat``'s members on the panels."""
-    z, jac = _nodes(table, seg, u0, u1)
-    nodes = z.ravel()
-    try:
-        fz = np.asarray(fmat(nodes), dtype=complex)
-    except QuadratureError as exc:
-        raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
+def _sums(fz, nodes: np.ndarray, jac: np.ndarray, members: int | None):
+    """K15 values and defects, both (members, P), of the integrand values
+    ``fz`` (members, nodes) or (nodes,) on the panels' flat ``nodes``."""
+    fz = np.asarray(fz, dtype=complex)
     if fz.ndim == 1:
         fz = fz[None, :]
     if fz.ndim != 2 or fz.shape[1] != nodes.size or members not in (None, fz.shape[0]):
@@ -242,6 +247,17 @@ def _evaluate(fmat, table, seg, u0, u1, members: int | None):
     k15 = g @ _WK
     g7 = g[:, :, 1::2] @ _WG
     return k15, np.abs(k15 - g7)
+
+
+def _evaluate(fmat, table, seg, u0, u1, members: int | None):
+    """K15 values and defects of ``fmat``'s members on the panels."""
+    z, jac = _nodes(table, seg, u0, u1)
+    nodes = z.ravel()
+    try:
+        fz = fmat(nodes)
+    except QuadratureError as exc:
+        raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
+    return _sums(fz, nodes, jac, members)
 
 
 # the K15 and G7 weights on the 15 Kronrod nodes (G7 is 0 on the Kronrod-only ones)
@@ -295,11 +311,15 @@ def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
     return k15, defect
 
 
-def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
-           width: float = 2.0):
-    """The adaptive core and its one acceptance rule, on panel sums from
-    ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
-    ``_evaluate_exp`` with their integrand bound).
+def _adapt(path: ContourPath, opts: QuadOptions, width: float = 2.0):
+    """The adaptive core and its one acceptance rule, as a stepper: a
+    generator that yields each round's new panels as a request ``(table, seg,
+    u0, u1, out)`` and is sent back their K15 values and defects, both
+    (members, P).  The first round asks for ``_initial_panels(path, width)``
+    with ``out`` None, and the sums sent back set the member count; a later
+    round's ``out`` holds the two (members, P) views its sums must be written
+    into (what is sent back is then not read).  A driver (``_run``,
+    ``integrate_lockstep``) evaluates the requests.
 
     Each round measures every member's roundoff floor from its own panel
     sums, ``floor_i = ROUNDOFF sum_p |K15_ip|``, and its target
@@ -311,15 +331,12 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
     (floor-limited, QUADPACK's roundoff status); its error is that defect
     sum plus the floor plus the path's ``truncation_tail``.  The first member
     not accepted raises ``QuadratureError`` ("stalled") with its best result.
-    The first round evaluates ``_initial_panels(path, width)``; ``members``
-    is None where the integrand's first call tells it (``_in_blocks``).
 
     Returns (values, errors, evaluations, rounds).
     """
     table = _segment_table(path)
     seg, u0, u1 = _initial_panels(path, width)
-    vals, errs = _in_blocks(evaluate, table, seg, u0, u1, members)
-    members = vals.shape[0]
+    vals, errs = yield table, seg, u0, u1, None
     evals = 15 * seg.size
     rounds = 0
     while True:
@@ -341,15 +358,14 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
         new_u0 = np.column_stack((lo, mid)).ravel()
         new_u1 = np.column_stack((mid, hi)).ravel()
         # the (members, P) sums dominate the memory of a wide batch on a long
-        # path: drop the split panels' sums one array at a time, then
-        # evaluate the new panels straight into the widened arrays
+        # path: drop the split panels' sums one array at a time, then have
+        # the new panels evaluated straight into the widened arrays
         vals = vals[:, keep]
         errs = errs[:, keep]
         kept = vals.shape[1]
         vals = _widened(vals, new_seg.size)
         errs = _widened(errs, new_seg.size)
-        _in_blocks(evaluate, table, new_seg, new_u0, new_u1, members,
-                   (vals[:, kept:], errs[:, kept:]))
+        yield table, new_seg, new_u0, new_u1, (vals[:, kept:], errs[:, kept:])
         evals += 15 * new_seg.size
         rounds += 1
         seg = np.concatenate((seg[keep], new_seg))
@@ -367,6 +383,23 @@ def _adapt(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
     return total, err_total, evals, rounds
 
 
+def _run(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
+         width: float = 2.0):
+    """Drive one ``_adapt`` stepper, its panels evaluated by ``_in_blocks``
+    with ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
+    ``_evaluate_exp`` with their integrand bound); ``members`` is None where
+    the integrand's first call tells it.  Returns what the stepper returns."""
+    stepper = _adapt(path, opts, width)
+    table, seg, u0, u1, out = next(stepper)
+    while True:
+        sums = _in_blocks(evaluate, table, seg, u0, u1, members, out)
+        members = sums[0].shape[0]
+        try:
+            table, seg, u0, u1, out = stepper.send(sums)
+        except StopIteration as done:
+            return done.value
+
+
 def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
               width: float = 2.0) -> QuadResult:
     """Adaptively integrate ``f(t: ndarray(n,)) -> ndarray(n,)`` along the
@@ -376,8 +409,11 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     inputs.  A result that is not accepted raises ``QuadratureError`` with
     reason ``"stalled"`` and the best result.
     """
-    total, err_total, evals, rounds = _adapt(functools.partial(_evaluate, f), path, opts, 1,
-                                             width)
+    return _one(path, *_run(functools.partial(_evaluate, f), path, opts, 1, width))
+
+
+def _one(path: ContourPath, total, err_total, evals: int, rounds: int) -> QuadResult:
+    """The ``QuadResult`` of a one-member stepper's return."""
     return QuadResult(complex(total[0]), float(err_total[0]), evals,
                       path.truncation_radius, rounds)
 
@@ -393,7 +429,7 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions()):
 
     Returns ``(values (m,), errors (m,), evaluations)``.
     """
-    return _adapt(functools.partial(_evaluate, fmat), path, opts, None)[:3]
+    return _run(functools.partial(_evaluate, fmat), path, opts, None)[:3]
 
 
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
@@ -434,7 +470,80 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
             parts = [_evaluate_exp(factor, a[m:m + step], bm[m:m + step], table, seg, u0, u1,
                                    members) for m in range(0, a.size, step)]
             return tuple(np.concatenate(p) for p in zip(*parts))
-    return _adapt(evaluate, path, opts, a.size, width)[:3]
+    return _run(evaluate, path, opts, a.size, width)[:3]
+
+
+def _joint_values(fjoint, legs: list, nodes: list) -> list:
+    """``fjoint(legs, nodes)``'s values on each leg's flat ``nodes``, from
+    calls of at most ``CALL_ELEMENTS`` nodes (one panel at least), cut at
+    panel ends: one call in all but the largest rounds."""
+    size = 15 * max(1, CALL_ELEMENTS // 15)
+    sizes = [z.size for z in nodes]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    flat = np.concatenate(nodes)
+    values = np.empty(flat.size, dtype=complex)
+    for c in range(0, flat.size, size):
+        d = min(c + size, flat.size)
+        part = range(int(np.searchsorted(ends, c, side="right")),
+                     int(np.searchsorted(ends, d, side="left")) + 1)
+        args = [flat[max(c, starts[j]):min(d, ends[j])] for j in part]
+        try:
+            got = fjoint([legs[j] for j in part], args)
+        except QuadratureError as exc:
+            raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
+        shapes = [np.shape(v) for v in got]
+        if shapes != [z.shape for z in args]:
+            raise QuadratureError(f"integrand returned shapes {shapes} for "
+                                  f"{[z.size for z in args]} nodes", "shape")
+        values[c:d] = np.concatenate(got)
+    return np.split(values, ends[:-1])
+
+
+def integrate_lockstep(fjoint, paths, opts: QuadOptions = QuadOptions()) -> list:
+    """``integrate`` along each of ``paths``, the integrals stepped in
+    lockstep: each round hands the new nodes of every unfinished integral to
+    one call ``fjoint(legs, nodes) -> values``, with ``legs`` the indices of
+    those integrals in ``paths``, ``nodes`` their node arrays (n_k,) and
+    ``values`` one array (n_k,) per node array.  A round of more than
+    ``CALL_ELEMENTS`` nodes is split over several calls at panel ends.
+
+    An integrand whose cost is mostly a fixed overhead per call (the Airy
+    factors of the sigma-plane legs in ``fock``) then pays it once per round
+    instead of once per integral and round.  Each integral keeps its own
+    stepper: its panels, cap, target, floor, acceptance and cut tail.  So
+    when ``fjoint``'s value at a node does not depend on the other nodes of
+    the call, each result is bit-identical to ``integrate`` of that
+    integral's own integrand.  Its failure is too: once every integral has
+    stopped, the first in order that failed raises its ``QuadratureError``
+    (an untruncated path, or an exception raised by ``fjoint`` itself,
+    raises at once).
+
+    Returns one ``QuadResult`` per path.
+    """
+    steppers = [_adapt(path, opts) for path in paths]
+    requests = {k: next(stepper) for k, stepper in enumerate(steppers)}
+    outcomes = [None] * len(paths)
+    while requests:
+        legs = list(requests)
+        panels = [_nodes(*requests[k][:4]) for k in legs]
+        values = _joint_values(fjoint, legs, [z.ravel() for z, _ in panels])
+        pending, requests = requests, {}
+        for k, (z, jac), fz in zip(legs, panels, values):
+            out = pending[k][4]
+            try:
+                sums = _sums(fz, z.ravel(), jac, 1)
+                if out is not None:
+                    out[0][...], out[1][...] = sums
+                requests[k] = steppers[k].send(sums)
+            except StopIteration as done:
+                outcomes[k] = _one(paths[k], *done.value)
+            except QuadratureError as exc:
+                outcomes[k] = exc
+    for outcome in outcomes:
+        if isinstance(outcome, QuadratureError):
+            raise outcome
+    return outcomes
 
 
 # Former name of the round-based driver, kept as an alias of ``integrate``

@@ -1,7 +1,4 @@
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.dirname(__file__))
-np.seterr(over="ignore", invalid="ignore", divide="ignore", under="ignore")

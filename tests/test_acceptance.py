@@ -4,12 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` for the per-criterion
 report, or via the CLI with ``tangentray verify``.
 """
 
-import numpy as np
 import pytest
 
 from tangentray import verify as vf
-
-np.seterr(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
 def _report(n, check):

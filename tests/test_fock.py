@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tangentray import airy, fock
+from tangentray import airy, fock, quadrature
 from tangentray import matching as mt
 from tangentray import pekeris as pk
 from tangentray.contours import ContourPath, DecayModel, Ray, truncate
@@ -248,17 +248,17 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sigma-plane integrands: one Airy call per evaluation, bit for bit the
-# formulas that evaluate each Airy argument on its own
+# sigma-plane legs: stepped in lockstep, one Airy call per round for all of
+# them, bit for bit per-leg runs of the formulas that evaluate each Airy
+# argument on its own
 # ---------------------------------------------------------------------------
 
 W = pk.OMEGA
 SIGMA_POINTS = [(-3.0, 1.0), (0.5, 0.2), (2.0, -0.5)]    # lit, penumbra, shadow
 SIGMA_BCS = [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)]
-# per integrand, the Airy points per node of its one call per evaluation;
+# per leg in order (l1, l2, l3; gamma in, out), its Airy points per node;
 # f_in's A1(s - n) serves both its A1 factor and the Dirichlet r2(s - n)
-SIGMA_AIRY_POINTS = {"scattered_forked": {("f1", (1,)), ("f2", (3,)), ("f3", (3,))},
-                     "total_gamma": {("f_in", (4,)), ("f_out", (4,))}}
+SIGMA_AIRY_POINTS = {"scattered_forked": (1, 3, 3), "total_gamma": (4, 4)}
 
 
 def _a1_shift(s, n):
@@ -329,16 +329,24 @@ def _substituted(integrands):
     return run
 
 
-def _airy_calls_per_evaluation(m, module):
-    """Per integrand evaluation through ``module.integrate``, the integrand's
-    name and the Airy points per node of each Airy call it made; and the
-    sizes of all Airy calls."""
-    per_eval, calls = [], []
+def _counted_airy(m):
+    """The sizes of all Airy calls made from here on."""
+    calls = []
     evaluate = airy.airy_scaled_vec
 
     def counted(z):
         calls.append(np.size(z))
         return evaluate(z)
+
+    m.setattr(airy, "airy_scaled_vec", counted)
+    return calls
+
+
+def _airy_calls_per_evaluation(m, module):
+    """Per integrand evaluation through ``module.integrate``, the integrand's
+    name and the Airy points per node of each Airy call it made; and the
+    sizes of all Airy calls."""
+    per_eval, calls = [], _counted_airy(m)
 
     def run(f, path, opts=QuadOptions()):
         def g(s):
@@ -348,9 +356,39 @@ def _airy_calls_per_evaluation(m, module):
             return out
         return integrate(g, path, opts)
 
-    m.setattr(airy, "airy_scaled_vec", counted)
     m.setattr(module, "integrate", run)
     return per_eval, calls
+
+
+def _per_leg(integrands, results):
+    """An ``integrate_lockstep`` that runs ``integrate`` of each of
+    ``integrands`` in place of the legs, one leg after another on the
+    caller's paths, and appends the results to ``results``."""
+    def run(fjoint, paths, opts):
+        for f, path in zip(integrands, paths):
+            results.append(integrate(f, path, opts))
+        return results
+    return run
+
+
+def _lockstep_log(m):
+    """Patches ``fock.integrate_lockstep`` to log each joint call as (legs,
+    node counts, sizes of the Airy calls it made); returns the log and the
+    list the results are appended to."""
+    calls, log, results = _counted_airy(m), [], []
+    run = fock.integrate_lockstep
+
+    def logged(fjoint, paths, opts):
+        def joint(legs, nodes):
+            before = len(calls)
+            out = fjoint(legs, nodes)
+            log.append((list(legs), [z.size for z in nodes], calls[before:]))
+            return out
+        results.extend(run(joint, paths, opts))
+        return results
+
+    m.setattr(fock, "integrate_lockstep", logged)
+    return log, results
 
 
 @pytest.mark.parametrize("bc", SIGMA_BCS, ids=lambda bc: bc.label())
@@ -361,26 +399,86 @@ def test_sigma_integrands_one_airy_call_bit_identical(monkeypatch, bc):
         x, y = fock._scaled_coords(pt, cfg)
         refs = _reference_integrands(x, y + x * x / 4.0, bc)
         for field in (fock.scattered_forked, fock.total_gamma):
-            todo = refs[field.__name__]
+            ref_legs = []
             with monkeypatch.context() as m:
-                m.setattr(fock, "integrate", _substituted(todo))
+                m.setattr(fock, "integrate_lockstep", _per_leg(refs[field.__name__], ref_legs))
                 ref = field(pt, cfg)
-            assert todo == []
             with monkeypatch.context() as m:
-                per_eval, _ = _airy_calls_per_evaluation(m, fock)
+                log, legs = _lockstep_log(m)
                 got = field(pt, cfg)
-            assert set(per_eval) == SIGMA_AIRY_POINTS[field.__name__]
+            assert legs == ref_legs
             assert got.amplitude == ref.amplitude
             assert got.error_estimate == ref.error_estimate
+            # round r makes one Airy call for every leg that reached round r
+            per_node = SIGMA_AIRY_POINTS[field.__name__]
+            assert len(log) == max(res.rounds for res in legs) + 1
+            for r, (ks, sizes, calls) in enumerate(log):
+                assert ks == [k for k, res in enumerate(legs) if res.rounds >= r]
+                assert calls == [sum(per_node[k] * n for k, n in zip(ks, sizes))]
     # the ratio parts, on nodes from the lattice and both far bands
     s = np.concatenate([np.linspace(-12.0, 12.0, 25), 9.0 * np.exp(1j * np.linspace(-3, 3, 13))])
     for parts, ref in ((pk.ratio_l2_parts, _r2), (pk.ratio_l3_parts, _r3)):
         want = ref(s, bc)
         with monkeypatch.context() as m:
-            _, calls = _airy_calls_per_evaluation(m, fock)
+            calls = _counted_airy(m)
             got = parts(s, bc)
         assert calls == [2 * s.size]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# Robin(2) at (x_hat, n_hat) = (-6, 5): the forked legs l1 and l2 converge in
+# 1 and 2 rounds, l3 runs 15 rounds along the pole it passes
+ROBIN2 = fock.ProblemConfig(pk.robin(2))
+ROBIN2_POINT = fock.FockPoint(-6.0, 5.0 - 0.25 * 36.0)
+
+
+def _forked_per_leg(monkeypatch, opts):
+    """The forked field at ``ROBIN2_POINT`` by per-leg runs of the reference
+    integrands: (field value or raised error, leg results)."""
+    x, y = fock._scaled_coords(ROBIN2_POINT, ROBIN2)
+    refs = _reference_integrands(x, y + x * x / 4.0, ROBIN2.bc)["scattered_forked"]
+    results = []
+    with monkeypatch.context() as m:
+        m.setattr(fock, "integrate_lockstep", _per_leg(refs, results))
+        try:
+            return fock.scattered_forked(ROBIN2_POINT, ROBIN2, opts), results
+        except QuadratureError as exc:
+            return exc, results
+
+
+def test_lockstep_legs_of_unequal_depth_equal_per_leg_runs(monkeypatch):
+    ref, ref_legs = _forked_per_leg(monkeypatch, fock.DEFAULT_OPTS)
+    with monkeypatch.context() as m:
+        log, legs = _lockstep_log(m)
+        got = fock.scattered_forked(ROBIN2_POINT, ROBIN2)
+    assert [res.rounds for res in legs] == [1, 2, 15]
+    assert legs == ref_legs      # values, estimates, evaluations, rounds
+    assert got == ref
+    assert len(log) == 16 and all(len(calls) == 1 for _, _, calls in log)
+    # small joint calls: the same results, and no call passes the bound
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "CALL_ELEMENTS", 15 * 8)
+        log, small = _lockstep_log(m)
+        assert fock.scattered_forked(ROBIN2_POINT, ROBIN2) == ref
+    assert small == legs
+    assert len(log) > 16 and max(sum(sizes) for _, sizes, _ in log) <= 15 * 8
+    assert all(len(calls) == 1 for _, _, calls in log)
+
+
+# finished: the legs the per-leg loop completes before the stall it raises
+@pytest.mark.parametrize("max_subdivisions, rel_tol, finished", [
+    (30, 1e-9, 2),       # l1 and l2 converge; l3 stalls after 6 rounds
+    (25, 1e-12, 0),      # l1 stalls after 1 round, l3 after 3; l2 converges
+])
+def test_lockstep_stall_is_the_per_leg_loops(monkeypatch, max_subdivisions, rel_tol, finished):
+    opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=max_subdivisions,
+                               rel_tol=rel_tol)
+    ref, ref_legs = _forked_per_leg(monkeypatch, opts)
+    assert isinstance(ref, QuadratureError) and len(ref_legs) == finished
+    with pytest.raises(QuadratureError) as info:
+        fock.scattered_forked(ROBIN2_POINT, ROBIN2, opts)
+    assert (info.value.reason, str(info.value), info.value.result) == \
+        (ref.reason, str(ref), ref.result)
 
 
 def test_i_sigma_one_airy_call_bit_identical(monkeypatch):

@@ -262,7 +262,7 @@ def test_lit_formula_zero_is_silent():
     # the Robin(1+i) boundary factor vanishes at t = 2i alpha/beta = -2+2i,
     # a point of the default table grid: the log of the lit model is -inf
     # there, and no evaluation warns under numpy's default error handling
-    # (which conftest and cli.main switch off process-wide)
+    # (set here, whatever error state the process runs with)
     bc = pk.robin(1 + 1j)
     with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
         warnings.simplefilter("error")

@@ -10,7 +10,8 @@ from tangentray import quadrature
 from tangentray.contours import ContourPath, DecayModel, Line, Ray, named_contour, truncate
 from tangentray.quadrature import (_WG, _WK, _XK, FLOOR_FACTOR, ROUNDOFF, QuadOptions,
                                    QuadratureError, _initial_panels, _nodes, _segment_table,
-                                   integrate, integrate_batch, integrate_exp_batch)
+                                   integrate, integrate_batch, integrate_exp_batch,
+                                   integrate_lockstep)
 
 from _oracles import AI0
 
@@ -111,7 +112,7 @@ def test_untruncated_path_rejected():
 
 def test_nonfinite_sample_rejected():
     path = ContourPath((Line(-1.0, 1.0),))
-    with pytest.raises(QuadratureError) as exc:
+    with pytest.raises(QuadratureError) as exc, np.errstate(divide="ignore", invalid="ignore"):
         integrate(lambda t: 1.0 / (t - 0.25), path, TIGHT)  # pole on the path
     assert exc.value.reason == "nonfinite"
     assert exc.value.result is None
@@ -443,7 +444,49 @@ def test_exp_batch_rejects_nonfinite_factor():
 
     for factor in (pole, overflow):
         for members in (a[:1], a):
-            with pytest.raises(QuadratureError) as exc:
+            with pytest.raises(QuadratureError) as exc, \
+                    np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 integrate_exp_batch(factor, members, 0.0, path, TIGHT)
             assert exc.value.reason == "nonfinite"
             assert "t = " in str(exc.value)
+
+
+def test_lockstep_legs_are_per_leg_runs():
+    # legs of unequal depth, one on a two-line path: each result is that of
+    # integrate on its own, and each joint call holds every unfinished leg
+    paths = [ContourPath((Line(0.0, 3.0),)), ContourPath((Line(-1.0, 1j), Line(1j, 4.0))),
+             ContourPath((Line(0.0, 30.0),))]
+    fs = [lambda t: np.exp(-t * t), lambda t: np.cos(5.0 * t), lambda t: np.exp(1j * 40 * t)]
+    calls = []
+
+    def fjoint(legs, nodes):
+        calls.append(list(legs))
+        return [fs[k](z) for k, z in zip(legs, nodes)]
+
+    got = integrate_lockstep(fjoint, paths, TIGHT)
+    assert got == [integrate(f, p, TIGHT) for f, p in zip(fs, paths)]
+    assert got[2].rounds > got[0].rounds
+    assert calls == [[k for k, res in enumerate(got) if res.rounds >= r]
+                     for r in range(max(res.rounds for res in got) + 1)]
+
+
+def test_lockstep_raises_the_first_legs_failure():
+    # leg 0 stalls after its rounds, leg 1 returns nan in round 0: the
+    # per-leg loop raises leg 0's stall, and so does the lockstep, whichever
+    # leg stops first; alone, leg 1 raises its own failure
+    paths = [ContourPath((Line(0.0, 30.0),)), ContourPath((Line(-1.0, 1.0),))]
+    opts = QuadOptions(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
+    fs = [lambda t: np.exp(1j * 40 * t), lambda t: np.full(t.shape, np.nan)]
+
+    def fjoint(legs, nodes):
+        return [fs[k](z) for k, z in zip(legs, nodes)]
+
+    for legs in ([0, 1], [1, 0], [1]):
+        with pytest.raises(QuadratureError) as ref:
+            for k in legs:
+                integrate(fs[k], paths[k], opts)
+        with pytest.raises(QuadratureError) as got:
+            integrate_lockstep(lambda ks, nodes: fjoint([legs[k] for k in ks], nodes),
+                               [paths[k] for k in legs], opts)
+        assert (got.value.reason, str(got.value), got.value.result) == \
+            (ref.value.reason, str(ref.value), ref.value.result)
