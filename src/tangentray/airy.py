@@ -594,11 +594,14 @@ def impedance_roots(count: int, alpha: complex, beta: complex) -> np.ndarray:
     Robin roots of mu_hat for (mu_hat, 1), continued from the zeros of Ai'.
 
     One lock-guarded table per pair, extended on demand; a root's value does
-    not depend on how many roots were asked for.
+    not depend on how many roots were asked for.  A negative ``count`` raises
+    ``ValueError`` (a slice of the table would hand back its first roots).
     """
     key = (complex(alpha), complex(beta))
     if key == (0, 0):
         raise ValueError("alpha and beta must not both vanish")
+    if count < 0:
+        raise ValueError(f"root count must be >= 0, got {count}")
     with _ROOTS_LOCK:
         roots = _ROOTS.get(key, np.empty(0, dtype=complex))
         if roots.size < count:

@@ -50,6 +50,14 @@ def _parse_range(spec: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
+def _count(text: str) -> int:
+    """A table length: an integer >= 1 (argparse reports anything else)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _boundary(args) -> pk.BoundaryKind:
     if args.bc == "dirichlet":
         return pk.DIRICHLET
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_penumbra)
 
     sp = sub.add_parser("airy-zeros", help="zero tables of Ai and Ai'")
-    sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--count", type=_count, default=50)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_airy_zeros)
 

@@ -47,7 +47,8 @@ DEFAULT_OPTS = QuadOptions(rel_tol=1e-9, abs_tol=1e-13,
 
 
 class FockDomainError(ValueError):
-    """Field evaluation requested inside the scatterer (n_hat < 0)."""
+    """Field evaluation requested inside the scatterer (n_hat < 0) or at a
+    non-finite point."""
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class ProblemConfig:
     kappa: float = 0.5
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("curvature kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"curvature kappa must be finite and positive, got {self.kappa}")
 
     def n_hat(self, pt: FockPoint) -> float:
         """Height y_hat + kappa x_hat^2/2 above the boundary y_hat = -kappa x_hat^2/2."""
@@ -79,7 +80,9 @@ class FieldValue:
 def _scaled_coords(pt: FockPoint, cfg: ProblemConfig) -> tuple[float, float]:
     """Rescale to the kappa = 1/2 frame: x -> (2k)^{2/3} x, y -> (2k)^{1/3} y.
 
-    Raises FockDomainError for a point inside the obstacle."""
+    Raises FockDomainError for a non-finite point or one inside the obstacle."""
+    if not (math.isfinite(pt.x_hat) and math.isfinite(pt.y_hat)):
+        raise FockDomainError(f"point ({pt.x_hat}, {pt.y_hat}) is not finite")
     s = 2.0 * cfg.kappa
     x, y = s ** (2.0 / 3.0) * pt.x_hat, s ** (1.0 / 3.0) * pt.y_hat
     if y + x * x / 4.0 < -1e-12:

@@ -618,7 +618,15 @@ def _caret_saddle(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[comp
     """Reciprocal-Airy integral along a steepest-descent path through the
     exponent saddle eta* = (e^{-i pi/6} t / 2)^2; used where the caret
     function is exponentially small and fixed rays are hopeless.  The
-    estimate is |pref| (err + 1e-14 |v|), err with the tails of both cut rays."""
+    estimate is |pref| (err + 1e-14 |v|), err with the tails of both cut rays.
+
+    Valid outside the residue sector only: for -pi/3 < arg t < 2pi/3 the path
+    misses the residues of impedance roots between it and L (at Dirichlet
+    t = 4 e^{-0.196i} it gave -2.5e-10 against -1.7e-4 from the residue
+    series and L), so there it raises ``SectorError``."""
+    if _in_residue_sector(t, guard=0.0):
+        raise SectorError("the traced saddle path misses the residues for "
+                          "-pi/3 < arg t < 2pi/3")
     a = EMIP6 * t
 
     def h(eta):

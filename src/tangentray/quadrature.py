@@ -6,29 +6,27 @@ to start + u (end - start).  Each panel carries a 15-point Kronrod rule with
 the embedded 7-point Gauss rule; the difference of the two estimates is the
 panel's error defect.
 
-One adaptive driver serves every caller.  It refines in rounds: every panel
-holding more than its share of the defect is bisected, and the nodes of all
-new panels go to the integrand in a single call (in blocks, where members x
-nodes would pass ``CALL_ELEMENTS``).  The cost is then dominated by a few
-large vectorised special-function evaluations instead of one small call per
-panel.  Each line starts as equal panels, 2 units long unless the caller
-passes a width sized from its integrand's rates, so that most integrals
-converge in their first round.  ``integrate`` is the one-member case of
-``integrate_batch``.
+The adaptive core (``_adapt``) refines in rounds: every panel holding more
+than its share of the defect is bisected.  Each line starts as equal panels,
+2 units long unless the caller passes a width sized from its integrand's
+rates, so that most integrals converge in their first round.  It is a
+stepper, a generator that yields the panels it wants and takes back their
+sums; ``_drive``, the one round loop, steps a list of steppers in lockstep
+and hands each round's open requests to one evaluator, so the cost is a few
+large vectorised special-function evaluations, not one small call per panel.
+Integrands given by their values (``integrate``, ``integrate_batch``,
+``integrate_lockstep``, the one-member exponential family) share
+``_value_sums``, whose calls take the nodes of every open request, at most
+``CALL_ELEMENTS`` nodes each (cut at panel ends): an integrand whose cost is
+mostly a fixed overhead per call (the Airy factors of the sigma-plane legs
+of ``integrate_lockstep``) pays it once per round.
 
 ``integrate_exp_batch`` serves families w(z) e^{expo(z) + a_m z + b_m} whose
-members differ only in the exponential: on a panel the member factor
-splits into one exponential at the midpoint and one shared by all panels of
-that width, so a round costs one complex exponential per member and panel
-instead of one per member and node.
-
-The driver is a stepper (``_adapt``): a generator that yields the panels it
-wants and takes back their sums.  ``integrate``, ``integrate_batch`` and
-``integrate_exp_batch`` each drive one stepper; ``integrate_lockstep``
-drives several in lockstep and hands each round's new nodes of every
-unfinished integral to one joint integrand call, so an integrand whose cost
-is mostly a fixed overhead per call (the Airy factors of the sigma-plane
-legs) pays it once per round for all of them.
+members differ only in the exponential: on a panel the member factor splits
+into one exponential at the midpoint and one shared by all panels of that
+width, so a round costs one complex exponential per member and panel instead
+of one per member and node.  A family of several members is evaluated in
+blocks of at most ``CALL_ELEMENTS`` members x nodes.
 
 The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
@@ -42,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -157,9 +156,9 @@ _MAX_ROUNDS = 200
 # peak accumulated over the refined panels)
 ROUNDOFF = 3e-16
 FLOOR_FACTOR = 1e4
-# most elements (members x nodes) one integrand call returns: a round with
-# more is evaluated one block of panels (or of an exponential family's members)
-# per call, so a wide batch on a long path holds no gigabytes of values at once
+# most nodes one integrand call is handed, members x nodes for an exponential
+# family of several members: a long round is cut into several calls, so that
+# no call's values and temporaries run to gigabytes
 CALL_ELEMENTS = 1 << 20
 
 
@@ -195,31 +194,31 @@ def _initial_panels(path: ContourPath, width: float = 2.0):
 
 
 def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):
-    """GK15 nodes z (P, 15) and Jacobians dz/du * du/dx (P, 1), one per panel."""
+    """GK15 nodes (15 P,), panel by panel, and Jacobians dz/du * du/dx
+    (P, 1), one per panel."""
     base, step = table
     um = 0.5 * (u0 + u1)
     uh = (0.5 * (u1 - u0))[:, None]
     u = um[:, None] + uh * _XK
     z = base[seg, None] + u * step[seg, None]
-    return z, step[seg, None] * uh
+    return z.ravel(), step[seg, None] * uh
 
 
-def _in_blocks(evaluate, table, seg, u0, u1, members: int | None, out=None):
-    """K15 values and defects, both (members, P), from ``evaluate(table, seg,
-    u0, u1, members)`` calls of at most ``CALL_ELEMENTS`` members x nodes (one
-    panel at least), written into the arrays ``out`` if given.  With
-    ``members`` None the first call is one panel, whose rows size the rest."""
-    i = 0
-    while i < seg.size:
-        n = max(1, CALL_ELEMENTS // (15 * members)) if members else 1
-        k15, defect = evaluate(table, seg[i:i + n], u0[i:i + n], u1[i:i + n], members)
-        if out is None:
-            if n >= seg.size:
-                return k15, defect
-            members = k15.shape[0]
-            out = np.empty((members, seg.size), dtype=complex), np.empty((members, seg.size))
-        out[0][:, i:i + n], out[1][:, i:i + n] = k15, defect
-        i += n
+def _in_blocks(factor, a, b, table, seg, u0, u1, out):
+    """``_evaluate_exp``'s K15 values and defects, both (members, P), from
+    calls of at most ``CALL_ELEMENTS`` members x nodes (one member and one
+    panel at least), written into the arrays ``out`` if given."""
+    n = max(1, CALL_ELEMENTS // (15 * a.size))      # panels per call
+    step = max(1, CALL_ELEMENTS // (15 * n))        # members per call
+    if out is None:
+        if n >= seg.size and step >= a.size:
+            return _evaluate_exp(factor, a, b, table, seg, u0, u1)
+        out = np.empty((a.size, seg.size), dtype=complex), np.empty((a.size, seg.size))
+    for i in range(0, seg.size, n):
+        for m in range(0, a.size, step):
+            out[0][m:m + step, i:i + n], out[1][m:m + step, i:i + n] = _evaluate_exp(
+                factor, a[m:m + step], b[m:m + step] if b.size > 1 else b, table,
+                seg[i:i + n], u0[i:i + n], u1[i:i + n])
     return out
 
 
@@ -230,12 +229,15 @@ def _widened(kept: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _sums(fz, nodes: np.ndarray, jac: np.ndarray, members: int | None):
+def _sums(fz, nodes: np.ndarray, jac: np.ndarray, members: int | None, out):
     """K15 values and defects, both (members, P), of the integrand values
-    ``fz`` (members, nodes) or (nodes,) on the panels' flat ``nodes``."""
+    ``fz`` (members, nodes) or (nodes,) on the panels' flat ``nodes``, written
+    into the arrays ``out`` if given (their rows are then ``members``)."""
     fz = np.asarray(fz, dtype=complex)
     if fz.ndim == 1:
         fz = fz[None, :]
+    if out is not None:
+        members = out[0].shape[0]
     if fz.ndim != 2 or fz.shape[1] != nodes.size or members not in (None, fz.shape[0]):
         raise QuadratureError(
             f"integrand returned shape {fz.shape} for {nodes.size} nodes", "shape")
@@ -246,18 +248,59 @@ def _sums(fz, nodes: np.ndarray, jac: np.ndarray, members: int | None):
     g = fz.reshape(fz.shape[0], -1, 15) * jac
     k15 = g @ _WK
     g7 = g[:, :, 1::2] @ _WG
-    return k15, np.abs(k15 - g7)
+    if out is None:
+        return k15, np.abs(k15 - g7)
+    out[0][...], out[1][...] = k15, np.abs(k15 - g7)
+    return out
 
 
-def _evaluate(fmat, table, seg, u0, u1, members: int | None):
-    """K15 values and defects of ``fmat``'s members on the panels."""
-    z, jac = _nodes(table, seg, u0, u1)
-    nodes = z.ravel()
+def _values(call, joint: bool, nodes: list, keys) -> list:
+    """The integrand's values on each of the flat arrays ``nodes``, from one
+    call: ``call(list(keys), nodes)``, one value array per node array, if
+    ``joint`` (``keys`` names the integrals), else ``call(nodes)`` on the
+    one array of a single integral."""
     try:
-        fz = fmat(nodes)
+        values = call(list(keys), nodes) if joint else [call(*nodes)]
     except QuadratureError as exc:
         raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
-    return _sums(fz, nodes, jac, members)
+    if joint and len(values) != len(nodes):
+        raise QuadratureError(f"{len(values)} value arrays for {len(nodes)} legs", "shape")
+    return values
+
+
+def _values_in_calls(call, joint: bool, nodes: list, keys, size: int) -> list:
+    """``_values`` from calls of at most ``size`` nodes, cut at panel ends."""
+    keys, got = list(keys), []
+    starts = [0, *accumulate(map(len, nodes))]
+    for c in range(0, starts[-1], size):
+        part = [j for j in range(len(nodes)) if starts[j] < c + size and starts[j + 1] > c]
+        args = [nodes[j][max(c - starts[j], 0):c + size - starts[j]] for j in part]
+        got += zip(part, _values(call, joint, args, [keys[j] for j in part]))
+    try:
+        return [np.concatenate([v for i, v in got if i == j], axis=-1) for j in range(len(nodes))]
+    except ValueError:
+        raise QuadratureError("calls of one round returned unequal shapes", "shape") from None
+
+
+def _value_sums(call, joint: bool, members: int | None, requests: dict):
+    """``_drive``'s evaluator of an integrand given by its values, (n,) or
+    (members, n) on n nodes (``members`` None takes any count), called as in
+    ``_values``.  Each request's ``_sums`` are taken over its whole round."""
+    # ``+= [x]`` makes no method call: the round of a single integral, the
+    # most frequent, pays no call overhead per request
+    nodes, jacs, outs, total = [], [], [], 0
+    for table, seg, u0, u1, out in requests.values():
+        z, jac = _nodes(table, seg, u0, u1)
+        nodes += [z]
+        jacs += [jac]
+        outs += [out]
+        total += z.size
+    size = CALL_ELEMENTS // 15 * 15 or 15           # one panel at least
+    if total > size:
+        values = _values_in_calls(call, joint, nodes, requests, size)
+    else:
+        values = _values(call, joint, nodes, requests)
+    return _sums, zip(values, nodes, jacs, repeat(members), outs)
 
 
 # the K15 and G7 weights on the 15 Kronrod nodes (G7 is 0 on the Kronrod-only ones)
@@ -265,7 +308,7 @@ _WKG = np.zeros((2, 15))
 _WKG[0], _WKG[1, 1::2] = _WK, _WG
 
 
-def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
+def _evaluate_exp(factor, a, b, table, seg, u0, u1):
     """K15 values and defects of the family w(z) e^{expo(z) + a_m z + b_m} on
     the panels, with (w, expo) = ``factor(nodes)``, ``a`` (members,) and
     ``b`` (members, 1) or (1, 1).
@@ -276,9 +319,10 @@ def _evaluate_exp(factor, a, b, table, seg, u0, u1, members: int):
     width, times w e^{expo - c_p}, shared by the members: one complex
     exponential per member and panel, and 15 per member and panel width.
     """
-    z, jac = _nodes(table, seg, u0, u1)
+    nodes, jac = _nodes(table, seg, u0, u1)
+    z = nodes.reshape(-1, 15)
     try:
-        w, expo = factor(z.ravel())
+        w, expo = factor(nodes)
     except QuadratureError as exc:
         raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
     if np.shape(w) != (z.size,) or np.shape(expo) != (z.size,):
@@ -318,8 +362,7 @@ def _adapt(path: ContourPath, opts: QuadOptions, width: float = 2.0):
     (members, P).  The first round asks for ``_initial_panels(path, width)``
     with ``out`` None, and the sums sent back set the member count; a later
     round's ``out`` holds the two (members, P) views its sums must be written
-    into (what is sent back is then not read).  A driver (``_run``,
-    ``integrate_lockstep``) evaluates the requests.
+    into (what is sent back is then not read).  ``_drive`` steps it.
 
     Each round measures every member's roundoff floor from its own panel
     sums, ``floor_i = ROUNDOFF sum_p |K15_ip|``, and its target
@@ -383,21 +426,36 @@ def _adapt(path: ContourPath, opts: QuadOptions, width: float = 2.0):
     return total, err_total, evals, rounds
 
 
-def _run(evaluate, path: ContourPath, opts: QuadOptions, members: int | None,
-         width: float = 2.0):
-    """Drive one ``_adapt`` stepper, its panels evaluated by ``_in_blocks``
-    with ``evaluate(table, seg, u0, u1, members)`` (``_evaluate`` or
-    ``_evaluate_exp`` with their integrand bound); ``members`` is None where
-    the integrand's first call tells it.  Returns what the stepper returns."""
-    stepper = _adapt(path, opts, width)
-    table, seg, u0, u1, out = next(stepper)
-    while True:
-        sums = _in_blocks(evaluate, table, seg, u0, u1, members, out)
-        members = sums[0].shape[0]
-        try:
-            table, seg, u0, u1, out = stepper.send(sums)
-        except StopIteration as done:
-            return done.value
+def _drive(steppers: list, evaluate) -> dict:
+    """The one round loop: steps the ``_adapt`` ``steppers`` in lockstep.
+
+    Each round ``evaluate(requests)``, the open requests by stepper index,
+    makes the round's integrand calls and returns ``(finish, args)``, one
+    entry of ``args`` per request: ``finish(*a)`` gives its sums.  A failure
+    there (a non-finite value, a wrong shape) or a stall is its stepper's
+    own: once every stepper has stopped, the first in order that failed
+    raises.  An untruncated path or a failed integrand call raises at once.
+    Returns what each stepper returned, by index."""
+    requests, done, failed = dict(enumerate(map(next, steppers))), {}, {}
+    while requests:
+        finish, args = evaluate(requests)
+        pending, requests = requests, {}
+        for k, a in zip(pending, args):
+            try:
+                requests[k] = steppers[k].send(finish(*a))
+            except StopIteration as stop:
+                done[k] = stop.value
+            except QuadratureError as exc:
+                failed[k] = exc
+    if failed:
+        raise failed[min(failed)]
+    return done
+
+
+def _one(path: ContourPath, total, err_total, evals: int, rounds: int) -> QuadResult:
+    """The ``QuadResult`` of a one-member stepper's return."""
+    return QuadResult(complex(total[0]), float(err_total[0]), evals,
+                      path.truncation_radius, rounds)
 
 
 def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
@@ -409,13 +467,8 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     inputs.  A result that is not accepted raises ``QuadratureError`` with
     reason ``"stalled"`` and the best result.
     """
-    return _one(path, *_run(functools.partial(_evaluate, f), path, opts, 1, width))
-
-
-def _one(path: ContourPath, total, err_total, evals: int, rounds: int) -> QuadResult:
-    """The ``QuadResult`` of a one-member stepper's return."""
-    return QuadResult(complex(total[0]), float(err_total[0]), evals,
-                      path.truncation_radius, rounds)
+    done = _drive([_adapt(path, opts, width)], functools.partial(_value_sums, f, False, 1))
+    return _one(path, *done[0])
 
 
 def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions()):
@@ -425,11 +478,11 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions()):
     the given nodes.  Each round bisects every panel whose defect exceeds
     1/(4P) of some member's target, and ``_adapt`` decides acceptance: the
     first member not accepted raises ``QuadratureError`` ("stalled") with its
-    best result.
+    best result.  A call holds at most ``CALL_ELEMENTS`` nodes, whatever m.
 
     Returns ``(values (m,), errors (m,), evaluations)``.
     """
-    return _run(functools.partial(_evaluate, fmat), path, opts, None)[:3]
+    return _drive([_adapt(path, opts)], functools.partial(_value_sums, fmat, False, None))[0][:3]
 
 
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
@@ -441,10 +494,10 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
     holds the member-independent part F = w e^{expo}; ``a`` and ``b`` are
     the members' complex coefficients (``b`` may be a scalar).  The driver,
     its refinement and its acceptance are those of ``integrate_batch``; the
-    starting panels are no longer than ``width``.  A
-    family of several members costs one complex exponential per member and
-    panel instead of one per member and node (see ``_evaluate_exp``).  A
-    family of one evaluates each node's exponential directly, as
+    starting panels are no longer than ``width``.  A family of several
+    members costs one complex exponential per member and panel instead of
+    one per member and node (see ``_evaluate_exp``).  A family of one
+    evaluates each node's exponential directly, as
     ``integrate_batch`` would: it has nothing to share, and sending it
     through ``_evaluate_exp`` cost the scalar caret routes 2-19% of their
     throughput (``caret_sheet`` benchmark, 3 alternating pairs on a 2-core
@@ -458,94 +511,36 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
     if a.size == 1:
         def fmat(t):
             w, expo = factor(t)
-            return w[None, :] * np.exp(np.outer(a, t) + expo[None, :] + b)
+            return w[None, :] * np.exp(a[:, None] * t + expo[None, :] + b)
 
-        evaluate = functools.partial(_evaluate, fmat)
+        evaluate = functools.partial(_value_sums, fmat, False, 1)
     else:
-        def evaluate(table, seg, u0, u1, members):
-            step = max(1, CALL_ELEMENTS // (15 * seg.size))
-            if a.size <= step:
-                return _evaluate_exp(factor, a, b, table, seg, u0, u1, members)
-            bm = np.broadcast_to(b, (a.size, 1))
-            parts = [_evaluate_exp(factor, a[m:m + step], bm[m:m + step], table, seg, u0, u1,
-                                   members) for m in range(0, a.size, step)]
-            return tuple(np.concatenate(p) for p in zip(*parts))
-    return _run(evaluate, path, opts, a.size, width)[:3]
-
-
-def _joint_values(fjoint, legs: list, nodes: list) -> list:
-    """``fjoint(legs, nodes)``'s values on each leg's flat ``nodes``, from
-    calls of at most ``CALL_ELEMENTS`` nodes (one panel at least), cut at
-    panel ends: one call in all but the largest rounds."""
-    size = 15 * max(1, CALL_ELEMENTS // 15)
-    sizes = [z.size for z in nodes]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    flat = np.concatenate(nodes)
-    values = np.empty(flat.size, dtype=complex)
-    for c in range(0, flat.size, size):
-        d = min(c + size, flat.size)
-        part = range(int(np.searchsorted(ends, c, side="right")),
-                     int(np.searchsorted(ends, d, side="left")) + 1)
-        args = [flat[max(c, starts[j]):min(d, ends[j])] for j in part]
-        try:
-            got = fjoint([legs[j] for j in part], args)
-        except QuadratureError as exc:
-            raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
-        shapes = [np.shape(v) for v in got]
-        if shapes != [z.shape for z in args]:
-            raise QuadratureError(f"integrand returned shapes {shapes} for "
-                                  f"{[z.size for z in args]} nodes", "shape")
-        values[c:d] = np.concatenate(got)
-    return np.split(values, ends[:-1])
+        def evaluate(requests):
+            return functools.partial(_in_blocks, factor, a, b), requests.values()
+    return _drive([_adapt(path, opts, width)], evaluate)[0][:3]
 
 
 def integrate_lockstep(fjoint, paths, opts: QuadOptions = QuadOptions()) -> list:
     """``integrate`` along each of ``paths``, the integrals stepped in
     lockstep: each round hands the new nodes of every unfinished integral to
-    one call ``fjoint(legs, nodes) -> values``, with ``legs`` the indices of
-    those integrals in ``paths``, ``nodes`` their node arrays (n_k,) and
-    ``values`` one array (n_k,) per node array.  A round of more than
-    ``CALL_ELEMENTS`` nodes is split over several calls at panel ends.
-
-    An integrand whose cost is mostly a fixed overhead per call (the Airy
-    factors of the sigma-plane legs in ``fock``) then pays it once per round
-    instead of once per integral and round.  Each integral keeps its own
-    stepper: its panels, cap, target, floor, acceptance and cut tail.  So
+    one call ``fjoint(legs, nodes) -> values`` (several, cut at panel ends,
+    past ``CALL_ELEMENTS`` nodes), with ``legs`` the indices of those
+    integrals in ``paths``, ``nodes`` their node arrays (n_k,) and ``values``
+    one array (n_k,) per node array.  Each integral keeps its own stepper, so
     when ``fjoint``'s value at a node does not depend on the other nodes of
     the call, each result is bit-identical to ``integrate`` of that
-    integral's own integrand.  Its failure is too: once every integral has
-    stopped, the first in order that failed raises its ``QuadratureError``
-    (an untruncated path, or an exception raised by ``fjoint`` itself,
-    raises at once).
+    integral's own integrand, and so is the failure raised: that of the
+    first integral in order that failed (see ``_drive``).
 
     Returns one ``QuadResult`` per path.
     """
-    steppers = [_adapt(path, opts) for path in paths]
-    requests = {k: next(stepper) for k, stepper in enumerate(steppers)}
-    outcomes = [None] * len(paths)
-    while requests:
-        legs = list(requests)
-        panels = [_nodes(*requests[k][:4]) for k in legs]
-        values = _joint_values(fjoint, legs, [z.ravel() for z, _ in panels])
-        pending, requests = requests, {}
-        for k, (z, jac), fz in zip(legs, panels, values):
-            out = pending[k][4]
-            try:
-                sums = _sums(fz, z.ravel(), jac, 1)
-                if out is not None:
-                    out[0][...], out[1][...] = sums
-                requests[k] = steppers[k].send(sums)
-            except StopIteration as done:
-                outcomes[k] = _one(paths[k], *done.value)
-            except QuadratureError as exc:
-                outcomes[k] = exc
-    for outcome in outcomes:
-        if isinstance(outcome, QuadratureError):
-            raise outcome
-    return outcomes
+    done = _drive([_adapt(path, opts) for path in paths],
+                  functools.partial(_value_sums, fjoint, True, 1))
+    return [_one(path, *done[k]) for k, path in enumerate(paths)]
 
 
-# Former name of the round-based driver, kept as an alias of ``integrate``
-# (same signature) because bench/tracer.py lists it among the drivers it wraps.
+# ``integrate_batch`` has no caller in the package and ``integrate_rounds`` is
+# the former name of ``integrate``: bench/tracer.py wraps both by name and
+# indexes their call counts, so they stay public until its driver list
+# changes (ROADMAP item 5).
 integrate_rounds = integrate

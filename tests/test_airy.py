@@ -301,6 +301,16 @@ def test_root_independent_of_count(monkeypatch):
         assert np.array_equal(few, many[:20])
 
 
+def test_negative_root_count_rejected():
+    # the tables are sliced by count: after five zeros, a count of -2 would
+    # hand back three of them
+    ta.ai_zeros(5)
+    for roots in (ta.ai_zeros, ta.ai_prime_zeros, lambda n: ta.robin_roots(n, 1 + 1j)):
+        with pytest.raises(ValueError):
+            roots(-2)
+        assert roots(0).size == 0
+
+
 def test_root_table_threads_match_serial(monkeypatch):
     mu = 0.83 + 0.61j
     monkeypatch.setattr(ta, "_ROOTS", {})

@@ -92,6 +92,20 @@ def test_failed_impedance_root_is_an_error_line(capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_airy_zeros_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["airy-zeros", "--count", count])
+        assert exc.value.code == 2
+        assert "--count" in capsys.readouterr().err
+
+
+def test_nonfinite_kappa_is_an_error_line(capsys):
+    assert cli.main(["field", "--kappa", "inf", "--xhat-range=0:0:1",
+                     "--yhat-range=1:1:1"]) == 1
+    assert "kappa must be finite and positive" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -58,6 +58,17 @@ def test_interior_point_rejected():
         fock.scattered_new(fock.FockPoint(1.0, -1.0), D)
 
 
+def test_nonfinite_inputs_rejected_where_they_enter():
+    for kappa in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="kappa"):
+            fock.ProblemConfig(pk.DIRICHLET, kappa=kappa)
+    for pt in (fock.FockPoint(math.nan, 1.0), fock.FockPoint(0.5, math.inf),
+               fock.FockPoint(-math.inf, 1.0)):
+        for field in (fock.scattered_new, fock.scattered_forked, fock.total_gamma):
+            with pytest.raises(fock.FockDomainError):
+                field(pt, D)
+
+
 def test_kappa_rescaling_covariance():
     pt = fock.FockPoint(0.6, 0.9)
     cfg1 = fock.ProblemConfig(pk.DIRICHLET, kappa=1.0)

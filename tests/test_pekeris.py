@@ -286,6 +286,20 @@ def test_saddle_estimate_carries_its_cut_tails():
         assert abs(v - ref) <= err + ref_err
 
 
+def test_saddle_route_refuses_the_residue_sector():
+    # for -pi/3 < arg t < 2pi/3 the traced path misses the residues of the
+    # impedance roots between it and L: at this Dirichlet point it returned
+    # -2.5e-10 with an estimate of 5e-21, where the residue series and L
+    # agree on -1.719e-4-2.277e-4i
+    t = 4 * np.exp(-0.196j)
+    with pytest.raises(pk.SectorError):
+        pk._caret_saddle(t, pk.DIRICHLET, QuadOptions())
+    v_rec, e_rec = pk._caret_reciprocal(complex(t), pk.DIRICHLET, OPTS)
+    ev = pk.pekeris_caret(t, pk.DIRICHLET)
+    assert abs(ev.value - v_rec) <= ev.error_estimate + e_rec
+    assert abs(ev.value - (-1.719e-4 - 2.277e-4j)) < 1e-6
+
+
 def test_forked_batch_uses_each_members_arms(monkeypatch):
     # All 33 of FORKED_TS share one l3 angle across a wide range of arg t, so
     # that arm's path must be truncated for the group's growth rate, not its

@@ -186,27 +186,36 @@ def test_one_integrand_call_per_round():
 
 
 def test_wide_rounds_are_evaluated_in_blocks(monkeypatch):
+    # a batch's calls are bounded in nodes, whatever its member count, and
+    # cut at panel ends; a node's value does not depend on its call, so the
+    # sums, taken over each whole round, are those of one call per round
     path = gamma0_truncated()
     coeffs = np.linspace(-1.0, 1.0, 7) + 0.3j
     sizes = []
 
     def fmat(t):
-        sizes.append(coeffs.size * t.size)
+        sizes.append(t.size)
         return np.exp(1j * t[None, :] ** 3 / 3 + coeffs[:, None] * t[None, :] / 5)
 
     ref, ref_errs, ref_evals = integrate_batch(fmat, path, TIGHT)
-    budget = coeffs.size * 15 * 4          # four panels per call
+    budget = 15 * 4                    # four panels per call
     assert max(sizes) > budget
     sizes.clear()
     monkeypatch.setattr(quadrature, "CALL_ELEMENTS", budget)
     vals, errs, evals = integrate_batch(fmat, path, TIGHT)
-    # the batch learns its member count from its first call, of one panel,
-    # and sizes every later block from it
-    assert sizes[0] == coeffs.size * 15
-    assert max(sizes) <= budget
-    assert evals == ref_evals
-    assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
-    assert np.all(np.abs(errs - ref_errs) <= 1e-14 * np.abs(ref))
+    assert max(sizes) <= budget and all(n % 15 == 0 for n in sizes)
+    assert sum(sizes) == evals == ref_evals
+    assert np.array_equal(vals, ref) and np.array_equal(errs, ref_errs)
+    # calls of one round that disagree on the member count are a shape error
+    sizes.clear()
+
+    def growing(t):
+        sizes.append(t.size)
+        return np.ones((len(sizes), t.size))
+
+    with pytest.raises(QuadratureError) as exc:
+        integrate_batch(growing, path, TIGHT)
+    assert exc.value.reason == "shape" and "one round" in str(exc.value)
 
 
 def _panel_loop_reference(path, f):
@@ -220,7 +229,7 @@ def _panel_loop_reference(path, f):
         z = s.start + u * (s.end - s.start)
         jac = np.full(u.shape, (s.end - s.start) * uh)
         zv, jv = _nodes(table, np.array([j]), np.array([u0]), np.array([u1]))
-        assert np.array_equal(zv[0], z) and np.array_equal(np.broadcast_to(jv[0], jac.shape), jac)
+        assert np.array_equal(zv, z) and np.array_equal(np.broadcast_to(jv[0], jac.shape), jac)
         g = f(z) * jac
         k15 = np.sum(_WK * g)
         total += k15
@@ -358,9 +367,10 @@ def test_exp_kernel_width_groups_match_node_integrand():
         seg = np.minimum([0, 1, 0, 0, 1, 0, 1], len(path.segments) - 1)
         table = _segment_table(path)
         k15, defect = quadrature._evaluate_exp(factor, a, np.reshape(b, (-1, 1)), table, seg,
-                                               u0, u1, a.size)
-        ref, ref_defect = quadrature._evaluate(_node_integrand(factor, a, b), table, seg, u0,
-                                               u1, a.size)
+                                               u0, u1)
+        nodes, jac = _nodes(table, seg, u0, u1)
+        ref, ref_defect = quadrature._sums(_node_integrand(factor, a, b)(nodes), nodes, jac,
+                                           a.size, None)
         scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(k15 - ref) <= 1e-13 * scale)
         assert np.all(np.abs(defect - ref_defect) <= 1e-13 * scale)
@@ -381,10 +391,8 @@ def test_exp_batch_one_factor_call_per_round():
     _, _, evals = integrate_exp_batch(counted, a, b, path, QuadOptions())
     integrate_batch(node_counted, path, QuadOptions())
     assert sum(calls) == evals
-    # one call per round, as the node driver, whose first round adds a
-    # one-panel call that tells it the member count
-    assert len(calls) == len(node_calls) - 1 >= 3
-    assert node_calls[0] == 15
+    # one call per round, as the node driver
+    assert len(calls) == len(node_calls) >= 3
     assert max(calls) > 15
 
 
