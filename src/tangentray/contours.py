@@ -79,8 +79,8 @@ _PROBE_RADIUS = 50.0    # how far ``path_point_distance`` follows a ray
 
 @dataclass(frozen=True)
 class ContourPath:
-    """Ordered, connected chain of segments, possibly with ray ends; a path
-    made by ``truncate`` carries its cut radius and tail (``truncate``)."""
+    """Ordered, connected chain of segments, possibly with ray ends; a cut
+    path carries its cut radius and tail (``truncate``), or its tail alone."""
 
     segments: tuple[Segment, ...]
     name: str | None = None

@@ -279,6 +279,13 @@ def _arm_model(rate_32: float, lin: float) -> DecayModel:
     return DecayModel("power_three_halves", rate_32, scale=20.0, rate=max(lin, 0.0))
 
 
+def _omega_shift(s, n):
+    """omega (s - n), with s - n named so numpy multiplies it out of place:
+    the same bits at every call size."""
+    sn = s - n
+    return pk.OMEGA * sn
+
+
 def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:
     """Plane-phase prefactor e^{-i(x y/2 + x^3/12)} times the sum over the
     legs (sign, angle, lin, args, integrand) of sign x the integral along the
@@ -336,10 +343,10 @@ def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
     rn = max(n, 0.0) ** 0.5      # n rounds below 0 on the boundary of some kappa
     lin = 0.866 * abs(x) / 2.0 + 0.5 * rn
     return _leg_sum(x, y, [
-        (-1, -2 * math.pi / 3, lin, lambda s: (pk.OMEGA * (s - n),), f1),
-        (-1, 2 * math.pi / 3, lin, lambda s: (pk.OMEGA * (s - n), pk.OMEGA * s,
+        (-1, -2 * math.pi / 3, lin, lambda s: (_omega_shift(s, n),), f1),
+        (-1, 2 * math.pi / 3, lin, lambda s: (_omega_shift(s, n), pk.OMEGA * s,
                                               pk.OMEGA ** 2 * s), f2),
-        (-1, 0.0, rn, lambda s: (pk.OMEGA * (s - n), s, pk.OMEGA * s), f3)], opts)
+        (-1, 0.0, rn, lambda s: (_omega_shift(s, n), s, pk.OMEGA * s), f3)], opts)
 
 
 def total_gamma(pt: FockPoint, cfg: ProblemConfig,
@@ -384,7 +391,7 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     lin = 0.6 * max(n, 0.0) ** 0.5
     return _leg_sum(x, y, [
         (-1, ang_in, 0.866 * abs(x) / 2.0 + lin, args_in, f_in),
-        (1, 0.0, lin, lambda s: (s - n, pk.OMEGA * (s - n), s, pk.OMEGA * s), f_out)], opts)
+        (1, 0.0, lin, lambda s: (s - n, _omega_shift(s, n), s, pk.OMEGA * s), f_out)], opts)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@ exponent along each candidate ray is compared with the magnitude of the
 result; representations whose quadrature would lose the answer to
 cancellation are rejected.  Where every fixed-ray realisation is
 ill-conditioned (mid lit sector, where the caret function is exponentially
-small), the reciprocal-Airy integral is taken along a numerically traced
-steepest-descent path through its saddle.
+small), the reciprocal-Airy integral is taken along the steepest-descent
+path through its saddle, which has a closed form (``_saddle_path``): a
+polyline on that curve, cut where the integrand is down to the tail
+tolerance, with one tail tolerance recorded per cut branch.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ COND_L = 16.0                # cancellation exponent up to which L is taken outr
 COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
 NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~10 MB)
 FAMILY_PHASE = 4.0           # radians of e^{a z} per starting panel of a ray family
-DESCENT_STEPS = 4000         # step cap of one traced steepest-descent branch
+SADDLE_POINTS = 16           # tau points per branch of the closed-form saddle path
 
 
 class PoleError(ZeroDivisionError):
@@ -126,17 +128,16 @@ class CaretEval:
 def _ratio_l2(r1, r2, bc: BoundaryKind):
     """``ratio_l2_parts`` from the scaled Airy triples of omega sigma, omega^2 sigma."""
     (alpha, beta), (a1, ap1, e1), (a2, ap2, e2) = bc.impedance, r1, r2
-    num = OMEGA ** 2 * (alpha * a2 - beta * OMEGA ** 2 * ap2)
-    den = OMEGA * (alpha * a1 - beta * OMEGA * ap1)
-    return num / den, e2 - e1
+    # named, so numpy multiplies them by OMEGA out of place (same bits) at any size
+    num, den = alpha * a2 - beta * OMEGA ** 2 * ap2, alpha * a1 - beta * OMEGA * ap1
+    return OMEGA ** 2 * num / (OMEGA * den), e2 - e1
 
 
 def _ratio_l3(r0, r1, bc: BoundaryKind):
     """``ratio_l3_parts`` from the scaled Airy triples of sigma, omega sigma."""
     (alpha, beta), (a0, ap0, e0), (a1, ap1, e1) = bc.impedance, r0, r1
-    num = alpha * a0 - beta * ap0
-    den = OMEGA * (alpha * a1 - beta * OMEGA * ap1)
-    return num / den, e0 - e1
+    den = alpha * a1 - beta * OMEGA * ap1   # named, as in ``_ratio_l2``
+    return (alpha * a0 - beta * ap0) / (OMEGA * den), e0 - e1
 
 
 def ratio_l2_parts(sigma: np.ndarray, bc: BoundaryKind):
@@ -419,8 +420,9 @@ def _family_width(a) -> float:
     matching identities and of the caret tables) and its equality with a
     batch of one stay as they were.  On |a|-sized panels the forked
     estimate at Dirichlet t = -3.17-5.09i falls from 1.7e-10 to 2.8e-12,
-    below the 4.4e-11 by which L there misses the forked and traced saddle
-    values, and ``test_forked_error_estimate_covers_arm_quadrature`` fails."""
+    below the 4.9e-11 by which L there misses the forked value and the saddle
+    path's (those two agree to 3e-15), and
+    ``test_forked_error_estimate_covers_arm_quadrature`` fails."""
     a = np.atleast_1d(a)
     if a.size == 1:
         return 2.0
@@ -586,82 +588,54 @@ def _caret_reciprocal(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[
 # Steepest-descent route for the mid lit sector
 # ---------------------------------------------------------------------------
 
-def _trace_descent(h, hp, start: complex, direction: complex, drop: float) -> list[complex]:
-    """Gradient-flow trace of Re h downhill from a saddle, in DESCENT_STEPS steps at most.
+def _saddle_path(a: complex, tail_tol: float) -> ContourPath:
+    """The steepest-descent path of h(eta) = a eta + (4/3) eta^{3/2} through
+    its saddle eta* = (a/2)^2, in closed form.
 
-    ``h``/``hp`` are the exponent model and its derivative.  Returns the
-    traced points (excluding the saddle itself).
-    """
-    h0 = h(start).real
-    pts = []
-    # leave the saddle along the descent axis until the gradient is alive
-    step = 0.1
-    z = start + step * direction
-    for _ in range(60):
-        if abs(hp(z)) > 1e-3:
-            break
-        step *= 1.6
-        z = start + step * direction
-    pts.append(z)
-    for _ in range(DESCENT_STEPS):
-        g = hp(z)
-        ds = 0.6 / max(abs(g), 1e-6)
-        ds = min(ds, 0.25 * max(1.0, abs(z)))
-        z = z - ds * np.conj(g) / abs(g)
-        pts.append(z)
-        if (h(z).real - h0) < -drop:
-            break
-    return pts
+    With eta = (a v/2)^2 (eta^{1/2} = -a v/2), h - h* = -(a^3/6)(v - 1)^2(v +
+    1/2), h* = a^3/12, so h - h* = -tau at v = 1/2 + cos(arccos(24 tau/a^3 -
+    1)/3 - 2 pi j/3), and branches j = 0, 1 leave the saddle v = 1 (on the
+    arccos cut, arg t = 7pi/6, they are conjugates: the pair is the same from
+    either side).  Each is a polyline through SADDLE_POINTS values of tau,
+    quadratic in tau (so evenly spaced in v near the saddle), out to drop =
+    -ln(tail_tol) + 6; the branch ending lower comes first, as L's incoming
+    ray.  The path ends on the curve, where the integrand is e^{-drop} of its
+    saddle value, and records one ``tail_tol`` per cut branch."""
+    drop = -math.log(tail_tol) + 6.0
+    tau = drop * (np.arange(1, SADDLE_POINTS + 1) / SADDLE_POINTS) ** 2
+    theta = np.arccos(24.0 * tau / a ** 3 - 1.0) / 3.0
+    up, dn = ((a * (0.5 + np.cos(theta - 2 * math.pi * j / 3)) / 2) ** 2 for j in (0, 1))
+    if up[-1].imag < dn[-1].imag:
+        up, dn = dn, up
+    points = np.concatenate((dn[::-1], [(a / 2) ** 2], up))
+    return ContourPath(tuple(Line(p, q) for p, q in zip(points[:-1], points[1:])),
+                       truncation_tail=2.0 * tail_tol)
 
 
 def _caret_saddle(t: complex, bc: BoundaryKind, opts: QuadOptions) -> tuple[complex, float]:
-    """Reciprocal-Airy integral along a steepest-descent path through the
-    exponent saddle eta* = (e^{-i pi/6} t / 2)^2; used where the caret
-    function is exponentially small and fixed rays are hopeless.  The
-    estimate is |pref| (err + 1e-14 |v|), err with the tails of both cut rays.
+    """Reciprocal-Airy integral along the steepest-descent path through the
+    exponent saddle eta* = (e^{-i pi/6} t / 2)^2 (``_saddle_path``); used where
+    the caret function is exponentially small and fixed rays are hopeless.
+    The estimate is |pref| (err + 1e-14 |v|), err with the tails of both cut
+    branches.
 
     Valid outside the residue sector only: for -pi/3 < arg t < 2pi/3 the path
     misses the residues of impedance roots between it and L (at Dirichlet
     t = 4 e^{-0.196i} it gave -2.5e-10 against -1.7e-4 from the residue
     series and L), so there it raises ``SectorError``."""
     if _in_residue_sector(t, guard=0.0):
-        raise SectorError("the traced saddle path misses the residues for "
+        raise SectorError("the saddle path misses the residues for "
                           "-pi/3 < arg t < 2pi/3")
     a = EMIP6 * t
-
-    def h(eta):
-        return a * eta + (4.0 / 3.0) * eta ** 1.5
-
-    def hp(eta):
-        return a + 2.0 * eta ** 0.5
-
     eta_star = (a / 2.0) ** 2
     if eta_star.real < 0.1 * abs(eta_star):
-        raise SectorError("saddle too close to the pole line for the traced route")
-    drop = -math.log(opts.truncation_tail_tol) + 6.0
-    d = np.sqrt(a)
-    d = d / abs(d)
-    up = _trace_descent(h, hp, eta_star, d, drop)
-    dn = _trace_descent(h, hp, eta_star, -d, drop)
-    # orient: the branch heading into the lower half plane joins the incoming ray
-    if up[-1].imag < dn[-1].imag:
-        up, dn = dn, up
-    points = list(reversed(dn)) + [eta_star] + up
-    segs = [Ray(points[0], -2 * math.pi / 3, inward=True)]
-    for p, q in zip(points[:-1], points[1:]):
-        segs.append(Line(p, q))
-    segs.append(Ray(points[-1], 2 * math.pi / 3, inward=False))
-    # the closing rays start where the integrand is already ~e^{-drop}; a
-    # short fixed extension suffices for the remaining tail
-    path = truncate(ContourPath(tuple(segs)),
-                    DecayModel("power_three_halves", 0.4, scale=1.0,
-                               min_radius=abs(points[-1]) + 5.0),
-                    opts.truncation_tail_tol)
-
-    vals, errs, _ = integrate_exp_batch(lambda eta: _reciprocal_weight(eta, bc), a,
-                                        -h(eta_star), path, opts)
+        raise SectorError("saddle too close to the pole line for the saddle path")
+    h_star = a ** 3 / 12.0
+    path = _saddle_path(a, opts.truncation_tail_tol)
+    vals, errs, _ = integrate_exp_batch(functools.partial(_reciprocal_weight, bc=bc), a,
+                                        -h_star, path, opts)
     v = complex(vals[0])
-    pref = -1.0 / (4.0 * math.pi ** 2 * t) * np.exp(h(eta_star))
+    pref = -1.0 / (4.0 * math.pi ** 2 * t) * np.exp(h_star)
     return complex(pref * v), abs(pref) * (float(errs[0]) + 1e-14 * abs(v))
 
 
@@ -693,7 +667,7 @@ def _run_residue(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
 
 
 def _run_saddle(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
-    """Traced steepest-descent path, one member at a time (each has its own)."""
+    """Steepest-descent path, one member at a time (each has its own)."""
     vals = np.zeros(ts.shape, dtype=complex)
     errs = np.full(ts.shape, np.inf)
     for k, t in enumerate(ts):
@@ -730,7 +704,7 @@ def _run_forked(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
 
 # The routes in execution order: the two that can give up on a member (an
 # infinite error estimate) run before the routes the planner falls back to.
-ROUTES = ("residue_series", "traced_saddle", "pole_split",
+ROUTES = ("residue_series", "saddle_path", "pole_split",
           "reciprocal_airy_contour", "forked_contour")
 _RESIDUE, _SADDLE, _POLE, _L, _FORKED = range(len(ROUTES))
 _EXECUTORS = (_run_residue, _run_saddle, _run_pole_split, _run_reciprocal, _run_forked)
@@ -744,7 +718,7 @@ def _plan(ts, bc: BoundaryKind, skip=frozenset()) -> np.ndarray:
     (integrand peak over |result|, in e-folds, with |result| from Re
     ``caret_lit_log_asymptotic`` beyond |t| = 3) is at most ``COND_L``; then
     the better conditioned of L and the forked contour when either is within
-    ``COND_SAFE``; else the traced saddle path.  Routes in ``skip`` have
+    ``COND_SAFE``; else the saddle path.  Routes in ``skip`` have
     given up on these points and are passed over.
     """
     ts = np.asarray(ts, dtype=complex)
@@ -799,7 +773,7 @@ def pekeris_caret(t: complex, bc: BoundaryKind = DIRICHLET,
     route, vals, errs, shifts = _caret_batch(np.array([complex(t)]), bc,
                                              opts or QuadOptions())
     scale = math.exp(shifts[0])
-    # the traced saddle path is a realisation of the reciprocal-Airy integral
+    # the saddle path is a realisation of the reciprocal-Airy integral
     label = ROUTES[_L if route[0] == _SADDLE else route[0]]
     return CaretEval(complex(vals[0]) * scale, label, float(errs[0]) * scale)
 

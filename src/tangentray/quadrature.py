@@ -32,7 +32,7 @@ The driver alone decides whether a result is accepted: it met its tolerance
 target, or refinement hit a cap within ``FLOOR_FACTOR`` times the roundoff
 floor it measures from its own panel sums.  Anything else has stalled and
 raises.  The driver alone also sets the error it reports: the defect sum,
-the floor, and the tail ``truncate`` cut off the path.
+the floor, and the tail the path records as cut off.
 """
 
 from __future__ import annotations

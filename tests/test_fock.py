@@ -224,6 +224,39 @@ def test_field_truncation_tail_is_sound(monkeypatch, bc):
         assert gap <= cut.error_estimate + far.error_estimate, (field, point, gap)
 
 
+@pytest.mark.parametrize("bc", [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)],
+                         ids=lambda bc: bc.label())
+def test_saddle_route_inside_a_field_integral(monkeypatch, bc):
+    # at these far-lit points the field's caret batches send 1 and 5 nodes to
+    # the saddle path; the field agrees with the forked representation (to
+    # 3e-9 to 1.7e-8).  Their err columns (0.3 to 74) are loose, so the fixed
+    # bound is the comparison
+    saddle = pk._caret_saddle
+    calls = []
+
+    def counted(t, bc, opts):
+        calls.append(t)
+        return saddle(t, bc, opts)
+
+    monkeypatch.setattr(pk, "_caret_saddle", counted)
+    cfg = fock.ProblemConfig(bc)
+    for point, routed in (((-4.0, 2.0), 1), ((-4.0, 3.0), 5)):
+        calls.clear()
+        new = fock.scattered_new(fock.FockPoint(*point), cfg)
+        assert len(calls) == routed
+        forked = fock.scattered_forked(fock.FockPoint(*point), cfg)
+        assert abs(new.amplitude - forked.amplitude) <= 1e-7, point
+
+
+def test_leg_arguments_same_bits_at_every_call_size():
+    # omega (s - n) of a 40,000-node call is the bytes of forty 1,000-node
+    # calls, as the node arguments of the sigma-plane legs must be
+    s = np.linspace(0.0, 9.0, 40_000) * np.exp(0.7j)
+    whole = fock._omega_shift(s, 1.3)
+    assert np.array_equal(whole, np.concatenate([fock._omega_shift(c, 1.3)
+                                                 for c in s.reshape(40, 1000)]))
+
+
 def test_caret_failure_is_not_a_field_stall(monkeypatch):
     # a stall inside the caret factor must not pass for the field integral's
     # own stall, whose best result would then be the inner caret integral

@@ -192,7 +192,7 @@ def test_escaped_impedance_root_leaves_the_residue_series():
     assert abs(c.value - vf) <= c.error_estimate + tol * abs(vf)
 
 
-# one member per route, the last on the traced saddle path
+# one member per route, the last on the saddle path
 ROUTE_TS = np.array([0.01, 1 + 0.5j, 5 * np.exp(2.3j), -12.0,
                      -7.174067330673176 - 3.5401635463588197j])
 # 30 lit-sector points where the caret function is ~e^-10 to e^-27, and
@@ -224,13 +224,13 @@ def test_one_batch_covers_every_route():
     ts = ROUTE_TS
     routes = [pk.ROUTES[r] for r in pk._plan(ts, pk.DIRICHLET)]
     assert routes == ["pole_split", "residue_series", "reciprocal_airy_contour",
-                      "forked_contour", "traced_saddle"]
+                      "forked_contour", "saddle_path"]
     lv, lr = pk.caret_log_many(ts, pk.DIRICHLET)
     for t, route, l, rel in zip(ts, routes, lv, lr):
         ev = pk.pekeris_caret(complex(t))
-        # the traced saddle path reports itself as the reciprocal-Airy integral
+        # the saddle path reports itself as the reciprocal-Airy integral
         assert ev.representation_used == route.replace(
-            "traced_saddle", "reciprocal_airy_contour")
+            "saddle_path", "reciprocal_airy_contour")
         assert abs(l - np.log(ev.value)) < 1e-12
         assert rel == pytest.approx(ev.error_estimate / abs(ev.value), rel=1e-12)
 
@@ -272,7 +272,7 @@ def test_lit_formula_zero_is_silent():
 
 
 def test_saddle_estimate_carries_its_cut_tails():
-    # the traced saddle path cuts two rays, and its estimate |pref| (err +
+    # the saddle path cuts two branches, and its estimate |pref| (err +
     # 1e-14 |v|) takes the tail tolerance of each from the driver: a loose
     # tolerance moves the value by no more than the summed estimates
     t = complex(ROUTE_TS[4])
@@ -287,7 +287,7 @@ def test_saddle_estimate_carries_its_cut_tails():
 
 
 def test_saddle_route_refuses_the_residue_sector():
-    # for -pi/3 < arg t < 2pi/3 the traced path misses the residues of the
+    # for -pi/3 < arg t < 2pi/3 the saddle path misses the residues of the
     # impedance roots between it and L: at this Dirichlet point it returned
     # -2.5e-10 with an estimate of 5e-21, where the residue series and L
     # agree on -1.719e-4-2.277e-4i
@@ -298,6 +298,78 @@ def test_saddle_route_refuses_the_residue_sector():
     ev = pk.pekeris_caret(t, pk.DIRICHLET)
     assert abs(ev.value - v_rec) <= ev.error_estimate + e_rec
     assert abs(ev.value - (-1.719e-4 - 2.277e-4j)) < 1e-6
+
+
+# lit points on both sides of arg t = 7pi/6, where the branches of the saddle
+# path meet the arccos cut, and on it
+SADDLE_TS = [r * np.exp(1j * math.radians(deg)) for r in (6.0, 9.0, 12.0)
+             for deg in (175.0, 195.0, 245.0, 210.0)]
+SADDLE_KINDS = (pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j))
+
+
+def test_saddle_values_match_the_lit_asymptotics():
+    # the lit formula is an independent form of the caret function, good to
+    # O(|t|^-3) relative (1.9-2.2/|t|^3 here): the field's own asy_rel bound
+    # of 4/|t|^3 holds for the saddle path's values
+    for bc in SADDLE_KINDS:
+        for t in SADDLE_TS:
+            v, err = pk._caret_saddle(t, bc, QuadOptions())
+            asy = pk.caret_lit_asymptotic(t, bc)
+            assert abs(v - asy) <= 4.0 / abs(t) ** 3 * abs(v), (bc.label(), t)
+            assert err <= 1e-12 * abs(v)
+
+
+def test_saddle_path_is_a_steepest_descent_path():
+    # along the vertices of the closed-form path Im h is that of the saddle,
+    # and Re h falls strictly away from it on each branch, to -drop at both
+    # ends; the branch ending lower comes first
+    k = pk.SADDLE_POINTS
+    for t in SADDLE_TS:
+        a = pk.EMIP6 * t
+        for tol in (1e-12, 1e-3):
+            path = pk._saddle_path(a, tol)
+            z = np.array([seg.start for seg in path.segments] + [path.segments[-1].end])
+            h = a * z + 4 / 3 * z ** 1.5 - a ** 3 / 12
+            assert len(z) == 2 * k + 1 and z[k] == (a / 2) ** 2
+            assert np.max(np.abs(h.imag)) <= 1e-14 * abs(a) ** 3
+            assert np.all(np.diff(h.real[:k + 1]) > 0) and np.all(np.diff(h.real[k:]) < 0)
+            drop = -math.log(tol) + 6.0
+            assert h.real[[0, -1]] == pytest.approx([-drop, -drop], abs=1e-12 * drop)
+            assert z[0].imag < z[-1].imag
+            assert path.truncation_tail == 2 * tol
+
+
+@pytest.mark.parametrize("bc", SADDLE_KINDS + (pk.robin(2.0),), ids=lambda bc: bc.label())
+def test_saddle_path_cut_tail_is_sound(bc):
+    # the path run 40 e-folds further moves the integral by less than the
+    # tail tolerance it records per cut branch; at tolerance 1e-12 the
+    # quadrature noise of |v| ~ 300-900 dominates, so the two quadrature
+    # errors are allowed on top
+    opts = QuadOptions(rel_tol=1e-14)
+    f = lambda eta: pk._reciprocal_weight(eta, bc)
+    for t in (SADDLE_TS[5], SADDLE_TS[11]):
+        a = pk.EMIP6 * t
+        for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+            cut, far = (pk._saddle_path(a, tol_) for tol_ in (tol, tol * math.exp(-40.0)))
+            (v,), (err,), _ = integrate_exp_batch(f, a, -a ** 3 / 12, cut, opts)
+            (v_far,), (err_far,), _ = integrate_exp_batch(f, a, -a ** 3 / 12, far, opts)
+            noise = err - cut.truncation_tail + err_far - far.truncation_tail if tol == 1e-12 else 0.0
+            assert abs(v_far - v) <= cut.truncation_tail + noise, (t, tol)
+
+
+@pytest.mark.parametrize("bc", SADDLE_KINDS, ids=lambda bc: bc.label())
+def test_sigma_ratios_same_bits_at_every_call_size(bc):
+    # past 16,384 elements numpy multiplies a temporary in place, which
+    # rounds differently: one 40,000-node call must give the bytes of forty
+    # 1,000-node calls, so a node table filled by a large call holds what a
+    # fresh evaluation gives
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-6.0, 6.0, 40_000) + 1j * rng.uniform(-6.0, 6.0, 40_000)
+    for parts in (pk.ratio_l2_parts, pk.ratio_l3_parts, pk._reciprocal_weight):
+        whole = parts(z, bc)
+        chunks = [parts(c, bc) for c in z.reshape(40, 1000)]
+        for j in range(2):
+            assert np.array_equal(whole[j], np.concatenate([c[j] for c in chunks])), parts
 
 
 def test_forked_batch_uses_each_members_arms(monkeypatch):
@@ -394,7 +466,7 @@ def test_node_tables_repeat_bit_identical(monkeypatch):
     for (ts, bc), (lv, lr) in zip(TABLE_BATCHES, cold):
         warm = pk.caret_log_many(ts, bc)
         assert np.array_equal(warm[0], lv) and np.array_equal(warm[1], lr)
-    # a warm batch with no traced-saddle member evaluates no Airy function
+    # a warm batch with no saddle-path member evaluates no Airy function
     calls.clear()
     pk.caret_log_many(ROUTE_TS[:-1], pk.DIRICHLET)
     pk.caret_log_many(FORKED_TS, pk.DIRICHLET)
