@@ -137,6 +137,8 @@ class DecayModel:
     def __post_init__(self):
         if self.kind not in _DECAY_KINDS:
             raise ContourError(f"unknown decay kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.c, self.scale, self.min_radius, self.rate))):
+            raise ContourError("decay model requires finite c, scale, min_radius and rate")
         if self.c <= 0.0 or self.scale <= 0.0:
             raise ContourError("decay model requires c > 0 and scale > 0")
 
@@ -164,8 +166,8 @@ class DecayModel:
         ``min_radius`` with ``tail_bound(radius) <= tail_tol``: every
         truncated ray ends on this one ladder, so nearby models give the
         same path.  The bound falls to 0 as r grows, so the walk ends."""
-        if tail_tol <= 0.0:
-            raise ContourError("tail_tol must be positive")
+        if not (math.isfinite(tail_tol) and tail_tol > 0.0):
+            raise ContourError("tail_tol must be finite and positive")
         k = math.ceil(4.0 * math.log2(max(self.min_radius, 1.0)))
         while 2.0 ** (k / 4.0) < self.min_radius or self.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
             k += 1

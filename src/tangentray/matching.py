@@ -40,6 +40,14 @@ class RegimeError(ValueError):
     """Point outside the asymptotic regime of the requested formula."""
 
 
+def _require_domain(fields, k: float):
+    """Raise ``ValueError`` unless every field of a point is finite and k > 0."""
+    if not all(map(math.isfinite, fields)):
+        raise ValueError(f"point {tuple(fields)} is not finite")
+    if not k > 0:
+        raise ValueError("wavenumber k must be positive")
+
+
 @dataclass(frozen=True)
 class OuterPoint:
     x: float
@@ -47,8 +55,7 @@ class OuterPoint:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("wavenumber k must be positive")
+        _require_domain((self.x, self.y, self.k), self.k)
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,7 @@ class PenumbraPoint:
     k: float
 
     def __post_init__(self):
+        _require_domain((self.x, self.y_tilde, self.k), self.k)
         if self.x <= 0:
             raise ValueError("penumbra formulas require x > 0")
 
@@ -255,6 +263,7 @@ def creeping_inner(x: float, n_hat: float, k: float,
     exp(-i e^{i pi/3} eta_0 x_hat/2) is the numerically validated form (see
     module docstring).
     """
+    _require_domain((x, n_hat, k), k)
     if x <= 0 or n_hat < 0:
         raise RegimeError("creeping limit requires x > 0 and n_hat >= 0")
     x_hat = k ** (1.0 / 3.0) * x

@@ -21,11 +21,12 @@ evaluates all of a batch's members on that route; ``pekeris_caret`` is the
 batch of one and ``caret_log_many`` the log-form batch.  L and the arms are
 one ray family on one radius ladder: one model gives each ray's growth rate
 and integrand peak (``_ray_rates``, ``_ray_peaks``), and one family integral
-(``_ray_family``) runs a batch on a ladder-truncated path.  Contour routes
-are chosen by an explicit conditioning estimate: the peak of the integrand's
-exponent along each candidate ray is compared with the magnitude of the
-result; representations whose quadrature would lose the answer to
-cancellation are rejected.  Where every fixed-ray realisation is
+(``_ray_family``) runs a batch on a ladder-truncated path, its tail scale
+measured from the family's own factor on its own rays (``_tail_scale``).
+Contour routes are chosen by an explicit conditioning estimate: the peak of
+the integrand's exponent along each candidate ray is compared with the
+magnitude of the result; representations whose quadrature would lose the
+answer to cancellation are rejected.  Where every fixed-ray realisation is
 ill-conditioned (mid lit sector, where the caret function is exponentially
 small), the reciprocal-Airy integral is taken along the steepest-descent
 path through its saddle, which has a closed form (``_saddle_path``): a
@@ -355,8 +356,7 @@ _NODE_TABLES = _NodeTables()
 L_ANGLES = np.array([2 * math.pi / 3, -2 * math.pi / 3])
 L_OFFSETS = np.array([math.pi / 2, -5 * math.pi / 6])
 ARM_TURN = math.pi / 2
-# tail-bound scale of the arms' Airy ratios, and the rate L adds to its own (``_l_contour``)
-ARM_TAIL_SCALE, L_TAIL_RATE = 10.0, 0.25
+TAIL_RATE = 0.25     # added to every ray family's growth rate (see ``_tail_scale``)
 
 
 def _ray_rates(ts, offsets, turn=0.0) -> np.ndarray:
@@ -373,38 +373,52 @@ def _ray_peaks(rates, angles) -> np.ndarray:
     return 4.0 * np.maximum(rates, 0.0) ** 3 / (27.0 * B ** 2)
 
 
-def _ray_path(path: ContourPath, rates, scale: float, tail_tol: float):
-    """The rays of ``path`` cut by ``truncate`` at a rung 2^(k/4): (path, k).
-    The tail model is ``scale`` e^{A s - B s^{3/2}}, with the largest growth
-    rate A in ``rates`` and the slowest Airy decay B of the rays (none raises
-    ``SectorError``).  A caret path is then a function of a small key (route,
-    impedance pair, arm angle, rung k), so similar batches share it."""
+@functools.lru_cache(maxsize=4096)
+def _tail_scale(parts, bc: BoundaryKind, rays) -> float:
+    """The tail scale of the factor (w, expo) = parts(z, bc) on ``rays``:
+    twice the largest |w e^{expo}| e^{B s^{3/2} - TAIL_RATE s} sampled for
+    s <= 64 on each ray, B = (4/3)|cos(3 phi/2)| at its angle phi.  It bounds
+    the factor's envelope, which grows like e^{O(s^{1/2})} (the L weight) and
+    peaks near a Robin pole (553 on the default l3 arm for mu_hat = 2), for
+    |mu_hat| <= 10.  A sample that is not finite (a pole on the ray) raises
+    ``SectorError`` naming the ray: no cut is made from it."""
+    s, phi = np.arange(513) / 8.0, np.array([[ray.angle] for ray in rays])
+    z = np.array([[ray.origin] for ray in rays], dtype=complex) + s * np.exp(1j * phi)
+    w, expo = (x.reshape(z.shape) for x in parts(z.ravel(), bc))
+    B = 4.0 / 3.0 * np.abs(np.cos(1.5 * phi))
+    peaks = np.max(np.abs(w) * np.exp(expo + B * s ** 1.5 - TAIL_RATE * s), axis=1)
+    for ray, peak in zip(rays, peaks):
+        if not math.isfinite(peak):
+            raise SectorError(f"tail scale {peak} on the ray at angle {ray.angle} from "
+                              f"{ray.origin}: a pole sits on it")
+    return 2.0 * float(np.max(peaks))
+
+
+def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
+                path: ContourPath, rates, a, b, opts: QuadOptions):
+    """Each member's int w e^{expo + a z + b} along the rays of ``path`` cut
+    by ``truncate`` at a rung 2^(k/4), in one ``integrate_exp_batch``:
+    (values, errors), each error with one tail tolerance per ray.  The tail
+    model is scale e^{(A + TAIL_RATE) s - B s^{3/2}}: the largest growth rate
+    A in ``rates``, the slowest Airy decay B of the rays (none raises
+    ``SectorError``), and the factor's ``_tail_scale`` times the members'
+    largest |e^{a v + b}| (at least 1) at the rays' origin v.  A caret path is
+    thus fixed by a small key (route, impedance pair, arm angle, rung k):
+    ``tables`` (None: evaluated directly) memoises the node factor (w, expo)
+    = parts(z, bc) under (parts, impedance pair) + ``key`` + (rung,).  A
+    member the quadrature does not accept raises ``QuadratureError``
+    ("stalled").  ``_family_width`` sizes the starting panels."""
     B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle)
                    for ray in path.segments)
     if B < 1e-3:
         raise SectorError(f"ray angle {angle} has no ratio decay")
-    model = DecayModel("power_three_halves", B, scale=scale, rate=max(float(np.max(rates)), 0.0))
-    path = truncate(path, model, tail_tol)
-    return path, round(4.0 * math.log2(path.truncation_radius))
-
-
-def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
-                path: ContourPath, rates, scale: float, a, b, opts: QuadOptions):
-    """Each member's int w e^{expo + a z + b} along ``path`` truncated for
-    the members' ``rates`` (``_ray_path``), in one ``integrate_exp_batch``:
-    (values, errors), each error with one tail tolerance per ray.  The tail
-    scale takes the members' largest factor |e^{a v + b}| (at least 1) at the
-    rays' origin v.
-    The node factor (w, expo) = parts(z, bc) is memoised in ``tables`` (None:
-    evaluated directly) under the key (parts, impedance pair) + ``key`` +
-    (rung,).  A member the quadrature does not accept raises
-    ``QuadratureError`` ("stalled").  The starting panels are sized from the
-    members' largest |a| (``_family_width``)."""
     lift = max(0.0, float(np.max(np.real(a * path.segments[0].origin + b))))
-    path, rung = _ray_path(path, rates, scale * math.exp(lift), opts.truncation_tail_tol)
+    model = DecayModel("power_three_halves", B, scale=_tail_scale(parts, bc, path.segments)
+                       * math.exp(lift), rate=max(float(np.max(rates)) + TAIL_RATE, 0.0))
+    path = truncate(path, model, opts.truncation_tail_tol)
     factor = functools.partial(parts, bc=bc)
     if tables is not None:
-        key = (parts.__name__, bc.impedance) + key + (rung,)
+        key = (parts.__name__, bc.impedance) + key + (round(4 * math.log2(path.truncation_radius)),)
         factor = functools.partial(tables.lookup, key, evaluate=factor)
     return integrate_exp_batch(factor, a, b, path, opts, width=_family_width(a))[:2]
 
@@ -439,13 +453,10 @@ def _family_width(a) -> float:
 def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
             beta2=2 * math.pi / 3, beta3=0.0, shifts=None, tables=None):
     """e^{-shift} times the entire part of each t, along l2/l3 rays at beta2
-    and beta3: scalars shared by the batch, or one angle per member.
-
-    On each arm, the members at one angle are one ray family
-    (``_ray_family``).  Returns (values, errors).  A member's error is the
-    sum of its two arms' quadrature errors before the 1/2pi (so with that
-    much margin).
-    """
+    and beta3: scalars shared by the batch, or one angle per member.  On each
+    arm, the members at one angle are one ray family (``_ray_family``).
+    Returns (values, errors).  A member's error is the sum of its two arms'
+    quadrature errors before the 1/2pi (so with that much margin)."""
     shifts = np.zeros(ts.shape) if shifts is None else shifts
     arms = np.empty((ts.size, 2))
     arms[:, 0], arms[:, 1] = beta2, beta3
@@ -457,7 +468,7 @@ def _entire(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions,
             sel = np.nonzero(arms[:, j] == beta)[0]
             ray = ContourPath((Ray(0.0, float(beta), inward=False),))
             v, e = _ray_family(parts, bc, tables, (float(beta),), ray, rates[sel, j],
-                               ARM_TAIL_SCALE, 1j * ts[sel], -shifts[sel], opts)
+                               1j * ts[sel], -shifts[sel], opts)
             # l2 runs from infinity towards 0 (negated outward ray); l3 enters with -
             total[sel] -= v
             errs[sel] += e
@@ -474,7 +485,7 @@ def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
     changing the value; the poles of a Robin ratio move with mu_hat into
     those bands, and a rotation across one changes it.
     """
-    vals, _ = _entire(np.array([complex(t)]), bc, opts or QuadOptions(), beta2, beta3)
+    vals, _ = _entire(_finite(t), bc, opts or QuadOptions(), beta2, beta3)
     return complex(vals[0])
 
 
@@ -487,9 +498,8 @@ _FORK_GRIDS = tuple(g[4.0 / 3.0 * np.abs(np.cos(1.5 * g)) >= 5e-2] for g in (
 
 def _fork_rays(ts):
     """Per t, the l2/l3 ray angles minimising the cancellation peaks of the
-    forked form: arrays (beta2, beta3, peak_exponent).
-
-    The peaks scale as |t|^3, so the angles depend on arg t alone."""
+    forked form: arrays (beta2, beta3, peak_exponent).  The peaks scale as
+    |t|^3, so the angles depend on arg t alone."""
     best = []
     for grid in _FORK_GRIDS:
         peaks = _ray_peaks(_ray_rates(ts, grid, ARM_TURN), grid)
@@ -500,10 +510,7 @@ def _fork_rays(ts):
 
 
 def _forked_angles(t: complex) -> tuple[float, float, float]:
-    """Ray angles minimising the cancellation peaks of the forked form.
-
-    Returns (beta2, beta3, peak_exponent).
-    """
+    """``_fork_rays`` of one t: (beta2, beta3, peak_exponent)."""
     beta2, beta3, peak = _fork_rays(np.array([complex(t)]))
     return float(beta2[0]), float(beta3[0]), float(peak[0])
 
@@ -538,11 +545,8 @@ def _reciprocal_weight(eta: np.ndarray, bc: BoundaryKind):
 
 
 @functools.lru_cache(maxsize=1024)
-def _l_contour(bc: BoundaryKind) -> tuple[ContourPath, float]:
-    """L, its vertex clearing the first roots of the impedance pair by 0.35,
-    and its tail scale: twice the largest |w e^{expo}| e^{(4/3) s^{3/2} -
-    L_TAIL_RATE s} on its rays, sampled for s <= 64, which bounds the weight's
-    envelope (e^{O(s^{1/2})}, peaked near a Robin root) for |mu_hat| <= 10."""
+def _l_contour(bc: BoundaryKind) -> ContourPath:
+    """L, its vertex clearing the first roots of the impedance pair by 0.35."""
     vertex = L_CLEARANCE
     # the zeros of Ai and Ai' (real, negative) stay more than 1.3 from the
     # standard L, so only a Robin root can move its vertex
@@ -552,9 +556,7 @@ def _l_contour(bc: BoundaryKind) -> tuple[ContourPath, float]:
         if min(path_point_distance(path, complex(r)) for r in roots) >= 0.35:
             break
         vertex += 0.5
-    s = np.tile(np.arange(513) / 8.0, 2)
-    w, expo = _reciprocal_weight(vertex + s * np.repeat(np.exp(1j * L_ANGLES), 513), bc)
-    return path, 2.0 * float(np.max(np.abs(w) * np.exp(expo + 4 / 3 * s ** 1.5 - L_TAIL_RATE * s)))
+    return path
 
 
 def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
@@ -566,13 +568,12 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None):
     family (``_ray_family``) on L with the vertex of the impedance pair."""
     rates = _ray_rates(ts, L_OFFSETS)
     group = np.maximum(0, np.ceil(rates.max(axis=1) / 1.5)).astype(int)
-    contour, scale = _l_contour(bc)
     vals = np.empty(ts.shape, dtype=complex)
     errs = np.empty(ts.shape)
     for g in np.unique(group):
         sel = np.nonzero(group == g)[0]
-        v, e = _ray_family(_reciprocal_weight, bc, tables, (), contour, rates[sel] + L_TAIL_RATE,
-                           scale, EMIP6 * ts[sel], 0.0, opts)
+        v, e = _ray_family(_reciprocal_weight, bc, tables, (), _l_contour(bc), rates[sel],
+                           EMIP6 * ts[sel], 0.0, opts)
         pref = -1.0 / (4.0 * math.pi ** 2 * ts[sel])
         vals[sel] = pref * v
         errs[sel] = np.abs(pref) * e
@@ -766,12 +767,19 @@ def _caret_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions, tables=Non
     return route, vals, errs, shifts
 
 
+def _finite(ts) -> np.ndarray:
+    """``ts`` as a complex array; a t that is not finite raises ``ValueError``."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=complex))
+    if not np.isfinite(ts).all():
+        raise ValueError(f"caret argument t = {ts[~np.isfinite(ts)][0]} is not finite")
+    return ts
+
+
 def pekeris_caret(t: complex, bc: BoundaryKind = DIRICHLET,
                   opts: QuadOptions | None = None) -> CaretEval:
     """Caret function with representation chosen by sector and conditioning
     (the planner and executors of ``caret_log_many`` on a batch of one)."""
-    route, vals, errs, shifts = _caret_batch(np.array([complex(t)]), bc,
-                                             opts or QuadOptions())
+    route, vals, errs, shifts = _caret_batch(_finite(t), bc, opts or QuadOptions())
     scale = math.exp(shifts[0])
     # the saddle path is a realisation of the reciprocal-Airy integral
     label = ROUTES[_L if route[0] == _SADDLE else route[0]]
@@ -787,7 +795,6 @@ def caret_log_many(ts, bc: BoundaryKind = DIRICHLET,
     process-wide node tables; a memoised factor is the bytes a fresh
     evaluation gives.  Returns (log_values, rel_errors).
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=complex))
-    _, vals, errs, shifts = _caret_batch(ts, bc, opts or QuadOptions(), _NODE_TABLES)
+    _, vals, errs, shifts = _caret_batch(_finite(ts), bc, opts or QuadOptions(), _NODE_TABLES)
     with np.errstate(divide="ignore"):
         return np.log(vals) + shifts, errs / np.maximum(np.abs(vals), 1e-300)

@@ -16,10 +16,11 @@ and hands each round's open requests to one evaluator, so the cost is a few
 large vectorised special-function evaluations, not one small call per panel.
 Integrands given by their values (``integrate``, ``integrate_batch``,
 ``integrate_lockstep``, the one-member exponential family) share
-``_value_sums``, whose calls take the nodes of every open request, at most
-``CALL_ELEMENTS`` nodes each (cut at panel ends): an integrand whose cost is
-mostly a fixed overhead per call (the Airy factors of the sigma-plane legs
-of ``integrate_lockstep``) pays it once per round.
+``_value_sums`` and its one call ``call(legs, nodes)``, which takes the nodes
+of every open request, at most ``CALL_ELEMENTS`` nodes a call (cut at panel
+ends): an integrand whose cost is mostly a fixed overhead per call (the Airy
+factors of the sigma-plane legs of ``integrate_lockstep``) pays it once per
+round.
 
 ``integrate_exp_batch`` serves families w(z) e^{expo(z) + a_m z + b_m} whose
 members differ only in the exponential: on a panel the member factor splits
@@ -166,8 +167,7 @@ def _segment_table(path: ContourPath):
     """Per-line arrays (base, step): line j maps u in [0, 1] to
     base_j + u step_j."""
     if not path.is_finite:
-        raise QuadratureError("path has untruncated rays; call truncate() first",
-                              "untruncated")
+        raise QuadratureError("path has untruncated rays; call truncate() first", "untruncated")
     return (np.array([s.start for s in path.segments], dtype=complex),
             np.array([s.end - s.start for s in path.segments], dtype=complex))
 
@@ -254,52 +254,43 @@ def _sums(fz, nodes: np.ndarray, jac: np.ndarray, members: int | None, out):
     return out
 
 
-def _values(call, joint: bool, nodes: list, keys) -> list:
-    """The integrand's values on each of the flat arrays ``nodes``, from one
-    call: ``call(list(keys), nodes)``, one value array per node array, if
-    ``joint`` (``keys`` names the integrals), else ``call(nodes)`` on the
-    one array of a single integral."""
-    try:
-        values = call(list(keys), nodes) if joint else [call(*nodes)]
-    except QuadratureError as exc:
-        raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
-    if joint and len(values) != len(nodes):
-        raise QuadratureError(f"{len(values)} value arrays for {len(nodes)} legs", "shape")
-    return values
-
-
-def _values_in_calls(call, joint: bool, nodes: list, keys, size: int) -> list:
-    """``_values`` from calls of at most ``size`` nodes, cut at panel ends."""
-    keys, got = list(keys), []
+def _cuts(legs: list, nodes: list, size: int):
+    """The calls (legs, node arrays) of at most ``size`` nodes, cut at panel ends."""
     starts = [0, *accumulate(map(len, nodes))]
     for c in range(0, starts[-1], size):
         part = [j for j in range(len(nodes)) if starts[j] < c + size and starts[j + 1] > c]
-        args = [nodes[j][max(c - starts[j], 0):c + size - starts[j]] for j in part]
-        got += zip(part, _values(call, joint, args, [keys[j] for j in part]))
-    try:
-        return [np.concatenate([v for i, v in got if i == j], axis=-1) for j in range(len(nodes))]
-    except ValueError:
-        raise QuadratureError("calls of one round returned unequal shapes", "shape") from None
+        yield ([legs[j] for j in part],
+               [nodes[j][max(c - starts[j], 0):c + size - starts[j]] for j in part])
 
 
-def _value_sums(call, joint: bool, members: int | None, requests: dict):
-    """``_drive``'s evaluator of an integrand given by its values, (n,) or
-    (members, n) on n nodes (``members`` None takes any count), called as in
-    ``_values``.  Each request's ``_sums`` are taken over its whole round."""
+def _value_sums(call, members: int | None, requests: dict):
+    """``_drive``'s evaluator of an integrand given by its values: ``call(legs,
+    nodes)`` takes the keys ``legs`` of requests and their flat node arrays,
+    in one call a round or, past ``CALL_ELEMENTS`` nodes, in ``_cuts``, and
+    returns one value array, (n,) or (members, n) on n nodes, per node array
+    (``members`` None takes any count).  Sums span a request's round."""
     # ``+= [x]`` makes no method call: the round of a single integral, the
     # most frequent, pays no call overhead per request
-    nodes, jacs, outs, total = [], [], [], 0
+    nodes, jacs, outs, got = [], [], [], []
     for table, seg, u0, u1, out in requests.values():
         z, jac = _nodes(table, seg, u0, u1)
         nodes += [z]
         jacs += [jac]
         outs += [out]
-        total += z.size
-    size = CALL_ELEMENTS // 15 * 15 or 15           # one panel at least
-    if total > size:
-        values = _values_in_calls(call, joint, nodes, requests, size)
-    else:
-        values = _values(call, joint, nodes, requests)
+    legs, size = list(requests), CALL_ELEMENTS // 15 * 15 or 15     # one panel at least
+    for part, args in [(legs, nodes)] if sum(map(len, nodes)) <= size else _cuts(legs, nodes, size):
+        try:
+            values = call(part, args)
+        except QuadratureError as exc:
+            raise QuadratureError(f"integrand failed: {exc}", "integrand") from exc
+        if len(values) != len(args):
+            raise QuadratureError(f"{len(values)} value arrays for {len(args)} legs", "shape")
+        got += zip(part, values)
+    if len(got) > len(values):      # the round took several calls
+        try:
+            values = [np.concatenate([v for k, v in got if k == leg], axis=-1) for leg in legs]
+        except ValueError:
+            raise QuadratureError("calls of one round returned unequal shapes", "shape") from None
     return _sums, zip(values, nodes, jacs, repeat(members), outs)
 
 
@@ -467,7 +458,8 @@ def integrate(f, path: ContourPath, opts: QuadOptions = QuadOptions(),
     inputs.  A result that is not accepted raises ``QuadratureError`` with
     reason ``"stalled"`` and the best result.
     """
-    done = _drive([_adapt(path, opts, width)], functools.partial(_value_sums, f, False, 1))
+    done = _drive([_adapt(path, opts, width)],
+                  functools.partial(_value_sums, lambda legs, nodes: [f(z) for z in nodes], 1))
     return _one(path, *done[0])
 
 
@@ -482,7 +474,8 @@ def integrate_batch(fmat, path: ContourPath, opts: QuadOptions = QuadOptions()):
 
     Returns ``(values (m,), errors (m,), evaluations)``.
     """
-    return _drive([_adapt(path, opts)], functools.partial(_value_sums, fmat, False, None))[0][:3]
+    evaluate = functools.partial(_value_sums, lambda legs, nodes: [fmat(z) for z in nodes], None)
+    return _drive([_adapt(path, opts)], evaluate)[0][:3]
 
 
 def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = QuadOptions(),
@@ -513,7 +506,7 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
             w, expo = factor(t)
             return w[None, :] * np.exp(a[:, None] * t + expo[None, :] + b)
 
-        evaluate = functools.partial(_value_sums, fmat, False, 1)
+        evaluate = functools.partial(_value_sums, lambda legs, nodes: [fmat(z) for z in nodes], 1)
     else:
         def evaluate(requests):
             return functools.partial(_in_blocks, factor, a, b), requests.values()
@@ -534,8 +527,7 @@ def integrate_lockstep(fjoint, paths, opts: QuadOptions = QuadOptions()) -> list
 
     Returns one ``QuadResult`` per path.
     """
-    done = _drive([_adapt(path, opts) for path in paths],
-                  functools.partial(_value_sums, fjoint, True, 1))
+    done = _drive([_adapt(path, opts) for path in paths], functools.partial(_value_sums, fjoint, 1))
     return [_one(path, *done[k]) for k, path in enumerate(paths)]
 
 

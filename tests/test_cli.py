@@ -106,6 +106,13 @@ def test_nonfinite_kappa_is_an_error_line(capsys):
     assert "kappa must be finite and positive" in capsys.readouterr().err
 
 
+def test_negative_wavenumber_is_an_error_line(capsys):
+    # a negative k gave complex k^(1/6) and a TypeError traceback from the
+    # CSV writer
+    assert cli.main(["penumbra", "--k=-1", "--ytilde-range=0.2:0.6:2"]) == 1
+    assert "error: wavenumber k must be positive" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -123,3 +123,12 @@ def test_decay_model_validation():
         DecayModel("cubic_exp", -1.0)
     with pytest.raises(ContourError):
         DecayModel("weird", 1.0)
+    # a non-finite parameter would give a NaN tail bound, or a radius from
+    # an infinite scale, instead of a cut
+    for field in ("c", "scale", "rate", "min_radius"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContourError):
+                DecayModel("power_three_halves", **{"c": 1.0, field: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContourError):
+            DecayModel("power_three_halves", 1.0).radius_for(bad)

@@ -128,6 +128,30 @@ def test_creeping_boundary_values():
         mt.creeping_inner(-1.0, 0.5, 1e4, pk.DIRICHLET)
 
 
+# each of these returned a value (complex from k^(1/6) of a negative k, or
+# NaN) instead of refusing the point
+OUT_OF_DOMAIN = [
+    lambda: mt.penumbra_field(mt.PenumbraPoint(1.0, 0.5, k=-1.0)),
+    lambda: mt.penumbra_field(mt.PenumbraPoint(1.0, 0.5, k=0.0)),
+    lambda: mt.penumbra_field(mt.PenumbraPoint(1.0, math.nan, 1e4)),
+    lambda: mt.penumbra_field(mt.PenumbraPoint(1.0, 0.5, math.inf)),
+    lambda: mt.creeping_inner(1.0, 0.5, k=-1.0),
+    lambda: mt.creeping_inner(1.0, 0.5, k=0.0),
+    lambda: mt.creeping_inner(math.inf, 0.5, 1e4),
+    lambda: mt.creeping_inner(1.0, math.nan, 1e4),
+    lambda: mt.reflected_outer(mt.OuterPoint(math.nan, 0.5, 1e4)),
+    lambda: mt.reflected_outer(mt.OuterPoint(-1.0, math.inf, 1e4)),
+]
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN, ids=[
+    "penumbra-k-neg", "penumbra-k-zero", "penumbra-y-nan", "penumbra-k-inf", "creeping-k-neg",
+    "creeping-k-zero", "creeping-x-inf", "creeping-n-nan", "outer-x-nan", "outer-y-inf"])
+def test_matching_refuses_points_outside_its_domain(call):
+    with pytest.raises(ValueError, match="not finite|k must be positive"):
+        call()
+
+
 def test_creeping_matches_field():
     k = 1e4
     for bc in (pk.DIRICHLET, pk.NEUMANN):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import threading
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tangentray import airy as _airy_mod
 from tangentray import pekeris as pk
+from tangentray.contours import ContourPath, Ray
 from tangentray.quadrature import QuadOptions, integrate_exp_batch
 
 OPTS = QuadOptions(rel_tol=1e-11, abs_tol=1e-14)
@@ -569,6 +571,66 @@ def test_caret_tail_cut_is_sound(bc):
             for tol in (1e-12, 1e-8):
                 v, err = route(QuadOptions(truncation_tail_tol=tol))
                 assert abs(v - ref) <= err + ref_err, (t, tol)
+
+
+CUT_KINDS = (pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j), pk.robin(2), pk.robin(3))
+# near 0, in the residue sector and in the lit sector
+CUT_TS = (-0.5j, cmath.exp(-1j * math.pi / 6), cmath.exp(-5j * math.pi / 6))
+
+
+@pytest.mark.parametrize("bc", CUT_KINDS, ids=lambda bc: bc.label())
+def test_every_caret_family_cut_tail_holds(bc):
+    # each caret family (L, the default arms, the grid arms of the lit t), cut
+    # at tail tolerance tol and 40 e-folds further, gives integrals within one
+    # tol per cut ray of each other: each family's tail scale is measured from
+    # its own factor on its own rays (under a declared arm scale of 10,
+    # Robin(2) on the default arms at tol 1e-3 moved 2.2 times its two tails)
+    beta2, beta3, _ = pk._forked_angles(CUT_TS[2])
+    families = (  # each integral pair, from the route's value
+        lambda t, o: pk._run_reciprocal(np.array([t]), bc, o)[0][0] * -4 * math.pi ** 2 * t,
+        lambda t, o: pk._entire(np.array([t]), bc, o)[0][0] * 2 * math.pi,
+        lambda t, o: pk._entire(np.array([t]), bc, o, beta2, beta3)[0][0] * 2 * math.pi)
+    for tol in (1e-9, 1e-6, 1e-3):
+        loose, deep = (QuadOptions(rel_tol=1e-12, truncation_tail_tol=x)
+                       for x in (tol, tol * math.exp(-40)))
+        for t in CUT_TS:
+            for k, family in enumerate(families):
+                assert abs(family(t, loose) - family(t, deep)) <= 2 * tol, (k, t, tol)
+
+
+def test_a_pole_on_a_sampled_ray_is_refused():
+    # a factor with a pole on the sampled ray (at s = 2 on the ray at angle
+    # 0) has no finite tail scale: the family raises SectorError naming the
+    # ray instead of cutting it
+    def pole(z, bc):
+        return np.where(z == 2.0, np.inf, 1.0).astype(complex), -4.0 / 3.0 * np.abs(z) ** 1.5
+
+    def unused(z, bc):
+        raise AssertionError("a ray without decay is measured")
+
+    args = (np.zeros((1, 1)), np.array([1j]), 0.0, QuadOptions())
+    with pytest.raises(pk.SectorError, match="angle 0.0 from 0"):
+        pk._ray_family(pole, pk.DIRICHLET, None, (), ContourPath((Ray(0.0, 0.0),)), *args)
+    # a ray without Airy decay is refused before it is measured
+    with pytest.raises(pk.SectorError, match="no ratio decay"):
+        pk._ray_family(unused, pk.DIRICHLET, None, (),
+                       ContourPath((Ray(0.0, math.pi / 3),)), *args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pk.pekeris_caret(complex(math.nan, 0.0)),
+    lambda: pk.pekeris_caret(math.inf),
+    lambda: pk.pekeris_caret(complex(1.0, -math.inf), pk.robin(1 + 1j)),
+    lambda: pk.caret_log_many([math.nan, 1.0]),
+    lambda: pk.pekeris_entire(math.nan),
+], ids=["caret-nan", "caret-inf", "caret-robin-inf", "log-many-nan", "entire-nan"])
+def test_caret_entries_refuse_a_non_finite_t(call):
+    # the input is named before any planning, with no numpy warning on the
+    # way (they gave a QuadratureError naming a node, or an OverflowError)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t = .* is not finite"):
+            call()
 
 
 # Robin points of the caret_sheet benchmark (seeds 7, 9, 10, 31, 34, 52),

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,20 +318,24 @@ def test_cancelling_integral_is_accepted_at_its_roundoff_floor():
 
 def _caret_families(count: int):
     """(factor, a, b, path) of a reciprocal-Airy L batch and an l2 arm batch
-    with ``count`` members each, on their ladder paths."""
+    with ``count`` members each, on the ladder paths ``pk._ray_family`` cuts
+    for them."""
     ts = 3.0 * np.exp(1j * np.linspace(2.3, 2.9, count))
-    l_rates = pk._ray_rates(ts, pk.L_OFFSETS)
-    l_contour, l_scale = pk._l_contour(pk.DIRICHLET)
-    l_path, _ = pk._ray_path(l_contour, l_rates + pk.L_TAIL_RATE, l_scale, 1e-12)
     shifts = np.maximum(0.0, pk.caret_lit_log_asymptotic(ts, pk.NEUMANN).real)
     beta2, _, _ = pk._forked_angles(complex(ts[0]))
-    arm_rates = pk._ray_rates(ts, beta2, pk.ARM_TURN)
-    arm_path, _ = pk._ray_path(ContourPath((Ray(0.0, beta2, inward=False),)), arm_rates,
-                               pk.ARM_TAIL_SCALE, 1e-12)
-    return [
-        (lambda z: pk._reciprocal_weight(z, pk.DIRICHLET), pk.EMIP6 * ts, 0.0, l_path),
-        (lambda z: pk.ratio_l2_parts(z, pk.NEUMANN), 1j * ts, -shifts, arm_path),
-    ]
+    families = []
+
+    def record(factor, a, b, path, opts, width):
+        families.append((factor, a, b, path))
+        return None, None
+
+    with mock.patch.object(pk, "integrate_exp_batch", record):
+        pk._ray_family(pk._reciprocal_weight, pk.DIRICHLET, None, (), pk._l_contour(pk.DIRICHLET),
+                       pk._ray_rates(ts, pk.L_OFFSETS), pk.EMIP6 * ts, 0.0, QuadOptions())
+        pk._ray_family(pk.ratio_l2_parts, pk.NEUMANN, None, (beta2,),
+                       ContourPath((Ray(0.0, beta2, inward=False),)),
+                       pk._ray_rates(ts, beta2, pk.ARM_TURN), 1j * ts, -shifts, QuadOptions())
+    return families
 
 
 def _node_integrand(factor, a, b):
