@@ -9,10 +9,12 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -213,8 +215,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _one_blas_thread():
+    """Pin the OpenBLAS that numpy bundles, if it does, to one thread: the
+    kernels' products are small, and a threaded gemm only spends CPU on
+    them (the 9x9 Dirichlet ``field --rep new`` grid took 2.1-3.8 s of CPU
+    on 2 threads against 0.9-1.0 s on one).  Values do not change."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for sym in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
             return args.fn(args)

@@ -17,15 +17,24 @@ t_pm = (2/3)(x +- sqrt(x^2 + 3y)):
 * total: for t_- > -0.3 the same channel; down to -T_HONEST a path right
   of the pole that crosses above it to t_-; beyond, scattered + 1.
 
+The paths take t_- on a LATTICE of spacing 1/16: the vee vertex and the
+corner of the total path at the nearest lattice point (a vee vertex is then
+at most -0.3125), the channel at t_- rounded up, so that its vertical ray
+only moves further right of the pole.  A path is then fixed by its class,
+lattice cell and rung, and neighbouring points share it.
+
 On every path the integrand is evaluated in combined log form
 exp(i Phi(t) + log h(t)).  The caret factor is computed in the residue
 sector, for |t| <= T_CARET and near the saddle t_- (``_run_field``);
-elsewhere its lit-sector model serves.
+elsewhere its lit-sector model serves.  It does not depend on the point, so
+the caret part of a field integral's round-0 nodes is memoised across
+points (``_FIELD_MEMO``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +50,8 @@ T_CARET = 6.0            # |t| up to which the field integrand computes the care
 SADDLE_DISC = 3.5        # radius around the saddle t_- where it computes it too
 SADDLE_ASY = 9.0         # |t_-| beyond which the lit-sector model serves the saddle
 FIELD_PANEL = 0.5        # starting panel width of the field integrals
+LATTICE = 1.0 / 16.0     # spacing of the lattice the field paths take t_- on
+FIELD_MEMO_CAP = 256     # round-0 caret batches the field memo holds (~13.5 KB each)
 
 DEFAULT_OPTS = QuadOptions(rel_tol=1e-9, abs_tol=1e-13,
                            max_subdivisions=4000, truncation_tail_tol=1e-12)
@@ -96,6 +107,15 @@ def _saddles(x: float, y: float) -> tuple[float, float]:
     return (2.0 / 3.0) * (x - r), (2.0 / 3.0) * (x + r)
 
 
+def _on_lattice(t: float, up: bool = False) -> float:
+    """``t`` rounded to the nearest multiple of LATTICE, or up to one; a t
+    that is not finite (from an x^2 that overflows) as it is."""
+    if not math.isfinite(t):
+        return t
+    k = t / LATTICE
+    return (math.ceil(k) if up else round(k)) * LATTICE
+
+
 # ---------------------------------------------------------------------------
 # Caret representation: exp(i Phi) times the caret factor, in log space
 # ---------------------------------------------------------------------------
@@ -146,7 +166,7 @@ def _channel_path(x: float, y: float, du: float, h: float) -> ContourPath:
     direction without a ridge when the pole and saddle interact.  The path
     passes right of the pole (Gamma_1-right class).
     """
-    tm, _ = _saddles(x, y)
+    tm = _on_lattice(_saddles(x, y)[0], up=True)
     u0 = tm + du
     segs = (Ray(complex(u0, 0.0), -math.pi / 2.0, inward=True),
             Line(complex(u0, 0.0), complex(tm, h)),
@@ -163,7 +183,7 @@ def _scattered_path(x: float, y: float) -> tuple[ContourPath, float]:
     (the deformation argument of the transition-region analysis)."""
     tm, _ = _saddles(x, y)
     if tm <= -0.3:
-        return _vee(complex(tm, 0.0)), 0.0
+        return _vee(complex(_on_lattice(tm), 0.0)), 0.0
     return _channel_path(x, y, 0.5, 0.55), -1.0
 
 
@@ -176,12 +196,54 @@ def _total_path(x: float, y: float) -> ContourPath | None:
         # pass right of the pole, then cross above it to the saddle vertical
         dmax = max(abs(y), abs((x / 2) ** 2 - x * (x / 2) - y), abs(tp * tp - x * tp - y))
         h = min(C0, 4.0 / max(1.0, dmax))
+        corner = complex(_on_lattice(tm), h)
         segs = (Ray(complex(C0, 0.0), -math.pi / 2.0, inward=True),
                 Line(complex(C0, 0.0), complex(0.0, h)),
-                Line(complex(0.0, h), complex(tm, h)),
-                Ray(complex(tm, h), 5.0 * math.pi / 6.0, inward=False))
+                Line(complex(0.0, h), corner),
+                Ray(corner, 5.0 * math.pi / 6.0, inward=False))
         return ContourPath(segs)
     return None
+
+
+class _CaretMemo:
+    """Process-wide memo of the caret part of a field integral's first
+    integrand call: (log caret on the round-0 nodes, their largest caret
+    relative error), keyed by (bc, caret options, saddle-disc centre, the
+    node array's bytes).
+
+    ``caret_log_many`` is a pure function of its arguments, so a hit holds
+    the bytes a fresh call gives: no value depends on what ran before, on
+    how threads interleave or on what was evicted.  Entries are added under
+    the lock and never changed; past FIELD_MEMO_CAP entries the oldest go.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+
+    def lookup(self, key, evaluate):
+        """The entry of ``key``, or ``evaluate()`` stored under it."""
+        with self._lock:
+            hit = self._entries.get(key)
+        if hit is not None:
+            return hit
+        log_caret, rel = evaluate()
+        log_caret.flags.writeable = False
+        with self._lock:
+            self._entries[key] = log_caret, rel
+            while len(self._entries) > FIELD_MEMO_CAP:
+                del self._entries[next(iter(self._entries))]
+        return log_caret, rel
+
+
+_FIELD_MEMO = _CaretMemo()
 
 
 def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
@@ -204,28 +266,48 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     overhead per batch, so a round saved is worth more than the extra nodes
     of a finer start.  Most points of the benchmark domain converge in
     round 0; far-lit points (n_hat about 5) refine twice.
+
+    The round-0 nodes depend only on the truncated path, which points of
+    one lattice cell and rung share, so the caret part of the first
+    integrand call (the log caret on those nodes and their largest caret
+    relative error) comes from ``_FIELD_MEMO``, keyed by (bc, caret
+    options, disc centre, node bytes).  The disc centre is t_- at the
+    nearest lattice point.  Refinement rounds, whose panels depend on the
+    point, are computed fresh.
     """
     tm, _ = _saddles(x, y)
     asy_rel = 4.0 / abs(tm) ** 3 if abs(tm) > SADDLE_ASY else 0.0
-    saddle = tm if C0 < abs(tm) <= SADDLE_ASY else None
+    saddle = _on_lattice(tm) if C0 < abs(tm) <= SADDLE_ASY else None
     # the caret factor only needs relative accuracy: the field quadrature
     # carries the absolute budget
     caret_opts = replace(opts, rel_tol=max(opts.rel_tol, 1e-10), abs_tol=max(opts.abs_tol, 3e-11))
     caret_rel = 0.0
+    memo_key = (bc, caret_opts, saddle)
 
-    def f(ts):
-        nonlocal caret_rel
-        ts = np.asarray(ts, dtype=complex)
+    def caret(ts):
+        """(log caret on the nodes ``ts``, their largest caret relative error)."""
         log_caret = np.empty(ts.shape, dtype=complex)
+        rel = 0.0
         computed = pk._in_residue_sector(ts) | (np.abs(ts) <= T_CARET)
         if saddle is not None:
             computed |= np.abs(ts - saddle) <= SADDLE_DISC
         if np.any(computed):
             lv, lr = pk.caret_log_many(ts[computed], bc, caret_opts)
             log_caret[computed] = lv
-            caret_rel = max(caret_rel, float(np.max(lr)))
+            rel = float(np.max(lr))
         if not np.all(computed):
             log_caret[~computed] = pk.caret_lit_log_asymptotic(ts[~computed], bc)
+        return log_caret, rel
+
+    def f(ts):
+        nonlocal caret_rel, memo_key
+        ts = np.asarray(ts, dtype=complex)
+        if memo_key is None:
+            log_caret, rel = caret(ts)
+        else:       # the first call: the round-0 nodes
+            log_caret, rel = _FIELD_MEMO.lookup(memo_key + (ts.tobytes(),), lambda: caret(ts))
+            memo_key = None
+        caret_rel = max(caret_rel, rel)
         g = np.exp(1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0) + log_caret)
         return g * (-1j * ts) if extra_it else g
 

@@ -168,8 +168,20 @@ def _segment_table(path: ContourPath):
     base_j + u step_j."""
     if not path.is_finite:
         raise QuadratureError("path has untruncated rays; call truncate() first", "untruncated")
-    return (np.array([s.start for s in path.segments], dtype=complex),
-            np.array([s.end - s.start for s in path.segments], dtype=complex))
+    return np.array([(s.start, s.end - s.start) for s in path.segments], dtype=complex).T
+
+
+@functools.lru_cache(maxsize=1024)
+def _panel_layout(counts: tuple):
+    """(segment index, u0, u1) read-only arrays of counts[j] equal panels on
+    each segment j, u0 = k / n as Python divides."""
+    n = np.array(counts)
+    seg = np.repeat(np.arange(n.size), n)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    out = seg, k / n[seg], (k + 1) / n[seg]
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _initial_panels(path: ContourPath, width: float = 2.0):
@@ -181,16 +193,11 @@ def _initial_panels(path: ContourPath, width: float = 2.0):
     meaningful before any refinement (guards against aliasing acceptance);
     callers that know their integrand's rates pass a smaller width, so it
     converges in fewer rounds.  Every later panel of a segment is a dyadic
-    part of its starting width, as ``_evaluate_exp`` requires.
+    part of its starting width, as ``_evaluate_exp`` requires.  The arrays
+    of one panel count per segment are built once (``_panel_layout``).
     """
-    seg, u0, u1 = [], [], []
-    for j, s in enumerate(path.segments):
-        n = max(2, int(math.ceil(abs(s.end - s.start) / width)))
-        n = min(n, 64)
-        seg += [j] * n
-        u0 += [k / n for k in range(n)]
-        u1 += [(k + 1) / n for k in range(n)]
-    return np.array(seg, dtype=int), np.array(u0), np.array(u1)
+    return _panel_layout(tuple([min(max(2, math.ceil(abs(s.end - s.start) / width)), 64)
+                                for s in path.segments]))
 
 
 def _nodes(table, seg: np.ndarray, u0: np.ndarray, u1: np.ndarray):

@@ -1,7 +1,9 @@
+import ctypes
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,30 @@ def test_negative_wavenumber_is_an_error_line(capsys):
     # CSV writer
     assert cli.main(["penumbra", "--k=-1", "--ytilde-range=0.2:0.6:2"]) == 1
     assert "error: wavenumber k must be positive" in capsys.readouterr().err
+
+
+def test_main_pins_the_bundled_openblas_to_one_thread(tmp_path):
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            break
+    else:
+        pytest.skip("numpy bundles no scipy-openblas")
+    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+    put(2)
+    assert cli.main(["airy-zeros", "--count", "2", "--out", str(tmp_path / "z.csv")]) == 0
+    assert get() == 1
+
+
+def test_overflowing_field_point_is_an_error_line(capsys):
+    # x_hat^2 overflows, so t_- is infinite: the path builders keep it off
+    # the lattice and the truncation model refuses it
+    for x in ("-1e200", "1e200"):
+        assert cli.main(["field", f"--xhat-range={x}:{x}:1", "--yhat-range=1:1:1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_subcommand_exits_2():

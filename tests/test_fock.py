@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -160,6 +162,69 @@ def test_field_value_does_not_depend_on_warm_node_tables():
     assert warm.error_estimate == cold.error_estimate
 
 
+# a Robin(1+i) point and a neighbour whose saddle t_- lies in the same
+# lattice cell (-1.75): the two share one truncated vee, so the neighbour's
+# round-0 caret batch is the point's memo entry; OTHER_PATHS lie on other paths
+MEMO_POINT, MEMO_NEIGHBOUR = fock.FockPoint(-1.0, 0.5), fock.FockPoint(-1.0, 0.52)
+OTHER_PATHS = [fock.FockPoint(*p) for p in ((0.5, 1.0), (2.0, 1.0), (-0.5, 2.0), (1.0, 3.0))]
+ROBIN = fock.ProblemConfig(pk.robin(1 + 1j))
+
+
+def test_field_value_does_not_depend_on_the_field_memo(monkeypatch):
+    # cold, after a neighbour on the same snapped path, after eviction past
+    # the cap and from four threads: the same bytes
+    fock._FIELD_MEMO.clear()
+    cold = fock.scattered_new(MEMO_POINT, ROBIN)
+    fock._FIELD_MEMO.clear()
+    neighbour = fock.scattered_new(MEMO_NEIGHBOUR, ROBIN)
+    assert len(fock._FIELD_MEMO) == 1 and neighbour.amplitude != cold.amplitude
+    runs = [fock.scattered_new(MEMO_POINT, ROBIN)]
+    assert len(fock._FIELD_MEMO) == 1                    # a hit
+    monkeypatch.setattr(fock, "FIELD_MEMO_CAP", 2)
+    for pt in OTHER_PATHS:
+        fock.scattered_new(pt, ROBIN)
+    assert len(fock._FIELD_MEMO) == 2                    # the last two others
+    runs.append(fock.scattered_new(MEMO_POINT, ROBIN))
+    # more threads than cores, switching often, on a memo that evicts as
+    # they go: a lost or torn update would show as another value or size
+    fock._FIELD_MEMO.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fock.scattered_new, pt, ROBIN)
+                       for pt in [MEMO_POINT, MEMO_NEIGHBOUR, *OTHER_PATHS] * 2]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(fock._FIELD_MEMO) <= 2
+    assert threaded[1] == threaded[7] == neighbour
+    for run in runs + [threaded[0], threaded[6]]:
+        assert run.amplitude == cold.amplitude
+        assert run.error_estimate == cold.error_estimate
+
+
+def test_field_memo_holds_at_most_its_cap(monkeypatch):
+    monkeypatch.setattr(fock, "FIELD_MEMO_CAP", 3)
+    fock._FIELD_MEMO.clear()
+    for pt in [MEMO_POINT, *OTHER_PATHS]:
+        fock.scattered_new(pt, ROBIN)
+        assert len(fock._FIELD_MEMO) <= 3
+    assert len(fock._FIELD_MEMO) == 3
+
+
+@pytest.mark.parametrize("x", [-0.2, 0.0, 1.0])
+def test_pole_residue_either_side_of_the_vee_switch(x):
+    # t_- just left of -0.3 takes the vee at the lattice vertex -0.3125 and the
+    # total path's corner there; just right, the channels from t_- rounded up
+    # to -0.25: criterion 4's shift across the pole holds to 1e-8 on both sides
+    for tm in (-0.3 - 1e-3, -0.3 - 1e-9, -0.3 + 1e-9, -0.3 + 1e-3):
+        r = x - 1.5 * tm
+        pt = fock.FockPoint(x, (r * r - x * x) / 3.0)
+        a_s, a_t = fock.scattered_new(pt, D), fock.total_new(pt, D)
+        assert abs(a_t.amplitude - a_s.amplitude - 1.0) <= 1e-8, tm
+
+
 # (x_hat, y_hat) -> most caret_log_many calls one Dirichlet or Neumann
 # scattered_new may make: one per round of its field integral.  Its starting
 # panels resolve (0, 0.25) and (2, 4) in round 0, where 2-unit panels take
@@ -172,6 +237,7 @@ FIELD_ROUND_CAPS = {(-4.0, 1.0): 3, (-4.0, 1.5): 3, (-4.0, 2.0): 3, (0.0, 0.25):
 @pytest.mark.parametrize("point", sorted(FIELD_ROUND_CAPS), ids=lambda p: f"{p[0]:g},{p[1]:g}")
 def test_field_caret_batches_capped(monkeypatch, point):
     many = pk.caret_log_many
+    fock._FIELD_MEMO.clear()
     calls = []
 
     def counted(ts, bc, opts):
@@ -233,6 +299,7 @@ def test_saddle_route_inside_a_field_integral(monkeypatch, bc):
     # bound is the comparison
     saddle = pk._caret_saddle
     calls = []
+    fock._FIELD_MEMO.clear()
 
     def counted(t, bc, opts):
         calls.append(t)
@@ -263,6 +330,7 @@ def test_caret_failure_is_not_a_field_stall(monkeypatch):
     def stalled(*args, **kwargs):
         raise QuadratureError("x", "stalled", QuadResult(123.0, 0.0, 15))
 
+    fock._FIELD_MEMO.clear()
     monkeypatch.setattr(pk, "caret_log_many", stalled)
     with pytest.raises(QuadratureError) as info:
         fock.scattered_new(fock.FockPoint(-1.0, 0.5), D)

@@ -253,6 +253,17 @@ def test_vectorised_panels_match_panel_loop():
     assert abs(res.error_estimate - defect) <= tol
 
 
+def test_initial_panels_are_k_over_n():
+    # n = ceil(length / width) in [2, 64] panels per segment, u0 = k / n and
+    # u1 = (k + 1) / n as Python divides, for short, mid and capped segments
+    path = ContourPath((Line(0.0, 0.3), Line(0.3, 0.3 + 5.1j), Line(0.3 + 5.1j, 40.0)))
+    for width, counts in ((0.5, [2, 11, 64]), (2.0, [2, 3, 21])):
+        seg, u0, u1 = _initial_panels(path, width)
+        assert seg.tolist() == [j for j, n in enumerate(counts) for _ in range(n)]
+        assert u0.tolist() == [k / n for n in counts for k in range(n)]
+        assert u1.tolist() == [(k + 1) / n for n in counts for k in range(n)]
+
+
 def test_batch_matches_scalar():
     path = gamma0_truncated()
     coeffs = np.array([0.3, 1.0 + 0.2j, -0.7j])
