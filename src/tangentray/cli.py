@@ -118,6 +118,8 @@ def cmd_field(args) -> int:
                                       _fmt(a.real), _fmt(a.imag),
                                       _fmt(a_s.real), _fmt(a_s.imag), _fmt(err)]))
             except (fock.FockDomainError, QuadratureError):
+                if not math.isfinite(cfg.n_hat(pt)):
+                    raise       # a row cannot say where the point is: an error line
                 rows.append(",".join([_fmt(xh), _fmt(yh), _fmt(cfg.n_hat(pt)),
                                       "nan", "nan", "nan", "nan", "nan"]))
     _write(args.out, "\n".join(rows) + "\n")

@@ -50,6 +50,7 @@ T_CARET = 6.0            # |t| up to which the field integrand computes the care
 SADDLE_DISC = 3.5        # radius around the saddle t_- where it computes it too
 SADDLE_ASY = 9.0         # |t_-| beyond which the lit-sector model serves the saddle
 FIELD_PANEL = 0.5        # starting panel width of the field integrals
+LEG_PANEL = 1.5          # starting panel width of the sigma-plane legs (``_leg_sum``)
 LATTICE = 1.0 / 16.0     # spacing of the lattice the field paths take t_- on
 FIELD_MEMO_CAP = 256     # round-0 caret batches the field memo holds (~13.5 KB each)
 
@@ -91,12 +92,17 @@ class FieldValue:
 def _scaled_coords(pt: FockPoint, cfg: ProblemConfig) -> tuple[float, float]:
     """Rescale to the kappa = 1/2 frame: x -> (2k)^{2/3} x, y -> (2k)^{1/3} y.
 
-    Raises FockDomainError for a non-finite point or one inside the obstacle."""
+    Raises FockDomainError for a non-finite point, one whose height n_hat
+    is not finite (an x^2 that overflows) and one inside the obstacle."""
     if not (math.isfinite(pt.x_hat) and math.isfinite(pt.y_hat)):
         raise FockDomainError(f"point ({pt.x_hat}, {pt.y_hat}) is not finite")
     s = 2.0 * cfg.kappa
     x, y = s ** (2.0 / 3.0) * pt.x_hat, s ** (1.0 / 3.0) * pt.y_hat
-    if y + x * x / 4.0 < -1e-12:
+    n = y + x * x / 4.0
+    if not math.isfinite(n):
+        raise FockDomainError(f"point ({pt.x_hat}, {pt.y_hat}): its height n_hat = {n} "
+                              "is not finite")
+    if n < -1e-12:
         raise FockDomainError(f"point ({pt.x_hat}, {pt.y_hat}) lies inside the obstacle")
     return x, y
 
@@ -368,34 +374,62 @@ def _omega_shift(s, n):
     return pk.OMEGA * sn
 
 
-def _leg_sum(x: float, y: float, legs, opts: QuadOptions) -> FieldValue:
+def _leg_sum(x: float, y: float, bc: pk.BoundaryKind, legs, opts: QuadOptions) -> FieldValue:
     """Plane-phase prefactor e^{-i(x y/2 + x^3/12)} times the sum over the
-    legs (sign, angle, lin, args, integrand) of sign x the integral along the
-    outward ray from 0 at that angle, truncated by ``_arm_model(2/3, lin)``.
-    A leg's integrand at the nodes s is ``integrand(s, *airy)``, with ``airy``
-    the (ai, aip, expo) triples of ``args(s)``, its Airy arguments.
+    legs (sign, angle, lin, parts, args, integrand) of sign x the integral
+    along the outward ray from 0 at that angle, truncated by
+    ``_arm_model(2/3, lin)``.  A leg's integrand at the nodes s is
+    ``integrand(s, ratio, *airy)``: ``ratio`` the factor (w, expo) =
+    ``parts(s, bc)``, the point-independent Airy ratio of the leg (None for
+    a leg without one), and ``airy`` the (ai, aip, expo) triples of
+    ``args(s)``, its point-dependent Airy arguments A_j(s - n).
 
-    The legs run in lockstep (``integrate_lockstep``): each round evaluates
-    the Airy arguments of every unfinished leg in one ``airy._scaled_each``
-    call.  An Airy value does not depend on its batch, so each leg's result
-    is that of its own ``integrate`` run.  The estimate adds 3e-10 of |sum|
-    to the legs' quadrature errors, each of which carries its cut tail (one
-    tail tolerance per leg)."""
+    The ratio comes from the caret node tables (``pk._NODE_TABLES``), under
+    the key of a caret arm on the same ray, (parts name, impedance pair,
+    angle, rung): points whose leg is cut at the same rung, and a caret arm
+    there, share one table.  The legs run in lockstep
+    (``integrate_lockstep``): each round evaluates the Airy arguments of
+    every unfinished leg, with those of its ratio on the panels the table
+    lacks, in one ``airy._scaled_each`` call.  An Airy value does not depend
+    on its batch, and a table hit is the bytes of a fresh ratio, so each
+    leg's result is that of its own ``integrate`` run at the same width.
+
+    The legs start on LEG_PANEL-unit panels, a measured constant: a round
+    costs one Airy call, whose fixed cost outweighs the extra points of a
+    finer start, and a start much finer than the legs' phase rate only adds
+    points.  On the field points of four ``oracle_mix`` passes (warm
+    tables) 2-unit starts took 88 Airy calls and 33,400 points a pass, 1.5
+    took 68 and 36,000, 1.0 took 53 and 50,000; at 1.5 most legs converge in
+    round 0, and the legs on the real axis (cut at 19-32 units) mostly in
+    round 1.
+
+    The estimate adds 3e-10 of |sum| to the legs' quadrature errors, each of
+    which carries its cut tail (one tail tolerance per leg)."""
     paths = [truncate(ContourPath((Ray(0.0, angle, inward=False),)),
                       _arm_model(2.0 / 3.0, lin), opts.truncation_tail_tol)
-             for _, angle, lin, _, _ in legs]
+             for _, angle, lin, _, _, _ in legs]
+    keys = [parts and pk._node_key(parts, bc, (angle,), path)
+            for (_, angle, _, parts, _, _), path in zip(legs, paths)]
+    forms = [parts and pk.RATIO_AIRY[parts.__name__] for _, _, _, parts, _, _ in legs]
 
     def joint(ks, nodes):
-        args = [legs[k][3](s) for k, s in zip(ks, nodes)]
-        values = airy._scaled_each(*(z for zs in args for z in zs))
+        # per leg: its table rows, its own Airy arguments and those of its
+        # ratio on the panels the table lacks
+        asks = []
+        for k, s in zip(ks, nodes):
+            found = keys[k] and pk._NODE_TABLES.find(keys[k], s)
+            missed = found and found[2]
+            asks.append((found, legs[k][4](s), missed and forms[k][0](missed[1]) or ()))
+        values = iter(airy._scaled_each(*(z for _, own, more in asks for z in own + more)))
         out = []
-        for k, s, zs in zip(ks, nodes, args):
-            out.append(legs[k][4](s, *values[:len(zs)]))
-            values = values[len(zs):]
+        for k, s, (found, own, more) in zip(ks, nodes, asks):
+            own, more = [next(values) for _ in own], [next(values) for _ in more]
+            ratio = found and pk._NODE_TABLES.fill(keys[k], found, more and forms[k][1](*more, bc))
+            out.append(legs[k][5](s, ratio, *own))
         return out
 
     total = err = 0.0
-    for (sign, *_), res in zip(legs, integrate_lockstep(joint, paths, opts)):
+    for (sign, *_), res in zip(legs, integrate_lockstep(joint, paths, opts, width=LEG_PANEL)):
         total, err = total + sign * res.value, err + res.error_estimate
     pref = np.exp(-1j * (x * y / 2.0 + x ** 3 / 12.0))
     return FieldValue(pref * total, err + 3e-10 * abs(total))
@@ -406,29 +440,26 @@ def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
     """Three-armed (l1, l2, l3) representation with the plane-phase prefactor;
     l1 and l2 run from infinity towards 0."""
     x, y = _scaled_coords(pt, cfg)
-    bc = cfg.bc
     n = y + x * x / 4.0
 
-    # A1(s - n) = omega Ai(omega (s - n)) and the arm's ratio
-    def f1(s, a1):
+    # A1(s - n) = omega Ai(omega (s - n)), times the arm's ratio (l2, l3)
+    def f1(s, _, a1):
         a, _, e = a1
         return pk.OMEGA * a * np.exp(1j * x * s / 2.0 + e)
 
-    def f2(s, a1, *r):
-        (a, _, e), (wr, er) = a1, pk._ratio_l2(*r, bc)
+    def arm(s, ratio, a1):
+        (a, _, e), (wr, er) = a1, ratio
         return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
 
-    def f3(s, a1, *r):
-        (a, _, e), (wr, er) = a1, pk._ratio_l3(*r, bc)
-        return pk.OMEGA * a * wr * np.exp(1j * x * s / 2.0 + e + er)
+    def a1_args(s):
+        return (_omega_shift(s, n),)
 
     rn = max(n, 0.0) ** 0.5      # n rounds below 0 on the boundary of some kappa
     lin = 0.866 * abs(x) / 2.0 + 0.5 * rn
-    return _leg_sum(x, y, [
-        (-1, -2 * math.pi / 3, lin, lambda s: (_omega_shift(s, n),), f1),
-        (-1, 2 * math.pi / 3, lin, lambda s: (_omega_shift(s, n), pk.OMEGA * s,
-                                              pk.OMEGA ** 2 * s), f2),
-        (-1, 0.0, rn, lambda s: (_omega_shift(s, n), s, pk.OMEGA * s), f3)], opts)
+    return _leg_sum(x, y, cfg.bc, [
+        (-1, -2 * math.pi / 3, lin, None, a1_args, f1),
+        (-1, 2 * math.pi / 3, lin, pk.ratio_l2_parts, a1_args, arm),
+        (-1, 0.0, rn, pk.ratio_l3_parts, a1_args, arm)], opts)
 
 
 def total_gamma(pt: FockPoint, cfg: ProblemConfig,
@@ -445,8 +476,8 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     bc = cfg.bc
     n = y + x * x / 4.0
 
-    def f_out(s, d0, d1, *r):
-        (a0, _, e0), (a1, _, e1), (wr, er) = d0, d1, pk._ratio_l3(*r, bc)
+    def f_out(s, ratio, d0, d1):
+        (a0, _, e0), (a1, _, e1), (wr, er) = d0, d1, ratio
         w1 = pk.OMEGA * a1
         big = np.maximum(e0, er + e1)
         diff = a0 * np.exp(e0 - big) - wr * w1 * np.exp(er + e1 - big)
@@ -455,10 +486,10 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     # A1(s - n) = omega Ai(omega (s - n)) is also the Dirichlet r2(s - n) denominator
     def args_in(s):
         sn = s - n
-        return pk.OMEGA * sn, pk.OMEGA * s, pk.OMEGA ** 2 * s, pk.OMEGA ** 2 * sn
+        return pk.OMEGA * sn, pk.OMEGA ** 2 * sn
 
-    def f_in(s, d1, b1, b2, d2):
-        wb, eb = pk._ratio_l2(b1, b2, bc)
+    def f_in(s, ratio, d1, d2):
+        wb, eb = ratio
         wd, ed = pk._ratio_l2(d1, d2, pk.DIRICHLET)
         big = np.maximum(eb, ed)
         diff = wb * np.exp(eb - big) - wd * np.exp(ed - big)
@@ -471,9 +502,9 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     if np.min(np.abs(np.angle(poles) - ang_in)) < 0.08:
         ang_in -= 0.1
     lin = 0.6 * max(n, 0.0) ** 0.5
-    return _leg_sum(x, y, [
-        (-1, ang_in, 0.866 * abs(x) / 2.0 + lin, args_in, f_in),
-        (1, 0.0, lin, lambda s: (s - n, _omega_shift(s, n), s, pk.OMEGA * s), f_out)], opts)
+    return _leg_sum(x, y, bc, [
+        (-1, ang_in, 0.866 * abs(x) / 2.0 + lin, pk.ratio_l2_parts, args_in, f_in),
+        (1, 0.0, lin, pk.ratio_l3_parts, lambda s: (s - n, _omega_shift(s, n)), f_out)], opts)
 
 
 # ---------------------------------------------------------------------------

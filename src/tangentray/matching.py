@@ -32,6 +32,7 @@ from .contours import ContourPath, Line, Ray, truncate
 from .quadrature import QuadOptions, integrate
 
 SQ_PI = math.sqrt(math.pi)
+I_SIGMA_PANEL = 0.5      # starting panel width of the I_Sigma integral
 EIP3 = pk.EIP3
 EMIP3 = pk.EMIP3
 
@@ -287,7 +288,13 @@ def i_sigma(t: float, Sigma: float,
 
     The left endpoint stays exactly on the real axis; the right tail is
     rotated into the decay sector of the Airy ratio once it is exponentially
-    small.
+    small.  The integral starts on I_SIGMA_PANEL-unit panels (a measured
+    constant; the quadrature caps a segment at 64 starting panels, so for
+    Sigma beyond 31 the real segment starts on (Sigma + 1)/64-unit ones): r3
+    turns at Sigma^{1/2} radians per unit at the left end, and each
+    refinement round costs one Airy call.  For 150 seeded (t,
+    Sigma) in [0.5, 2] x [25, 50], 2-unit starts refined 3-4 rounds and
+    0.5-unit starts 1-2, with values within 3.2e-14 of each other.
     """
     if Sigma <= 0:
         raise ValueError("Sigma must be positive")
@@ -306,7 +313,7 @@ def i_sigma(t: float, Sigma: float,
         w, expo = pk.ratio_l3_parts(s, pk.DIRICHLET)
         return w * np.exp(1j * t * s + expo)
 
-    res = integrate(f, fin, opts)
+    res = integrate(f, fin, opts, width=I_SIGMA_PANEL)
     return complex(-res.value / (2.0 * math.pi))
 
 

@@ -141,18 +141,30 @@ def _ratio_l3(r0, r1, bc: BoundaryKind):
     return (alpha * a0 - beta * ap0) / (OMEGA * den), e0 - e1
 
 
+def _l2_args(sigma):
+    return OMEGA * sigma, OMEGA ** 2 * sigma
+
+
+def _l3_args(sigma):
+    return sigma, OMEGA * sigma
+
+
 def ratio_l2_parts(sigma: np.ndarray, bc: BoundaryKind):
     """A2-type over A1-type ratio on the l2 arm as (weight, real log-scale):
     (alpha A2 - beta A2') / (alpha A1 - beta A1'), A_j(sigma) = omega^j
     Ai(omega^j sigma) and ' = d/dsigma."""
-    sigma = np.asarray(sigma, dtype=complex)
-    return _ratio_l2(*airy._scaled_each(OMEGA * sigma, OMEGA ** 2 * sigma), bc)
+    return _ratio_l2(*airy._scaled_each(*_l2_args(np.asarray(sigma, dtype=complex))), bc)
 
 
 def ratio_l3_parts(sigma: np.ndarray, bc: BoundaryKind):
     """A0-type over A1-type ratio on the l3 arm and on gamma, as parts."""
-    sigma = np.asarray(sigma, dtype=complex)
-    return _ratio_l3(*airy._scaled_each(sigma, OMEGA * sigma), bc)
+    return _ratio_l3(*airy._scaled_each(*_l3_args(np.asarray(sigma, dtype=complex))), bc)
+
+
+# per ratio factor, by name, its Airy arguments at sigma and its formula from
+# their scaled triples: a caller that merges the factor's Airy call with its
+# own (the sigma-plane legs of ``fock``) evaluates it from these, to the same bits
+RATIO_AIRY = {"ratio_l2_parts": (_l2_args, _ratio_l2), "ratio_l3_parts": (_l3_args, _ratio_l3)}
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +286,9 @@ def _find_panels(table, z: np.ndarray):
 
 class _NodeTables:
     """Process-wide memo of the member-independent node factors (w, expo) of
-    canonical caret paths, per GK15 panel.
+    canonical caret paths, per GK15 panel: the L weight and the arm ratios
+    of the caret batches, and the ratios of the sigma-plane legs of
+    ``fock``, which run on the arms' rays.
 
     One table per path key holds its panels sorted by midpoint (node 7 of a
     panel's 15; the panels of one path have distinct midpoints, being dyadic
@@ -285,6 +299,11 @@ class _NodeTables:
     depends on what ran before or on how threads interleave.  Tables are
     replaced, never mutated, under the lock.  An insert that would pass
     ``NODE_TABLE_CAP`` stored panels clears every table first.
+
+    ``lookup`` evaluates the panels a table lacks itself.  A caller that
+    merges that evaluation with its own Airy call (the legs) splits it:
+    ``find`` returns the stored rows, and the nodes of the missed panels,
+    and ``fill`` completes and stores them.
     """
 
     def __init__(self):
@@ -300,6 +319,17 @@ class _NodeTables:
     def lookup(self, key, nodes: np.ndarray, evaluate):
         """``evaluate(nodes)`` = (w, expo), from the table of ``key`` where
         it holds the panel and from one call on the other panels."""
+        found = self.find(key, nodes)
+        if found[2] is None:
+            return found[:2]
+        return self.fill(key, found, evaluate(found[2][1]))
+
+    def find(self, key, nodes: np.ndarray):
+        """(w, expo, missed) of the panels with ``nodes`` (15 P,): the factor
+        rows (P, 15) the table of ``key`` holds, and ``missed`` = (mask,
+        nodes) of the panels it does not hold, the nodes flat, which ``fill``
+        completes.  When every panel hits, (w, expo) are the stored rows,
+        flat, and ``missed`` is None."""
         z = nodes.reshape(-1, 15)
         with self._lock:
             table = self._tables.get(key)
@@ -307,15 +337,23 @@ class _NodeTables:
         if table is not None:
             found, rows = _find_panels(table, z)
             hit = found & (table[1][rows] == z).all(axis=1)
+            if hit.all():
+                return table[2][rows].ravel(), table[3][rows].ravel(), None
         w = np.empty(z.shape, dtype=complex)
         expo = np.empty(z.shape)
         if hit.any():
             w[hit], expo[hit] = table[2][rows[hit]], table[3][rows[hit]]
-        miss = ~hit
-        if miss.any():
-            wm, em = evaluate(z[miss].ravel())
-            w[miss], expo[miss] = wm.reshape(-1, 15), em.reshape(-1, 15)
-            self._store(key, z[miss], w[miss], expo[miss])
+        return w, expo, (~hit, z[~hit].ravel())
+
+    def fill(self, key, found, values):
+        """The flat (w, expo) of ``find``'s result ``found``, its missed
+        panels taken from ``values`` = (w, expo) on their nodes and stored."""
+        w, expo, missed = found
+        if missed is None:
+            return w, expo
+        miss, z = missed
+        w[miss], expo[miss] = (v.reshape(-1, 15) for v in values)
+        self._store(key, z.reshape(-1, 15), w[miss], expo[miss])
         return w.ravel(), expo.ravel()
 
     def _store(self, key, z, w, expo):
@@ -339,8 +377,8 @@ class _NodeTables:
             self.panels += len(z)
 
 
-# used by ``caret_log_many`` only; the scalar ``pekeris_caret`` evaluates its
-# node factors directly
+# used by ``caret_log_many`` and by the sigma-plane legs of ``fock``; the
+# scalar ``pekeris_caret`` evaluates its node factors directly
 _NODE_TABLES = _NodeTables()
 
 
@@ -405,7 +443,7 @@ def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
     largest |e^{a v + b}| (at least 1) at the rays' origin v.  A caret path is
     thus fixed by a small key (route, impedance pair, arm angle, rung k):
     ``tables`` (None: evaluated directly) memoises the node factor (w, expo)
-    = parts(z, bc) under (parts, impedance pair) + ``key`` + (rung,).  A
+    = parts(z, bc) under ``_node_key(parts, bc, key, path)``.  A
     member the quadrature does not accept raises ``QuadratureError``
     ("stalled").  ``_family_width`` sizes the starting panels."""
     B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle)
@@ -418,9 +456,16 @@ def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
     path = truncate(path, model, opts.truncation_tail_tol)
     factor = functools.partial(parts, bc=bc)
     if tables is not None:
-        key = (parts.__name__, bc.impedance) + key + (round(4 * math.log2(path.truncation_radius)),)
-        factor = functools.partial(tables.lookup, key, evaluate=factor)
+        factor = functools.partial(tables.lookup, _node_key(parts, bc, key, path), evaluate=factor)
     return integrate_exp_batch(factor, a, b, path, opts, width=_family_width(a))[:2]
+
+
+def _node_key(parts, bc: BoundaryKind, key: tuple, path: ContourPath) -> tuple:
+    """The node-table key of the factor ``parts`` on the cut ``path``: (parts
+    name, impedance pair) + ``key`` (the arm angle; () on L) + (rung k of
+    the cut radius 2^(k/4),).  A ray from 0 at one angle and rung is one
+    path, so a sigma-plane leg of ``fock`` and a caret arm on it share a table."""
+    return (parts.__name__, bc.impedance) + key + (round(4 * math.log2(path.truncation_radius)),)
 
 
 def _family_width(a) -> float:

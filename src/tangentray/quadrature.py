@@ -520,21 +520,24 @@ def integrate_exp_batch(factor, a, b, path: ContourPath, opts: QuadOptions = Qua
     return _drive([_adapt(path, opts, width)], evaluate)[0][:3]
 
 
-def integrate_lockstep(fjoint, paths, opts: QuadOptions = QuadOptions()) -> list:
-    """``integrate`` along each of ``paths``, the integrals stepped in
-    lockstep: each round hands the new nodes of every unfinished integral to
-    one call ``fjoint(legs, nodes) -> values`` (several, cut at panel ends,
-    past ``CALL_ELEMENTS`` nodes), with ``legs`` the indices of those
-    integrals in ``paths``, ``nodes`` their node arrays (n_k,) and ``values``
-    one array (n_k,) per node array.  Each integral keeps its own stepper, so
-    when ``fjoint``'s value at a node does not depend on the other nodes of
-    the call, each result is bit-identical to ``integrate`` of that
-    integral's own integrand, and so is the failure raised: that of the
-    first integral in order that failed (see ``_drive``).
+def integrate_lockstep(fjoint, paths, opts: QuadOptions = QuadOptions(),
+                       width: float = 2.0) -> list:
+    """``integrate`` along each of ``paths`` from starting panels no longer
+    than ``width``, the integrals stepped in lockstep: each round hands the
+    new nodes of every unfinished integral to one call ``fjoint(legs, nodes)
+    -> values`` (several, cut at panel ends, past ``CALL_ELEMENTS`` nodes),
+    with ``legs`` the indices of those integrals in ``paths``, ``nodes``
+    their node arrays (n_k,) and ``values`` one array (n_k,) per node array.
+    Each integral keeps its own stepper, so when ``fjoint``'s value at a node
+    does not depend on the other nodes of the call, each result is
+    bit-identical to ``integrate`` of that integral's own integrand at the
+    same ``width``, and so is the failure raised: that of the first integral
+    in order that failed (see ``_drive``).
 
     Returns one ``QuadResult`` per path.
     """
-    done = _drive([_adapt(path, opts) for path in paths], functools.partial(_value_sums, fjoint, 1))
+    done = _drive([_adapt(path, opts, width) for path in paths],
+                  functools.partial(_value_sums, fjoint, 1))
     return [_one(path, *done[k]) for k, path in enumerate(paths)]
 
 

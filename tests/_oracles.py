@@ -3,8 +3,9 @@
 Everything here is deliberately decoupled from the package internals: plain
 Python complex arithmetic, gamma-function constants, bisection, and
 composite Simpson quadrature.  Expected values frozen into the tests were
-computed with these.  One exception is a reference copy of a vectorised
-loop the package replaced, which a test compares with bit for bit.
+computed with these.  The exceptions are reference copies of loops the
+package replaced (a vectorised one and a linear search), which tests compare
+with bit for bit.
 """
 
 from __future__ import annotations
@@ -94,3 +95,12 @@ def asym_scaled_reference(z, uvk, term_radii):
     aip = -q * s_aip / (2.0 * math.sqrt(math.pi))
     phase = np.exp(-1j * zeta.imag)
     return ai * phase, aip * phase, -zeta.real
+
+
+def radius_for_linear(model, tail_tol: float) -> float:
+    """``DecayModel.radius_for`` as a walk up the 2^(k/4) ladder one rung at
+    a time: a reference copy of the search the package replaced."""
+    k = math.ceil(4.0 * math.log2(max(model.min_radius, 1.0)))
+    while 2.0 ** (k / 4.0) < model.min_radius or model.tail_bound(2.0 ** (k / 4.0)) > tail_tol:
+        k += 1
+    return 2.0 ** (k / 4.0)

@@ -132,11 +132,13 @@ def test_main_pins_the_bundled_openblas_to_one_thread(tmp_path):
 
 
 def test_overflowing_field_point_is_an_error_line(capsys):
-    # x_hat^2 overflows, so t_- is infinite: the path builders keep it off
-    # the lattice and the truncation model refuses it
-    for x in ("-1e200", "1e200"):
-        assert cli.main(["field", f"--xhat-range={x}:{x}:1", "--yhat-range=1:1:1"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+    # x_hat^2 overflows, so n_hat is infinite: no row can say where the
+    # point is, and every representation refuses it by name
+    for rep in ("new", "forked", "gamma"):
+        for x in ("-1e200", "1e200"):
+            assert cli.main(["field", "--rep", rep, f"--xhat-range={x}:{x}:1",
+                             "--yhat-range=1:1:1"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: point ({float(x)}, 1.0)")
 
 
 def test_unknown_subcommand_exits_2():

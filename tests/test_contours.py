@@ -6,7 +6,7 @@ import pytest
 from tangentray.contours import (ContourError, ContourPath, DecayModel, Line,
                                  Ray, named_contour, path_point_distance, truncate)
 
-from _oracles import bisect_airy_zero
+from _oracles import bisect_airy_zero, radius_for_linear
 
 
 def test_l3_is_single_outward_ray():
@@ -116,6 +116,21 @@ def test_truncate_respects_min_radius():
         path = truncate(named_contour("l3"), model, tol)
         assert path.truncation_radius >= model.min_radius
         _assert_on_ladder(model, tol, path.truncation_radius)
+
+
+def test_ladder_search_is_the_linear_walk():
+    # doubling the radius, then bisecting, returns the rung of the
+    # one-rung-at-a-time walk, over seeded models of both kinds, with and
+    # without a growth rate or a minimum radius, at tolerances 1e-16 to 1e-3
+    rng = np.random.default_rng(25)
+    for _ in range(400):
+        kind = ("cubic_exp", "power_three_halves")[int(rng.integers(2))]
+        c, scale, radius, rate, tol = (float(10.0 ** rng.uniform(lo, hi)) for lo, hi in
+                                       ((-2.0, 1.0), (-3.0, 4.0), (-1.0, 1.7), (-1.0, 1.3),
+                                        (-16.0, -3.0)))
+        model = DecayModel(kind, c, scale=scale, min_radius=radius * int(rng.integers(2)),
+                           rate=rate * int(rng.integers(2)))
+        assert model.radius_for(tol) == radius_for_linear(model, tol), (model, tol)
 
 
 def test_decay_model_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -68,6 +69,17 @@ def test_nonfinite_inputs_rejected_where_they_enter():
                fock.FockPoint(-math.inf, 1.0)):
         for field in (fock.scattered_new, fock.scattered_forked, fock.total_gamma):
             with pytest.raises(fock.FockDomainError):
+                field(pt, D)
+
+
+def test_overflowing_height_is_a_domain_error():
+    # x_hat^2 overflows, so n_hat is infinite: every field function refuses
+    # the point by name, before any path or decay model is built from it
+    for x_hat in (1e200, -1e200):
+        pt = fock.FockPoint(x_hat, 1.0)
+        for field in (fock.scattered_new, fock.total_new, fock.scattered_forked,
+                      fock.total_gamma):
+            with pytest.raises(fock.FockDomainError, match=re.escape(f"point ({x_hat}, 1.0)")):
                 field(pt, D)
 
 
@@ -361,16 +373,19 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # sigma-plane legs: stepped in lockstep, one Airy call per round for all of
-# them, bit for bit per-leg runs of the formulas that evaluate each Airy
-# argument on its own
+# them, their ratios read from the caret node tables, bit for bit per-leg
+# runs of the formulas that evaluate each Airy argument on its own
 # ---------------------------------------------------------------------------
 
 W = pk.OMEGA
 SIGMA_POINTS = [(-3.0, 1.0), (0.5, 0.2), (2.0, -0.5)]    # lit, penumbra, shadow
 SIGMA_BCS = [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)]
-# per leg in order (l1, l2, l3; gamma in, out), its Airy points per node;
-# f_in's A1(s - n) serves both its A1 factor and the Dirichlet r2(s - n)
-SIGMA_AIRY_POINTS = {"scattered_forked": (1, 3, 3), "total_gamma": (4, 4)}
+# per leg in order (l1, l2, l3; gamma in, out), its point-dependent Airy
+# points per node (f_in's A1(s - n) serves both its A1 factor and the
+# Dirichlet r2(s - n)), and whether it reads a ratio from the node tables,
+# which costs 2 Airy points per node of a panel the table lacks
+SIGMA_AIRY_POINTS = {"scattered_forked": (1, 1, 1), "total_gamma": (2, 2)}
+SIGMA_RATIO_LEGS = {"scattered_forked": (False, True, True), "total_gamma": (True, True)}
 
 
 def _a1_shift(s, n):
@@ -435,9 +450,9 @@ def _reference_integrands(x, n, bc):
 
 def _substituted(integrands):
     """An ``integrate`` that runs the next of ``integrands`` in place of the
-    integrand it is handed, on the caller's path."""
-    def run(f, path, opts):
-        return integrate(integrands.pop(0), path, opts)
+    integrand it is handed, on the caller's path and starting width."""
+    def run(f, path, opts, width):
+        return integrate(integrands.pop(0), path, opts, width)
     return run
 
 
@@ -460,13 +475,13 @@ def _airy_calls_per_evaluation(m, module):
     sizes of all Airy calls."""
     per_eval, calls = [], _counted_airy(m)
 
-    def run(f, path, opts=QuadOptions()):
+    def run(f, path, opts=QuadOptions(), width=2.0):
         def g(s):
             before = len(calls)
             out = f(s)
             per_eval.append((f.__name__, tuple(c / np.size(s) for c in calls[before:])))
             return out
-        return integrate(g, path, opts)
+        return integrate(g, path, opts, width)
 
     m.setattr(module, "integrate", run)
     return per_eval, calls
@@ -475,10 +490,11 @@ def _airy_calls_per_evaluation(m, module):
 def _per_leg(integrands, results):
     """An ``integrate_lockstep`` that runs ``integrate`` of each of
     ``integrands`` in place of the legs, one leg after another on the
-    caller's paths, and appends the results to ``results``."""
-    def run(fjoint, paths, opts):
+    caller's paths and at its starting width, and appends the results to
+    ``results``."""
+    def run(fjoint, paths, opts, width):
         for f, path in zip(integrands, paths):
-            results.append(integrate(f, path, opts))
+            results.append(integrate(f, path, opts, width))
         return results
     return run
 
@@ -490,13 +506,13 @@ def _lockstep_log(m):
     calls, log, results = _counted_airy(m), [], []
     run = fock.integrate_lockstep
 
-    def logged(fjoint, paths, opts):
+    def logged(fjoint, paths, opts, width):
         def joint(legs, nodes):
             before = len(calls)
             out = fjoint(legs, nodes)
             log.append((list(legs), [z.size for z in nodes], calls[before:]))
             return out
-        results.extend(run(joint, paths, opts))
+        results.extend(run(joint, paths, opts, width))
         return results
 
     m.setattr(fock, "integrate_lockstep", logged)
@@ -515,18 +531,25 @@ def test_sigma_integrands_one_airy_call_bit_identical(monkeypatch, bc):
             with monkeypatch.context() as m:
                 m.setattr(fock, "integrate_lockstep", _per_leg(refs[field.__name__], ref_legs))
                 ref = field(pt, cfg)
-            with monkeypatch.context() as m:
-                log, legs = _lockstep_log(m)
-                got = field(pt, cfg)
-            assert legs == ref_legs
-            assert got.amplitude == ref.amplitude
-            assert got.error_estimate == ref.error_estimate
-            # round r makes one Airy call for every leg that reached round r
-            per_node = SIGMA_AIRY_POINTS[field.__name__]
-            assert len(log) == max(res.rounds for res in legs) + 1
-            for r, (ks, sizes, calls) in enumerate(log):
-                assert ks == [k for k, res in enumerate(legs) if res.rounds >= r]
-                assert calls == [sum(per_node[k] * n for k, n in zip(ks, sizes))]
+            # cold tables: every node of a ratio leg is a miss; warm (the
+            # same point again): none is
+            pk._NODE_TABLES.clear()
+            for misses in (2, 0):
+                with monkeypatch.context() as m:
+                    log, legs = _lockstep_log(m)
+                    got = field(pt, cfg)
+                assert legs == ref_legs
+                assert got.amplitude == ref.amplitude
+                assert got.error_estimate == ref.error_estimate
+                # round r makes one Airy call for every leg that reached
+                # round r: its own points and its ratio's misses
+                per_node = [own + misses * ratio for own, ratio in
+                            zip(SIGMA_AIRY_POINTS[field.__name__],
+                                SIGMA_RATIO_LEGS[field.__name__])]
+                assert len(log) == max(res.rounds for res in legs) + 1
+                for r, (ks, sizes, calls) in enumerate(log):
+                    assert ks == [k for k, res in enumerate(legs) if res.rounds >= r]
+                    assert calls == [sum(per_node[k] * n for k, n in zip(ks, sizes))]
     # the ratio parts, on nodes from the lattice and both far bands
     s = np.concatenate([np.linspace(-12.0, 12.0, 25), 9.0 * np.exp(1j * np.linspace(-3, 3, 13))])
     for parts, ref in ((pk.ratio_l2_parts, _r2), (pk.ratio_l3_parts, _r3)):
@@ -539,7 +562,7 @@ def test_sigma_integrands_one_airy_call_bit_identical(monkeypatch, bc):
 
 
 # Robin(2) at (x_hat, n_hat) = (-6, 5): the forked legs l1 and l2 converge in
-# 1 and 2 rounds, l3 runs 15 rounds along the pole it passes
+# 1 round, l3 runs 14 rounds along the pole it passes
 ROBIN2 = fock.ProblemConfig(pk.robin(2))
 ROBIN2_POINT = fock.FockPoint(-6.0, 5.0 - 0.25 * 36.0)
 
@@ -563,24 +586,24 @@ def test_lockstep_legs_of_unequal_depth_equal_per_leg_runs(monkeypatch):
     with monkeypatch.context() as m:
         log, legs = _lockstep_log(m)
         got = fock.scattered_forked(ROBIN2_POINT, ROBIN2)
-    assert [res.rounds for res in legs] == [1, 2, 15]
+    assert [res.rounds for res in legs] == [1, 1, 14]
     assert legs == ref_legs      # values, estimates, evaluations, rounds
     assert got == ref
-    assert len(log) == 16 and all(len(calls) == 1 for _, _, calls in log)
+    assert len(log) == 15 and all(len(calls) == 1 for _, _, calls in log)
     # small joint calls: the same results, and no call passes the bound
     with monkeypatch.context() as m:
         m.setattr(quadrature, "CALL_ELEMENTS", 15 * 8)
         log, small = _lockstep_log(m)
         assert fock.scattered_forked(ROBIN2_POINT, ROBIN2) == ref
     assert small == legs
-    assert len(log) > 16 and max(sum(sizes) for _, sizes, _ in log) <= 15 * 8
+    assert len(log) > 15 and max(sum(sizes) for _, sizes, _ in log) <= 15 * 8
     assert all(len(calls) == 1 for _, _, calls in log)
 
 
 # finished: the legs the per-leg loop completes before the stall it raises
 @pytest.mark.parametrize("max_subdivisions, rel_tol, finished", [
-    (30, 1e-9, 2),       # l1 and l2 converge; l3 stalls after 6 rounds
-    (25, 1e-12, 0),      # l1 stalls after 1 round, l3 after 3; l2 converges
+    (35, 1e-9, 2),       # l1 and l2 converge; l3 stalls after 6 rounds
+    (32, 1e-12, 0),      # l1 stalls after 1 round, l3 after 3; l2 converges
 ])
 def test_lockstep_stall_is_the_per_leg_loops(monkeypatch, max_subdivisions, rel_tol, finished):
     opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=max_subdivisions,
@@ -591,6 +614,48 @@ def test_lockstep_stall_is_the_per_leg_loops(monkeypatch, max_subdivisions, rel_
         fock.scattered_forked(ROBIN2_POINT, ROBIN2, opts)
     assert (info.value.reason, str(info.value), info.value.result) == \
         (ref.reason, str(ref), ref.result)
+
+
+def _field_bytes(values):
+    return [np.array([v.amplitude]).tobytes() + np.array([v.error_estimate]).tobytes()
+            for v in values]
+
+
+def test_sigma_legs_do_not_depend_on_the_node_tables(monkeypatch):
+    # a forked and a gamma point per boundary kind, the gamma legs on the
+    # rays of the forked l2 and l3: cold, warm, after a clear, on tables
+    # that a small cap clears as they fill, and from four threads switching
+    # every microsecond: the same bytes
+    cases = [(field, fock.FockPoint(-1.0, 0.5), fock.ProblemConfig(bc))
+             for bc in SIGMA_BCS for field in (fock.scattered_forked, fock.total_gamma)]
+
+    def run_all():
+        return _field_bytes([field(pt, cfg) for field, pt, cfg in cases])
+
+    pk._NODE_TABLES.clear()
+    cold = run_all()
+    stored = pk._NODE_TABLES.panels
+    runs = [run_all()]                                  # warm
+    assert pk._NODE_TABLES.panels == stored             # every panel a hit
+    pk._NODE_TABLES.clear()
+    runs.append(run_all())
+    with monkeypatch.context() as m:
+        m.setattr(pk, "NODE_TABLE_CAP", 64)
+        pk._NODE_TABLES.clear()
+        runs.append(run_all())
+        assert 0 < pk._NODE_TABLES.panels <= 64 < stored
+    pk._NODE_TABLES.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(field, pt, cfg) for field, pt, cfg in cases * 2]
+            threaded = _field_bytes([f.result(timeout=120) for f in futures])
+    finally:
+        sys.setswitchinterval(interval)
+    runs += [threaded[:len(cases)], threaded[len(cases):]]
+    for run in runs:
+        assert run == cold
 
 
 def test_i_sigma_one_airy_call_bit_identical(monkeypatch):
