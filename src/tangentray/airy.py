@@ -640,7 +640,3 @@ def robin_root(n: int, mu_hat: complex) -> RobinRoot:
         raise ValueError("n must be >= 0")
     mu_hat = complex(mu_hat)
     return RobinRoot(n, mu_hat, complex(impedance_roots(n + 1, mu_hat, 1.0)[n]))
-
-
-def robin_roots(count: int, mu_hat: complex) -> np.ndarray:
-    return impedance_roots(count, mu_hat, 1.0).copy()

@@ -262,9 +262,12 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     asymptotic log-model serves (its neighbourhood carries weight below the
     truncation tolerance by the contour construction).  Beyond a saddle
     radius of SADDLE_ASY that model serves the saddle too, and its
-    O(|t|^-3) relative error enters the estimate instead of a (hopelessly
-    slow) exact evaluation; so does the largest caret relative error.  The
-    quadrature's own estimate carries the tails of the two cut rays.
+    O(|t|^-3) relative error enters the estimate instead of an exact
+    evaluation, which there runs on template saddle paths at about 0.14 ms
+    a member (the 401 of a seed-1 ``field_caret`` pass with the cancellation
+    cap at 20 took 57 ms as 30 families); so does the largest caret
+    relative error.  The quadrature's own estimate carries the tails of the
+    two cut rays.
 
     The integral starts on FIELD_PANEL-unit panels (a measured constant):
     each round evaluates the caret at its new nodes in one

@@ -305,7 +305,7 @@ def test_negative_root_count_rejected():
     # the tables are sliced by count: after five zeros, a count of -2 would
     # hand back three of them
     ta.ai_zeros(5)
-    for roots in (ta.ai_zeros, ta.ai_prime_zeros, lambda n: ta.robin_roots(n, 1 + 1j)):
+    for roots in (ta.ai_zeros, ta.ai_prime_zeros, lambda n: ta.impedance_roots(n, 1 + 1j, 1.0)):
         with pytest.raises(ValueError):
             roots(-2)
         assert roots(0).size == 0
@@ -314,13 +314,13 @@ def test_negative_root_count_rejected():
 def test_root_table_threads_match_serial(monkeypatch):
     mu = 0.83 + 0.61j
     monkeypatch.setattr(ta, "_ROOTS", {})
-    serial = ta.robin_roots(300, mu)
+    serial = ta.impedance_roots(300, mu, 1.0)
     monkeypatch.setattr(ta, "_ROOTS", {})
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(ta.robin_roots, 300, mu) for _ in range(4)]
+            futures = [pool.submit(ta.impedance_roots, 300, mu, 1.0) for _ in range(4)]
             threaded = [fut.result(timeout=120) for fut in futures]
     finally:
         sys.setswitchinterval(old)
@@ -334,7 +334,7 @@ def test_robin_roots_satisfy_impedance_equation():
     # |eta|/|mu_hat| ulp(eta)/2 ~ 1e-12, so the check is the relative Newton
     # step f/f' to the true root, with scipy's Airy values
     for mu in (1 + 1j, 0.4 - 0.6j):
-        eta = ta.robin_roots(300, mu)
+        eta = ta.impedance_roots(300, mu, 1.0)
         a, ap = special.airy(eta)[0], special.airy(eta)[1]
         e = mu * np.exp(1j * math.pi / 3)
         step = (e * a + ap) / (e * ap + eta * a)

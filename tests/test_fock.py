@@ -305,24 +305,25 @@ def test_field_truncation_tail_is_sound(monkeypatch, bc):
 @pytest.mark.parametrize("bc", [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)],
                          ids=lambda bc: bc.label())
 def test_saddle_route_inside_a_field_integral(monkeypatch, bc):
-    # at these far-lit points the field's caret batches send 1 and 5 nodes to
-    # the saddle path; the field agrees with the forked representation (to
+    # at these far-lit points the field's caret batches put 1 and 5 nodes on
+    # template paths; the field agrees with the forked representation (to
     # 3e-9 to 1.7e-8).  Their err columns (0.3 to 74) are loose, so the fixed
     # bound is the comparison
-    saddle = pk._caret_saddle
-    calls = []
+    plan = pk._plan
+    counts = []
     fock._FIELD_MEMO.clear()
 
-    def counted(t, bc, opts):
-        calls.append(t)
-        return saddle(t, bc, opts)
+    def counted(*args, **kwargs):
+        route, template = plan(*args, **kwargs)
+        counts.append(int(template.sum()))
+        return route, template
 
-    monkeypatch.setattr(pk, "_caret_saddle", counted)
+    monkeypatch.setattr(pk, "_plan", counted)
     cfg = fock.ProblemConfig(bc)
     for point, routed in (((-4.0, 2.0), 1), ((-4.0, 3.0), 5)):
-        calls.clear()
+        counts.clear()
         new = fock.scattered_new(fock.FockPoint(*point), cfg)
-        assert len(calls) == routed
+        assert sum(counts) == routed
         forked = fock.scattered_forked(fock.FockPoint(*point), cfg)
         assert abs(new.amplitude - forked.amplitude) <= 1e-7, point
 

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_escaped_impedance_root_leaves_the_residue_series():
     assert abs(c.value - vf) <= c.error_estimate + tol * abs(vf)
 
 
-# one member per route, the last on the saddle path
+# one member per route, the last on a template path of the reciprocal-Airy route
 ROUTE_TS = np.array([0.01, 1 + 0.5j, 5 * np.exp(2.3j), -12.0,
                      -7.174067330673176 - 3.5401635463588197j])
 # 30 lit-sector points where the caret function is ~e^-10 to e^-27, and
@@ -224,15 +225,15 @@ def test_caret_log_many_matches_scalar():
 
 def test_one_batch_covers_every_route():
     ts = ROUTE_TS
-    routes = [pk.ROUTES[r] for r in pk._plan(ts, pk.DIRICHLET)]
+    route, template = pk._plan(ts, pk.DIRICHLET)
+    routes = [pk.ROUTES[r] for r in route]
     assert routes == ["pole_split", "residue_series", "reciprocal_airy_contour",
-                      "forked_contour", "saddle_path"]
+                      "forked_contour", "reciprocal_airy_contour"]
+    assert template.tolist() == [False, False, False, False, True]
     lv, lr = pk.caret_log_many(ts, pk.DIRICHLET)
     for t, route, l, rel in zip(ts, routes, lv, lr):
         ev = pk.pekeris_caret(complex(t))
-        # the saddle path reports itself as the reciprocal-Airy integral
-        assert ev.representation_used == route.replace(
-            "saddle_path", "reciprocal_airy_contour")
+        assert ev.representation_used == route
         assert abs(l - np.log(ev.value)) < 1e-12
         assert rel == pytest.approx(ev.error_estimate / abs(ev.value), rel=1e-12)
 
@@ -253,7 +254,7 @@ def test_planner_conditions_on_the_lit_formula():
     # 1/(2 sqrt(pi)) included: at t = -4-4i that puts L past COND_L, and the
     # forked form it takes instead agrees with L within the summed estimates
     t = -4 - 4j
-    assert pk._plan(np.array([t]), pk.DIRICHLET)[0] == pk._FORKED
+    assert pk._plan(np.array([t]), pk.DIRICHLET)[0].tolist() == [pk._FORKED]
     ev = pk.pekeris_caret(t)
     v_l, e_l = pk._caret_reciprocal(t, pk.DIRICHLET, QuadOptions())
     assert ev.representation_used == "forked_contour"
@@ -273,36 +274,66 @@ def test_lit_formula_zero_is_silent():
     assert np.isfinite(ev.value) and np.isfinite(ev.error_estimate)
 
 
+def _on_templates(ts, bc, opts=QuadOptions()):
+    """The reciprocal-Airy executor's (values, estimates) with every member
+    of ``ts`` on the template path of its lattice cell."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=complex))
+    vals, errs, _ = pk._run_reciprocal(ts, bc, opts, None, np.ones(ts.shape, dtype=bool))
+    return vals, errs
+
+
+def _on_own_path(t, bc, opts):
+    """(value, estimate) of the reciprocal-Airy integral of t on its own
+    saddle path, estimated as the executor estimates a template member."""
+    a = pk.EMIP6 * t
+    (v,), (err,), _ = integrate_exp_batch(lambda eta: pk._reciprocal_weight(eta, bc), a,
+                                          -a ** 3 / 12, pk._saddle_path(a, opts.truncation_tail_tol),
+                                          opts)
+    scale = -np.exp(a ** 3 / 12) / (4 * math.pi ** 2 * t)
+    return scale * v, abs(scale) * (err + 2.0 ** -53 * abs(a) ** 3 * abs(v))
+
+
 def test_saddle_estimate_carries_its_cut_tails():
-    # the saddle path cuts two branches, and its estimate |pref| (err +
-    # 1e-14 |v|) takes the tail tolerance of each from the driver: a loose
-    # tolerance moves the value by no more than the summed estimates
+    # a template path cuts two branches, and its estimate |pref| (err +
+    # 2^-53 |a|^3 |v|) takes the tail tolerance of each from the driver: a
+    # loose tolerance moves the value by no more than the summed estimates
     t = complex(ROUTE_TS[4])
     a = pk.EMIP6 * t
     eta = (a / 2) ** 2
     pref = abs(np.exp(a * eta + 4 / 3 * eta ** 1.5) / (4 * math.pi ** 2 * t))
-    ref, ref_err = pk._caret_saddle(t, pk.DIRICHLET, QuadOptions())
+    (ref,), (ref_err,) = _on_templates(t, pk.DIRICHLET)
     for tol in (1e-12, 1e-6):
-        v, err = pk._caret_saddle(t, pk.DIRICHLET, QuadOptions(truncation_tail_tol=tol))
+        (v,), (err,) = _on_templates(t, pk.DIRICHLET, QuadOptions(truncation_tail_tol=tol))
         assert err >= 2 * pref * tol
         assert abs(v - ref) <= err + ref_err
 
 
 def test_saddle_route_refuses_the_residue_sector():
-    # for -pi/3 < arg t < 2pi/3 the saddle path misses the residues of the
-    # impedance roots between it and L: at this Dirichlet point it returned
-    # -2.5e-10 with an estimate of 5e-21, where the residue series and L
-    # agree on -1.719e-4-2.277e-4i
+    # for -pi/3 < arg t < 2pi/3 a saddle path misses the residues of the
+    # impedance roots between it and L: at Dirichlet t = 4 e^{-0.196i} it
+    # returned -2.5e-10 with an estimate of 5e-21, where the residue series
+    # and L agree on -1.719e-4-2.277e-4i.  Over the plane out to |t| = 14
+    # the planner puts no member on a template inside that sector or with
+    # its saddle near the pole line (Re eta* < 0.1|eta*|), where the cap
+    # alone would put 5 and 439 of them
+    r, th = np.meshgrid(np.linspace(0.5, 14.0, 28), np.linspace(-math.pi, math.pi, 145))
+    grid = (r * np.exp(1j * th)).ravel()
+    for bc in SADDLE_KINDS:
+        _, template = pk._plan(grid, bc)
+        on = grid[template]
+        eta = (pk.EMIP6 * on / 2) ** 2
+        assert on.size > 250
+        assert not pk._in_residue_sector(on, 0.0).any()
+        assert np.all(eta.real >= 0.1 * np.abs(eta))
     t = 4 * np.exp(-0.196j)
-    with pytest.raises(pk.SectorError):
-        pk._caret_saddle(t, pk.DIRICHLET, QuadOptions())
+    assert not pk._plan(np.array([t]), pk.DIRICHLET)[1][0]
     v_rec, e_rec = pk._caret_reciprocal(complex(t), pk.DIRICHLET, OPTS)
     ev = pk.pekeris_caret(t, pk.DIRICHLET)
     assert abs(ev.value - v_rec) <= ev.error_estimate + e_rec
     assert abs(ev.value - (-1.719e-4 - 2.277e-4j)) < 1e-6
 
 
-# lit points on both sides of arg t = 7pi/6, where the branches of the saddle
+# lit points on both sides of arg t = 7pi/6, where the branches of a saddle
 # path meet the arccos cut, and on it
 SADDLE_TS = [r * np.exp(1j * math.radians(deg)) for r in (6.0, 9.0, 12.0)
              for deg in (175.0, 195.0, 245.0, 210.0)]
@@ -312,10 +343,9 @@ SADDLE_KINDS = (pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j))
 def test_saddle_values_match_the_lit_asymptotics():
     # the lit formula is an independent form of the caret function, good to
     # O(|t|^-3) relative (1.9-2.2/|t|^3 here): the field's own asy_rel bound
-    # of 4/|t|^3 holds for the saddle path's values
+    # of 4/|t|^3 holds for the values on the template paths
     for bc in SADDLE_KINDS:
-        for t in SADDLE_TS:
-            v, err = pk._caret_saddle(t, bc, QuadOptions())
+        for t, v, err in zip(SADDLE_TS, *_on_templates(SADDLE_TS, bc)):
             asy = pk.caret_lit_asymptotic(t, bc)
             assert abs(v - asy) <= 4.0 / abs(t) ** 3 * abs(v), (bc.label(), t)
             assert err <= 1e-12 * abs(v)
@@ -359,6 +389,89 @@ def test_saddle_path_cut_tail_is_sound(bc):
             assert abs(v_far - v) <= cut.truncation_tail + noise, (t, tol)
 
 
+# lit points where both template guards pass, drawn from |t| in [4, 14] x
+# arg t in [150, 270] degrees (41 x 49), 100 per boundary kind
+_R, _TH = np.meshgrid(np.linspace(4.0, 14.0, 41), np.radians(np.linspace(150.0, 270.0, 49)))
+_LIT = (_R * np.exp(1j * _TH)).ravel()
+_ETA = (pk.EMIP6 * _LIT / 2) ** 2
+_LIT = _LIT[~pk._in_residue_sector(_LIT, 0.0) & (_ETA.real >= 0.1 * np.abs(_ETA))]
+TEMPLATE_KINDS = SADDLE_KINDS + (pk.robin(2.0),)
+
+
+@pytest.mark.parametrize("bc", TEMPLATE_KINDS, ids=lambda bc: bc.label())
+def test_template_values_match_each_members_own_path(bc):
+    # a member on the template path of its lattice cell agrees with the
+    # integral on its own saddle path within the summed estimates: off its
+    # own path, a member's exponent moves at the path ends by about 8.6|a -
+    # a_c| e-folds at tol 1e-12, inside the 6-e-fold margin the path adds
+    # to its drop (at a 0.5 lattice 21-44 of the 1353 grid points per kind
+    # lie outside)
+    opts = QuadOptions(rel_tol=1e-10, abs_tol=3e-11, truncation_tail_tol=1e-6)
+    ts = np.random.default_rng(26 + TEMPLATE_KINDS.index(bc)).choice(_LIT, 100, replace=False)
+    vals, errs = _on_templates(ts, bc, opts)
+    for t, v, err in zip(ts, vals, errs):
+        ref, ref_err = _on_own_path(t, bc, opts)
+        assert abs(v - ref) <= err + ref_err, t
+
+
+def test_template_values_do_not_depend_on_the_node_tables(monkeypatch):
+    # lit points the planner puts on template paths, in one batch per
+    # boundary kind: cold, warm with no panel stored, after a clear, on
+    # tables that a small cap clears as they fill, and from four threads
+    # switching every microsecond: the same bytes
+    ts = np.array([r * np.exp(1j * math.radians(d))
+                   for r, d in ((9.0, 210.0), (11.0, 190.0), (11.0, 210.0), (11.0, 230.0))])
+    for bc in TEMPLATE_KINDS:
+        assert pk._plan(ts, bc)[1].all()
+
+    def run_all():
+        return [pk.caret_log_many(ts, bc) for bc in TEMPLATE_KINDS]
+
+    def same(a, b):
+        return all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+                   for x, y in zip(a, b))
+
+    pk._NODE_TABLES.clear()
+    cold = run_all()
+    stored = pk._NODE_TABLES.panels
+    assert stored > 0
+    runs = [run_all()]                                  # warm
+    assert pk._NODE_TABLES.panels == stored             # every panel a hit
+    pk._NODE_TABLES.clear()
+    runs.append(run_all())
+    with monkeypatch.context() as m:
+        m.setattr(pk, "NODE_TABLE_CAP", 300)
+        pk._NODE_TABLES.clear()
+        runs.append(run_all())
+        assert 0 < pk._NODE_TABLES.panels <= 300 < stored
+    pk._NODE_TABLES.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(pk.caret_log_many, ts, bc) for bc in TEMPLATE_KINDS * 2]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    runs += [threaded[:len(TEMPLATE_KINDS)], threaded[len(TEMPLATE_KINDS):]]
+    for run in runs:
+        assert same(run, cold)
+
+
+def test_residue_series_sums_at_most_max_terms():
+    # a cap below the 20-term block sums that many terms (it summed 20), and
+    # a cap below 1 is refused
+    t = 0.5 + 0.2j
+    eta, coef = pk._residue_data(pk.DIRICHLET, 3)
+    for m in (1, 3):
+        v, err, ok = pk.caret_residue_series(t, pk.DIRICHLET, rel_tol=0.0, max_terms=m)
+        ref = np.sum(coef[:m] * np.exp(pk.EMIP6 * t * eta[:m]))
+        assert v[0] == pytest.approx(ref, rel=1e-14) and not ok[0]
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="max_terms"):
+            pk.caret_residue_series(t, pk.DIRICHLET, max_terms=m)
+
+
 @pytest.mark.parametrize("bc", SADDLE_KINDS, ids=lambda bc: bc.label())
 def test_sigma_ratios_same_bits_at_every_call_size(bc):
     # past 16,384 elements numpy multiplies a temporary in place, which
@@ -379,7 +492,7 @@ def test_forked_batch_uses_each_members_arms(monkeypatch):
     # that arm's path must be truncated for the group's growth rate, not its
     # largest |t|.
     ts = FORKED_TS
-    assert np.all(pk._plan(ts, pk.DIRICHLET) == pk._FORKED)
+    assert np.all(pk._plan(ts, pk.DIRICHLET)[0] == pk._FORKED)
     # three rows whose lit model exceeds 1 are scaled by e^-shift
     assert np.sum(pk.caret_lit_log_asymptotic(ts, pk.DIRICHLET).real > 0) == 3
     beta2, beta3, _ = pk._fork_rays(ts)
@@ -468,9 +581,9 @@ def test_node_tables_repeat_bit_identical(monkeypatch):
     for (ts, bc), (lv, lr) in zip(TABLE_BATCHES, cold):
         warm = pk.caret_log_many(ts, bc)
         assert np.array_equal(warm[0], lv) and np.array_equal(warm[1], lr)
-    # a warm batch with no saddle-path member evaluates no Airy function
+    # a warm batch evaluates no Airy function, on L, the arms or a template
     calls.clear()
-    pk.caret_log_many(ROUTE_TS[:-1], pk.DIRICHLET)
+    pk.caret_log_many(ROUTE_TS, pk.DIRICHLET)
     pk.caret_log_many(FORKED_TS, pk.DIRICHLET)
     assert calls == []
     # the scalar route evaluates its factors directly and stores nothing
