@@ -15,8 +15,10 @@ Evaluation strategy (vectorised over numpy arrays):
   integral representation
       Ai(z) = e^{-zeta}/(2 pi) * int e^{-sqrt(z) u^2 + i u^3/3} du;
   the centres beyond |z| = 8.5 take the far expansions below.
-* The full asymptotic series in u_k, v_k for large |z| away from the
-  negative real axis.
+* For |z| > 8.5 away from the negative real axis, the asymptotic series in
+  u_k, v_k (DLMF 9.7.5) summed to one fixed degree 20 for every point: the
+  smallest whose first omitted term, bounded as in DLMF 9.7(iv), is below
+  5e-15 at the band's inner edge |zeta| = 16.52.
 * Near the negative real axis, the connection formula A0 + A1 + A2 = 0
   applied to the two rotated sectors, which avoids cancellation control in
   the oscillatory two-term expansions.
@@ -49,7 +51,7 @@ ASYMPTOTIC_RADIUS = 7.0    # precondition radius for airy_asymptotic
 _LATTICE_RADIUS = 8.5      # internal: Taylor lattice inside, far expansions beyond
 _LATTICE_STEP = 0.5        # internal: spacing of the lattice centres
 _TAYLOR_TERMS = 20         # internal: terms of every lattice Taylor sum
-_SERIES_TERMS = 300        # internal: Maclaurin terms before ``_series_vec`` stops
+_SERIES_TERMS = 40         # internal: terms k of every Maclaurin sum
 _INTEGRAL_REZETA = 2.5     # internal: integral-built centres where Re zeta exceeds this
 # beyond the Stokes line arg = 2pi/3 the recessive exponential re-enters Ai;
 # routing through the connection formula keeps both rotated terms on complete
@@ -96,7 +98,8 @@ def _series_vec(z: np.ndarray):
 
     f  = sum 3^k (1/3)_k z^{3k} / (3k)!,   g = sum 3^k (2/3)_k z^{3k+1} / (3k+1)!,
     combined with the exact constants Ai(0), Ai'(0); term recurrences for
-    f, g, f', g' run jointly until all drop below 1e-21 of the largest sum.
+    f, g, f', g' run jointly to k = _SERIES_TERMS; for |z| <= 8.5 every
+    first omitted term is below 5e-23.
     Accepts complex128 or clongdouble input and computes in that precision.
     """
     z = np.asarray(z)
@@ -113,10 +116,7 @@ def _series_vec(z: np.ndarray):
     f, g, gp = t.copy(), u.copy(), w.copy()
     v = 0.5 * z * z
     fp = v.copy()
-    # term count needed for |z| <= r is ~ (e/3) r^{3/2} + margin; checking the
-    # tail bound only every 8 terms keeps reduction overhead off the hot path
-    k = 1
-    while k <= _SERIES_TERMS:
+    for k in range(1, _SERIES_TERMS + 1):
         t = t * z3 / ((3 * k - 1) * (3 * k))
         u = u * z3 / ((3 * k) * (3 * k + 1))
         w = w * z3 / ((3 * k - 2) * (3 * k))
@@ -125,13 +125,6 @@ def _series_vec(z: np.ndarray):
         gp += w
         v = v * z3 / ((3 * k) * (3 * k + 2))
         fp += v
-        if k % 8 == 0:
-            bound = max(np.max(np.abs(t)), np.max(np.abs(u)),
-                        np.max(np.abs(v)), np.max(np.abs(w)))
-            scale = max(np.max(np.abs(f)), np.max(np.abs(g)), 1.0)
-            if bound < 1e-21 * scale:
-                break
-        k += 1
     if z.dtype == np.clongdouble:
         c1, c2 = _AI0_LD, _AIP0_LD
     else:
@@ -145,7 +138,9 @@ def _series_vec(z: np.ndarray):
 # Asymptotic series
 # ---------------------------------------------------------------------------
 
-_ASYM_TERMS = 60
+# first omitted term u_21/zeta^21 at the band's inner edge |zeta| =
+# (2/3) 8.5^{3/2} = 16.52 is 4.9e-15 (u_20/zeta^20 is 8.1e-15)
+_ASYM_DEGREE = 20
 
 
 def _uk_vk_table(n: int) -> np.ndarray:
@@ -160,50 +155,26 @@ def _uk_vk_table(n: int) -> np.ndarray:
     return table
 
 
-def _term_radii(table: np.ndarray) -> np.ndarray:
-    """ln|zeta| beyond which term k of both series, max(|u_k|, |v_k|)/|zeta|^k,
-    is below 1e-18, for k = 1, 2, ... up to the minimum of these radii (k = 39,
-    |zeta| = 19.4): the read-only, decreasing part of the table."""
-    k = np.arange(1, table.shape[1])
-    radii = (np.log(np.abs(table[:, 1:]).max(axis=0)) + 18.0 * math.log(10.0)) / k
-    radii = radii[:np.argmin(radii) + 1]
-    radii.flags.writeable = False
-    return radii
-
-
-# built once at import, so concurrent callers only ever read them
-_UVK = _uk_vk_table(_ASYM_TERMS)
-_TERM_RADII = _term_radii(_UVK)
+# built once at import, so concurrent callers only ever read it
+_UVK = _uk_vk_table(_ASYM_DEGREE)
 
 
 def _asym_scaled_vec(z: np.ndarray):
     """Scaled full asymptotic series, |arg z| <= pi - delta.
 
-    Returns (ai, aip, expo) with Ai = ai e^{expo}, expo = -Re zeta.  Each
-    point sums its own number of terms, from its own |zeta|: up to the
-    smallest term (optimal truncation, terms grow beyond k ~ |zeta|), or to
-    the first term below 1e-18 if that comes earlier.  One Horner sum serves
-    the whole batch: with the points sorted by term count, step k updates in
-    place only the leading points whose count reaches k, so a point's value
-    never depends on its batch.
+    Returns (ai, aip, expo) with Ai = ai e^{expo}, expo = -Re zeta.  Every
+    point sums the terms k = 0.._ASYM_DEGREE, by one Horner sum over the
+    batch: for |zeta| >= 16.52 (|z| >= 8.5) the first omitted term is below
+    5e-15 (DLMF 9.7(iv)), and a point's value never depends on its batch.
     """
     z = np.asarray(z, dtype=complex)
     zeta = (2.0 / 3.0) * z ** 1.5
-    azeta = np.abs(zeta)
-    # the k whose radius is below ln|zeta| form a tail of the decreasing
-    # table; its first is the first term below 1e-18
-    first_tiny = np.searchsorted(-_TERM_RADII, -np.log(azeta), side="right") + 1
-    terms = np.minimum(np.minimum(azeta, float(_ASYM_TERMS)).astype(int), first_tiny)
-    order = np.argsort(-terms, kind="stable")
-    neg_sorted = -terms[order]
-    inv = (-1.0 / zeta)[order]
-    acc = np.zeros((2, z.size), dtype=complex)
-    for k in range(int(np.max(terms, initial=0)), -1, -1):
-        active = acc[:, :np.searchsorted(neg_sorted, -k, side="right")]
-        active *= inv[:active.shape[1]]
-        active += _UVK[:, k:k + 1]
-    sums = np.empty_like(acc)
-    sums[:, order] = acc
+    inv = -1.0 / zeta
+    sums = np.empty((2, z.size), dtype=complex)
+    sums[:] = _UVK[:, -1:]
+    for k in range(_ASYM_DEGREE - 1, -1, -1):
+        sums *= inv
+        sums += _UVK[:, k:k + 1]
     s_ai, s_aip = sums
     q = z ** 0.25
     ai = s_ai / (2.0 * math.sqrt(math.pi) * q)

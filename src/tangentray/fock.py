@@ -539,6 +539,8 @@ def pwe_residual(points: list[FockPoint], cfg: ProblemConfig, h: float,
                  opts: QuadOptions = DEFAULT_OPTS) -> float:
     """Max centred-difference residual of 2i dA/dx + d2A/dy2 over the points;
     each distinct stencil point (to 1e-9) is evaluated once per call."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"stencil step h must be finite and positive, got {h}")
     amps = {}
     worst = 0.0
     for p in points:

@@ -544,5 +544,5 @@ def integrate_lockstep(fjoint, paths, opts: QuadOptions = QuadOptions(),
 # ``integrate_batch`` has no caller in the package and ``integrate_rounds`` is
 # the former name of ``integrate``: bench/tracer.py wraps both by name and
 # indexes their call counts, so they stay public until its driver list
-# changes (ROADMAP item 5).
+# changes (ROADMAP item 1).
 integrate_rounds = integrate

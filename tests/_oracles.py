@@ -3,9 +3,8 @@
 Everything here is deliberately decoupled from the package internals: plain
 Python complex arithmetic, gamma-function constants, bisection, and
 composite Simpson quadrature.  Expected values frozen into the tests were
-computed with these.  The exceptions are reference copies of loops the
-package replaced (a vectorised one and a linear search), which tests compare
-with bit for bit.
+computed with these.  The exception is a reference copy of a linear search
+the package replaced, which tests compare with bit for bit.
 """
 
 from __future__ import annotations
@@ -74,27 +73,25 @@ GAUSS_FRESNEL = 0.5 * math.sqrt(math.pi) * cmath.exp(1j * math.pi / 4)
 """int_0^inf e^{i zeta^2} d zeta, exact."""
 
 
-def asym_scaled_reference(z, uvk, term_radii):
-    """The far-band asymptotic series as one whole-batch Horner loop: every
-    point takes every step, with the coefficients past its term count set
-    to 0.  A reference copy of the loop ``airy._asym_scaled_vec`` replaced,
-    given that module's coefficient table ``uvk`` (rows u_k, v_k) and its
-    term radii."""
-    z = np.asarray(z, dtype=complex)
-    zeta = (2.0 / 3.0) * z ** 1.5
-    azeta = np.abs(zeta)
-    first_tiny = np.searchsorted(-term_radii, -np.log(azeta), side="right") + 1
-    terms = np.minimum(np.minimum(azeta, float(uvk.shape[1] - 1)).astype(int), first_tiny)
-    inv = -1.0 / zeta
-    sums = np.zeros((2,) + z.shape, dtype=complex)
-    for k in range(int(np.max(terms, initial=0)), -1, -1):
-        sums = sums * inv + uvk[:, k:k + 1] * (k <= terms)
-    s_ai, s_aip = sums
-    q = z ** 0.25
-    ai = s_ai / (2.0 * math.sqrt(math.pi) * q)
-    aip = -q * s_aip / (2.0 * math.sqrt(math.pi))
+def asym_scaled_longdouble(z, terms: int):
+    """Scaled Ai, Ai' (Ai = ai e^{-Re zeta}) by the asymptotic series of
+    DLMF 9.7.5 summed to k = ``terms`` in long double, with its own u_k, v_k
+    (DLMF 9.7.2)."""
+    z = np.asarray(z, dtype=complex).astype(np.clongdouble)
+    zeta = np.longdouble(2) / 3 * z ** np.longdouble(1.5)
+    u = np.longdouble(1)
+    s_ai = np.ones_like(z)
+    s_aip = np.ones_like(z)
+    power = np.ones_like(z)
+    for k in range(1, terms + 1):
+        u = u * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216 * k * (2 * k - 1))
+        power = power * (-1 / zeta)
+        s_ai = s_ai + u * power
+        s_aip = s_aip + u * (6 * k + 1) / (1 - 6 * k) * power
+    q = z ** np.longdouble(0.25)
+    root_pi = np.sqrt(np.longdouble(np.pi))
     phase = np.exp(-1j * zeta.imag)
-    return ai * phase, aip * phase, -zeta.real
+    return s_ai / (2 * root_pi * q) * phase, -q * s_aip / (2 * root_pi) * phase
 
 
 def radius_for_linear(model, tail_tol: float) -> float:

@@ -8,7 +8,7 @@ from scipy import special
 
 from tangentray import airy as ta
 
-from _oracles import AI0, AIP0, airy_series, asym_scaled_reference, bisect_airy_zero
+from _oracles import AI0, AIP0, airy_series, asym_scaled_longdouble, bisect_airy_zero
 
 ETA0 = -2.3381074104597670   # bisection on the series oracle
 ETA1 = -4.0879494441309706
@@ -244,10 +244,10 @@ def test_wedge_impedance_roots_converge():
 
 
 def test_far_value_independent_of_batch():
-    # the far band sums each point's own number of asymptotic terms, and one
-    # batch mixes every kind of point: lattice, far series, connection
-    # formula and non-finite, so callers may merge the arguments of several
-    # Airy factors into one call
+    # the far band sums every point to the one degree whose first omitted
+    # term is below 5e-15 at |z| = 8.5, and one batch mixes every kind of
+    # point: lattice, far series, connection formula and non-finite, so
+    # callers may merge the arguments of several Airy factors into one call
     rng = np.random.default_rng(1)
     r = np.concatenate([rng.uniform(0.0, 8.5, 1000), rng.uniform(8.6, 30.0, 3000)])
     z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
@@ -265,17 +265,19 @@ def test_far_value_independent_of_batch():
     assert np.isnan(batch[2][~finite]).all()
 
 
-def test_far_series_matches_whole_batch_horner():
-    # the far series sorts its points by term count and updates only those
-    # still active: bit for bit the whole-batch loop, where every point takes
-    # every step with the coefficients past its count set to 0
-    rng = np.random.default_rng(7)
-    r = 8.5 * np.exp(rng.uniform(0.0, math.log(1000.0), 40000))
-    z = r * np.exp(1j * rng.uniform(-2.2, 2.2, r.size))
-    ref = asym_scaled_reference(z, ta._UVK, ta._TERM_RADII)
+def test_far_series_accurate_at_band_edge():
+    # at the band's inner edge, |zeta| = 16.5, the degree-20 sum omits terms
+    # from 4.9e-15; the same series to k = 34 in long double stops at its
+    # smallest term, 3.1e-16, so the 4e-14 bound holds the truncation to a
+    # few omitted terms
+    rng = np.random.default_rng(11)
+    r = rng.uniform(8.5, 9.0, 2000)
+    z = r * np.exp(1j * rng.uniform(-1.0, 1.0, r.size) * (2.0 * math.pi / 3.0 - 0.1))
     got = ta._asym_scaled_vec(z)
-    for j in range(3):
-        assert np.array_equal(got[j], ref[j])
+    ref = asym_scaled_longdouble(z, 34)
+    for j in range(2):
+        rel = np.abs(got[j] - ref[j]) / np.abs(ref[j])
+        assert float(np.max(rel)) <= 4e-14
 
 
 def test_zeros_against_scipy():

@@ -156,6 +156,12 @@ def test_pwe_residual_small():
     assert res <= 1e-4
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, math.inf, math.nan])
+def test_pwe_residual_rejects_bad_step(h):
+    with pytest.raises(ValueError, match="stencil step h"):
+        fock.pwe_residual([fock.FockPoint(0.0, 1.0)], D, h=h)
+
+
 def test_field_error_estimates_reported():
     a = fock.scattered_new(fock.FockPoint(0.7, 1.3), D)
     assert a.error_estimate > 0

@@ -176,3 +176,12 @@ def test_i_sigma_identity_and_remainder():
     assert abs(v - caret + endpoint) <= 3.0 / math.sqrt(25.0)
     with pytest.raises(mt.RegimeError):
         mt.i_sigma(-30.0, 25.0)
+
+
+@pytest.mark.parametrize("t, Sigma, name", [
+    (1.0, math.inf, "Sigma"), (1.0, math.nan, "Sigma"),
+    (math.nan, 25.0, "t"), (math.inf, 25.0, "t"), (-math.inf, 25.0, "t")])
+def test_i_sigma_rejects_non_finite_arguments(t, Sigma, name):
+    for f in (mt.i_sigma, mt.i_sigma_remainder):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            f(t, Sigma)
