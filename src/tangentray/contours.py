@@ -229,8 +229,8 @@ def named_contour(name: str, clearance: float = 0.5) -> ContourPath:
     clearance from the reciprocal-Airy poles on the negative reals; the
     other contours do not depend on it.
     """
-    if clearance <= 0.0:
-        raise ContourError("clearance must be positive")
+    if not (math.isfinite(clearance) and clearance > 0.0):
+        raise ContourError(f"clearance must be finite and positive, got {clearance}")
     if name == "l1":
         return ContourPath((Ray(0.0, -TWO_PI_3, inward=True),), name=name)
     if name == "l2":

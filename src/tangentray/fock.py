@@ -28,13 +28,13 @@ exp(i Phi(t) + log h(t)).  The caret factor is computed in the residue
 sector, for |t| <= T_CARET and near the saddle t_- (``_run_field``);
 elsewhere its lit-sector model serves.  It does not depend on the point, so
 the caret part of a field integral's round-0 nodes is memoised across
-points (``_FIELD_MEMO``).
+points (``_field_caret``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +52,7 @@ SADDLE_ASY = 9.0         # |t_-| beyond which the lit-sector model serves the sa
 FIELD_PANEL = 0.5        # starting panel width of the field integrals
 LEG_PANEL = 1.5          # starting panel width of the sigma-plane legs (``_leg_sum``)
 LATTICE = 1.0 / 16.0     # spacing of the lattice the field paths take t_- on
-FIELD_MEMO_CAP = 256     # round-0 caret batches the field memo holds (~13.5 KB each)
+FIELD_MEMO_CAP = 256     # round-0 caret batches ``_field_caret`` holds (~13.5 KB each)
 
 DEFAULT_OPTS = QuadOptions(rel_tol=1e-9, abs_tol=1e-13,
                            max_subdivisions=4000, truncation_tail_tol=1e-12)
@@ -211,45 +211,27 @@ def _total_path(x: float, y: float) -> ContourPath | None:
     return None
 
 
-class _CaretMemo:
-    """Process-wide memo of the caret part of a field integral's first
-    integrand call: (log caret on the round-0 nodes, their largest caret
-    relative error), keyed by (bc, caret options, saddle-disc centre, the
-    node array's bytes).
-
-    ``caret_log_many`` is a pure function of its arguments, so a hit holds
-    the bytes a fresh call gives: no value depends on what ran before, on
-    how threads interleave or on what was evicted.  Entries are added under
-    the lock and never changed; past FIELD_MEMO_CAP entries the oldest go.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    def lookup(self, key, evaluate):
-        """The entry of ``key``, or ``evaluate()`` stored under it."""
-        with self._lock:
-            hit = self._entries.get(key)
-        if hit is not None:
-            return hit
-        log_caret, rel = evaluate()
-        log_caret.flags.writeable = False
-        with self._lock:
-            self._entries[key] = log_caret, rel
-            while len(self._entries) > FIELD_MEMO_CAP:
-                del self._entries[next(iter(self._entries))]
-        return log_caret, rel
-
-
-_FIELD_MEMO = _CaretMemo()
+@functools.lru_cache(maxsize=FIELD_MEMO_CAP)
+def _field_caret(bc: pk.BoundaryKind, caret_opts: QuadOptions, saddle: float | None,
+                 nodes: bytes):
+    """(read-only log caret, largest caret relative error) on the nodes of
+    these bytes: computed in the residue sector, for |t| <= T_CARET and
+    within SADDLE_DISC of ``saddle``, the lit-sector model elsewhere.  A memo
+    of a pure function: no value depends on what ran before or was evicted."""
+    ts = np.frombuffer(nodes, dtype=complex)
+    log_caret = np.empty(ts.shape, dtype=complex)
+    rel = 0.0
+    computed = pk._in_residue_sector(ts) | (np.abs(ts) <= T_CARET)
+    if saddle is not None:
+        computed |= np.abs(ts - saddle) <= SADDLE_DISC
+    if np.any(computed):
+        lv, lr = pk.caret_log_many(ts[computed], bc, caret_opts)
+        log_caret[computed] = lv
+        rel = float(np.max(lr))
+    if not np.all(computed):
+        log_caret[~computed] = pk.caret_lit_log_asymptotic(ts[~computed], bc)
+    log_caret.flags.writeable = False
+    return log_caret, rel
 
 
 def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
@@ -279,8 +261,8 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     The round-0 nodes depend only on the truncated path, which points of
     one lattice cell and rung share, so the caret part of the first
     integrand call (the log caret on those nodes and their largest caret
-    relative error) comes from ``_FIELD_MEMO``, keyed by (bc, caret
-    options, disc centre, node bytes).  The disc centre is t_- at the
+    relative error) comes from the memo ``_field_caret``, keyed by (bc,
+    caret options, disc centre, node bytes).  The disc centre is t_- at the
     nearest lattice point.  Refinement rounds, whose panels depend on the
     point, are computed fresh.
     """
@@ -290,32 +272,13 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
     # the caret factor only needs relative accuracy: the field quadrature
     # carries the absolute budget
     caret_opts = replace(opts, rel_tol=max(opts.rel_tol, 1e-10), abs_tol=max(opts.abs_tol, 3e-11))
-    caret_rel = 0.0
-    memo_key = (bc, caret_opts, saddle)
-
-    def caret(ts):
-        """(log caret on the nodes ``ts``, their largest caret relative error)."""
-        log_caret = np.empty(ts.shape, dtype=complex)
-        rel = 0.0
-        computed = pk._in_residue_sector(ts) | (np.abs(ts) <= T_CARET)
-        if saddle is not None:
-            computed |= np.abs(ts - saddle) <= SADDLE_DISC
-        if np.any(computed):
-            lv, lr = pk.caret_log_many(ts[computed], bc, caret_opts)
-            log_caret[computed] = lv
-            rel = float(np.max(lr))
-        if not np.all(computed):
-            log_caret[~computed] = pk.caret_lit_log_asymptotic(ts[~computed], bc)
-        return log_caret, rel
+    caret_rel, caret = 0.0, _field_caret
 
     def f(ts):
-        nonlocal caret_rel, memo_key
+        nonlocal caret_rel, caret
         ts = np.asarray(ts, dtype=complex)
-        if memo_key is None:
-            log_caret, rel = caret(ts)
-        else:       # the first call: the round-0 nodes
-            log_caret, rel = _FIELD_MEMO.lookup(memo_key + (ts.tobytes(),), lambda: caret(ts))
-            memo_key = None
+        log_caret, rel = caret(bc, caret_opts, saddle, ts.tobytes())
+        caret = _field_caret.__wrapped__        # the rounds after round 0: fresh
         caret_rel = max(caret_rel, rel)
         g = np.exp(1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0) + log_caret)
         return g * (-1j * ts) if extra_it else g
@@ -366,10 +329,6 @@ def total_new_dy(pt: FockPoint, cfg: ProblemConfig,
 # Sigma-plane representations: the forked contour and the gamma contour
 # ---------------------------------------------------------------------------
 
-def _arm_model(rate_32: float, lin: float) -> DecayModel:
-    return DecayModel("power_three_halves", rate_32, scale=20.0, rate=max(lin, 0.0))
-
-
 def _omega_shift(s, n):
     """omega (s - n), with s - n named so numpy multiplies it out of place:
     the same bits at every call size."""
@@ -379,13 +338,15 @@ def _omega_shift(s, n):
 
 def _leg_sum(x: float, y: float, bc: pk.BoundaryKind, legs, opts: QuadOptions) -> FieldValue:
     """Plane-phase prefactor e^{-i(x y/2 + x^3/12)} times the sum over the
-    legs (sign, angle, lin, parts, args, integrand) of sign x the integral
-    along the outward ray from 0 at that angle, truncated by
-    ``_arm_model(2/3, lin)``.  A leg's integrand at the nodes s is
-    ``integrand(s, ratio, *airy)``: ``ratio`` the factor (w, expo) =
+    legs (sign, angle, parts, args, integrand) of sign x the integral along
+    the outward ray from 0 at that angle.  A leg's integrand at the nodes s
+    is ``integrand(s, ratio, *airy)``: ``ratio`` the factor (w, expo) =
     ``parts(s, bc)``, the point-independent Airy ratio of the leg (None for
     a leg without one), and ``airy`` the (ai, aip, expo) triples of
-    ``args(s)``, its point-dependent Airy arguments A_j(s - n).
+    ``args(s)``, its point-dependent Airy arguments A_j(s - n), the first of
+    which the ratio multiplies.  Each ray is cut by ``pk._tail_model``, the
+    caret rays' rule: the ratio's tail scale on the ray, the Airy envelope
+    of ``args`` and the plane phase e^{i x s/2} at its rate -x sin(angle)/2.
 
     The ratio comes from the caret node tables (``pk._NODE_TABLES``), under
     the key of a caret arm on the same ray, (parts name, impedance pair,
@@ -399,21 +360,20 @@ def _leg_sum(x: float, y: float, bc: pk.BoundaryKind, legs, opts: QuadOptions) -
 
     The legs start on LEG_PANEL-unit panels, a measured constant: a round
     costs one Airy call, whose fixed cost outweighs the extra points of a
-    finer start, and a start much finer than the legs' phase rate only adds
-    points.  On the field points of four ``oracle_mix`` passes (warm
-    tables) 2-unit starts took 88 Airy calls and 33,400 points a pass, 1.5
-    took 68 and 36,000, 1.0 took 53 and 50,000; at 1.5 most legs converge in
-    round 0, and the legs on the real axis (cut at 19-32 units) mostly in
-    round 1.
+    finer start: on the field points of four warm ``oracle_mix`` passes
+    2-unit starts took 89 Airy calls and 29,100 points a pass, 1.5 took 69
+    and 28,400, 1.0 took 53 and 38,700.
 
     The estimate adds 3e-10 of |sum| to the legs' quadrature errors, each of
     which carries its cut tail (one tail tolerance per leg)."""
-    paths = [truncate(ContourPath((Ray(0.0, angle, inward=False),)),
-                      _arm_model(2.0 / 3.0, lin), opts.truncation_tail_tol)
-             for _, angle, lin, _, _, _ in legs]
+    paths = []
+    for _, angle, parts, args, _ in legs:
+        ray = Ray(0.0, angle, inward=False)
+        model = pk._tail_model(parts, bc, (ray,), -x * math.sin(angle) / 2.0, airy_args=args)
+        paths.append(truncate(ContourPath((ray,)), model, opts.truncation_tail_tol))
     keys = [parts and pk._node_key(parts, bc, (angle,), path)
-            for (_, angle, _, parts, _, _), path in zip(legs, paths)]
-    forms = [parts and pk.RATIO_AIRY[parts.__name__] for _, _, _, parts, _, _ in legs]
+            for (_, angle, parts, _, _), path in zip(legs, paths)]
+    forms = [parts and pk.RATIO_AIRY[parts.__name__] for _, _, parts, _, _ in legs]
 
     def joint(ks, nodes):
         # per leg: its table rows, its own Airy arguments and those of its
@@ -422,13 +382,13 @@ def _leg_sum(x: float, y: float, bc: pk.BoundaryKind, legs, opts: QuadOptions) -
         for k, s in zip(ks, nodes):
             found = keys[k] and pk._NODE_TABLES.find(keys[k], s)
             missed = found and found[2]
-            asks.append((found, legs[k][4](s), missed and forms[k][0](missed[1]) or ()))
+            asks.append((found, legs[k][3](s), missed and forms[k][0](missed[1]) or ()))
         values = iter(airy._scaled_each(*(z for _, own, more in asks for z in own + more)))
         out = []
         for k, s, (found, own, more) in zip(ks, nodes, asks):
             own, more = [next(values) for _ in own], [next(values) for _ in more]
             ratio = found and pk._NODE_TABLES.fill(keys[k], found, more and forms[k][1](*more, bc))
-            out.append(legs[k][5](s, ratio, *own))
+            out.append(legs[k][4](s, ratio, *own))
         return out
 
     total = err = 0.0
@@ -457,12 +417,10 @@ def scattered_forked(pt: FockPoint, cfg: ProblemConfig,
     def a1_args(s):
         return (_omega_shift(s, n),)
 
-    rn = max(n, 0.0) ** 0.5      # n rounds below 0 on the boundary of some kappa
-    lin = 0.866 * abs(x) / 2.0 + 0.5 * rn
     return _leg_sum(x, y, cfg.bc, [
-        (-1, -2 * math.pi / 3, lin, None, a1_args, f1),
-        (-1, 2 * math.pi / 3, lin, pk.ratio_l2_parts, a1_args, arm),
-        (-1, 0.0, rn, pk.ratio_l3_parts, a1_args, arm)], opts)
+        (-1, -2 * math.pi / 3, None, a1_args, f1),
+        (-1, 2 * math.pi / 3, pk.ratio_l2_parts, a1_args, arm),
+        (-1, 0.0, pk.ratio_l3_parts, a1_args, arm)], opts)
 
 
 def total_gamma(pt: FockPoint, cfg: ProblemConfig,
@@ -479,7 +437,7 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     bc = cfg.bc
     n = y + x * x / 4.0
 
-    def f_out(s, ratio, d0, d1):
+    def f_out(s, ratio, d1, d0):
         (a0, _, e0), (a1, _, e1), (wr, er) = d0, d1, ratio
         w1 = pk.OMEGA * a1
         big = np.maximum(e0, er + e1)
@@ -504,10 +462,9 @@ def total_gamma(pt: FockPoint, cfg: ProblemConfig,
     poles = np.conj(pk.OMEGA) * airy.impedance_roots(3, *bc.impedance)
     if np.min(np.abs(np.angle(poles) - ang_in)) < 0.08:
         ang_in -= 0.1
-    lin = 0.6 * max(n, 0.0) ** 0.5
     return _leg_sum(x, y, bc, [
-        (-1, ang_in, 0.866 * abs(x) / 2.0 + lin, pk.ratio_l2_parts, args_in, f_in),
-        (1, 0.0, lin, pk.ratio_l3_parts, lambda s: (s - n, _omega_shift(s, n)), f_out)], opts)
+        (-1, ang_in, pk.ratio_l2_parts, args_in, f_in),
+        (1, 0.0, pk.ratio_l3_parts, lambda s: (_omega_shift(s, n), s - n), f_out)], opts)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def fresnel(z: complex, opts: QuadOptions | None = None) -> complex:
     Fr(z) = 1 - Fr(-z) keeps the Gaussian factor decaying when
     Re(e^{-i pi/4} z) < 0.
     """
-    z = complex(z)
+    z = complex(pk._finite(z, "z")[0])
     if (z * complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))).real < 0.0:
         return 1.0 - fresnel(-z, opts)
     opts = opts or QuadOptions(rel_tol=1e-13, abs_tol=1e-15)
@@ -229,7 +229,7 @@ def pole_gaussian_identity(tau_star: complex):
     int_R e^{-tau^2}/(tau - tau*) d tau
         = 2 pi i e^{-tau*^2} (Fr(e^{-i pi/4} tau*) - H(-Im tau*)).
     """
-    tau_star = complex(tau_star)
+    tau_star = complex(pk._finite(tau_star, "tau_star")[0])
     if tau_star.imag == 0.0:
         raise RegimeError("identity requires Im tau* != 0")
     span = 7.5 + abs(tau_star)
@@ -308,10 +308,11 @@ def i_sigma(t: float, Sigma: float,
     opts = opts or QuadOptions(rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=20000)
     pivot = 1.0
     ang = math.pi / 6.0 if t >= 0 else -math.pi / 6.0
-    path = ContourPath((Line(-Sigma, pivot), Ray(pivot, ang, inward=False)))
-    # e^{i t sigma} decays along the ray for either sign of t, so the linear
-    # growth rate is the 0.5 allowance alone
-    fin = truncate(path, fock._arm_model(0.9, 0.5), opts.truncation_tail_tol)
+    ray = Ray(pivot, ang, inward=False)
+    # cut as the caret rays are: r3's tail scale on the ray, and e^{i t
+    # sigma} decaying along it at the rate t sin(ang) = |t|/2
+    model = pk._tail_model(pk.ratio_l3_parts, pk.DIRICHLET, (ray,), -t * math.sin(ang))
+    fin = truncate(ContourPath((Line(-Sigma, pivot), ray)), model, opts.truncation_tail_tol)
 
     def f(s):
         w, expo = pk.ratio_l3_parts(s, pk.DIRICHLET)

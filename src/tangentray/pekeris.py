@@ -21,8 +21,10 @@ evaluates all of a batch's members on that route; ``pekeris_caret`` is the
 batch of one and ``caret_log_many`` the log-form batch.  L and the arms are
 one ray family on one radius ladder: one model gives each ray's growth rate
 and integrand peak (``_ray_rates``, ``_ray_peaks``), and one family integral
-(``_ray_family``) runs a batch on a ladder-truncated path, its tail scale
-measured from the family's own factor on its own rays (``_tail_scale``).
+(``_ray_family``) runs a batch on a ladder-truncated path.  One rule cuts
+every Airy-ratio ray (``_tail_model``): the caret rays, the sigma-plane legs
+of ``fock`` and the ray of ``matching.i_sigma``, each from its ratio's tail
+scale measured on its own rays (``_tail_scale``).
 Contour routes are chosen by an explicit conditioning estimate: the peak of
 the integrand's exponent along each candidate ray is compared with the
 magnitude of the result; representations whose quadrature would lose the
@@ -43,6 +45,7 @@ the worst ratio is 1.72, at |t| <= 6, below where ``_plan`` uses templates.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import threading
@@ -253,7 +256,7 @@ def caret_shadow_asymptotic(t: complex, bc: BoundaryKind) -> complex:
 def caret_lit_asymptotic(t: complex, bc: BoundaryKind) -> complex:
     """Steepest-descent approximation sqrt(-t)/(2 sqrt(pi)) e^{-i(t^3/12-pi/4)}
     with the boundary-kind prefactor, valid 2pi/3 < arg t < 5pi/3."""
-    t = complex(t)
+    t = complex(_finite(t)[0])
     th = math.atan2(t.imag, t.real) % (2 * math.pi)
     if not (2 * math.pi / 3 < th < 5 * math.pi / 3):
         raise SectorError("lit asymptotics require arg t in (2pi/3, 5pi/3)")
@@ -400,7 +403,13 @@ _NODE_TABLES = _NodeTables()
 L_ANGLES = np.array([2 * math.pi / 3, -2 * math.pi / 3])
 L_OFFSETS = np.array([math.pi / 2, -5 * math.pi / 6])
 ARM_TURN = math.pi / 2
-TAIL_RATE = 0.25     # added to every ray family's growth rate (see ``_tail_scale``)
+TAIL_RATE = 0.25     # added to every ray's growth rate (see ``_tail_scale``)
+# log of K/(2 sqrt(pi)) in |Ai(w)| <= K (1 + |w|)^{-1/4} e^{-Re zeta(w)}/(2 sqrt(pi)),
+# zeta = (2/3) w^{3/2} principal: K = 2.28 bounds |Ai| over that envelope on a
+# polar grid out to |w| = 200 (2.2786); DLMF 9.7(iv) bounds the remainder beyond
+_LOG_AIRY_BOUND = math.log(2.28 / (2.0 * math.sqrt(math.pi)))
+_LEG_S = np.arange(129) / 2.0     # s <= 64: where ``_tail_model`` samples a leg
+_LEG_S32, _LEG_SR = _LEG_S ** 1.5, TAIL_RATE * _LEG_S
 
 
 def _ray_rates(ts, offsets, turn=0.0) -> np.ndarray:
@@ -438,27 +447,53 @@ def _tail_scale(parts, bc: BoundaryKind, rays) -> float:
     return 2.0 * float(np.max(peaks))
 
 
+def _tail_model(parts, bc: BoundaryKind, rays, rate: float, lift: float = 0.0,
+                airy_args=None) -> DecayModel:
+    """Where an Airy-ratio integrand on ``rays`` is cut: the model scale
+    e^{max(rate + TAIL_RATE, 0) s - c s^{3/2}} of e^{lift} times a factor
+    growing like e^{rate s} times the ratio (w, expo) = parts(z, bc) (None:
+    no ratio), which is at most ``_tail_scale`` e^{TAIL_RATE s - B s^{3/2}},
+    B = (4/3)|cos(3 phi/2)| on the slowest ray.  Without ``airy_args`` (the
+    caret families, I_Sigma), c = B.  A sigma-plane leg (one ray) passes the
+    arguments w_j = airy_args(z) of its point-dependent Airy factors, affine
+    in z: the first multiplies the ratio, each other is a term alone.
+    |Ai(w)| <= K (1 + |w|)^{-1/4} e^{-Re zeta(w)}/(2 sqrt(pi)) decays at a_j =
+    (2/3) Re d_j^{3/2}, d_j the direction of w_j: c is the slowest term's
+    decay, and the scale takes twice the term count times the largest term
+    times e^{c s^{3/2} - TAIL_RATE s} on ``_LEG_S``.  No Airy function is
+    called.  A ray without decay raises ``SectorError`` before any sample."""
+    B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle) for ray in rays)
+    c, origin, unit = B, rays[0].origin, complex(math.cos(angle), math.sin(angle))
+    if airy_args is not None:
+        decay = [(2.0 / 3.0) * (cmath.sqrt(b - a) * (b - a)).real    # w^{3/2} = w sqrt(w)
+                 for a, b in zip(airy_args(origin), airy_args(origin + unit))]
+        c = min([decay[0] + (0.0 if parts is None else B), *decay[1:]])
+    if c < 1e-3:
+        raise SectorError(f"ray angle {angle} has no ratio decay")
+    scale = (1.0 if parts is None else _tail_scale(parts, bc, rays)) * math.exp(lift)
+    if airy_args is not None:
+        w = np.array(airy_args(origin + _LEG_S * unit))
+        logs = -0.25 * np.log1p(np.abs(w)) - (2.0 / 3.0) * (np.sqrt(w) * w).real
+        if parts is not None:
+            logs[0] += _LEG_SR - B * _LEG_S32
+        scale *= 2.0 * len(w) * math.exp((logs + (c * _LEG_S32 - _LEG_SR)).max() + _LOG_AIRY_BOUND)
+    return DecayModel("power_three_halves", c, scale=scale, rate=max(rate + TAIL_RATE, 0.0))
+
+
 def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
                 path: ContourPath, rates, a, b, opts: QuadOptions):
     """Each member's int w e^{expo + a z + b} along the rays of ``path`` cut
     by ``truncate`` at a rung 2^(k/4), in one ``integrate_exp_batch``:
     (values, errors), each error with one tail tolerance per ray.  The tail
-    model is scale e^{(A + TAIL_RATE) s - B s^{3/2}}: the largest growth rate
-    A in ``rates``, the slowest Airy decay B of the rays (none raises
-    ``SectorError``), and the factor's ``_tail_scale`` times the members'
-    largest |e^{a v + b}| (at least 1) at the rays' origin v.  A caret path is
-    thus fixed by a small key (route, impedance pair, arm angle, rung k):
-    ``tables`` (None: evaluated directly) memoises the node factor (w, expo)
-    = parts(z, bc) under ``_node_key(parts, bc, key, path)``.  A
-    member the quadrature does not accept raises ``QuadratureError``
-    ("stalled").  ``_family_width`` sizes the starting panels."""
-    B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle)
-                   for ray in path.segments)
-    if B < 1e-3:
-        raise SectorError(f"ray angle {angle} has no ratio decay")
+    model is ``_tail_model`` of the largest growth rate in ``rates``, lifted
+    by the members' largest |e^{a v + b}| (at least 1) at the rays' origin v.
+    A caret path is thus fixed by a small key (route, impedance pair, arm
+    angle, rung k): ``tables`` (None: evaluated directly) memoises the node
+    factor (w, expo) = parts(z, bc) under ``_node_key(parts, bc, key,
+    path)``.  A member the quadrature does not accept raises
+    ``QuadratureError`` ("stalled").  ``_family_width`` sizes the panels."""
     lift = max(0.0, float(np.max(np.real(a * path.segments[0].origin + b))))
-    model = DecayModel("power_three_halves", B, scale=_tail_scale(parts, bc, path.segments)
-                       * math.exp(lift), rate=max(float(np.max(rates)) + TAIL_RATE, 0.0))
+    model = _tail_model(parts, bc, path.segments, float(np.max(rates)), lift)
     path = truncate(path, model, opts.truncation_tail_tol)
     factor = functools.partial(parts, bc=bc)
     if tables is not None:
@@ -536,6 +571,8 @@ def pekeris_entire(t: complex, bc: BoundaryKind = DIRICHLET,
     changing the value; the poles of a Robin ratio move with mu_hat into
     those bands, and a rotation across one changes it.
     """
+    for name, beta in (("beta2", beta2), ("beta3", beta3)):
+        _finite(beta, f"arm angle {name}")
     vals, _ = _entire(_finite(t), bc, opts or QuadOptions(), beta2, beta3)
     return complex(vals[0])
 
@@ -809,11 +846,12 @@ def _caret_batch(ts: np.ndarray, bc: BoundaryKind, opts: QuadOptions, tables=Non
     return route, vals, errs, shifts
 
 
-def _finite(ts) -> np.ndarray:
-    """``ts`` as a complex array; a t that is not finite raises ``ValueError``."""
+def _finite(ts, name: str = "caret argument t") -> np.ndarray:
+    """``ts`` as a complex array; a value that is not finite raises
+    ``ValueError`` naming it ``name``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=complex))
     if not np.isfinite(ts).all():
-        raise ValueError(f"caret argument t = {ts[~np.isfinite(ts)][0]} is not finite")
+        raise ValueError(f"{name} = {ts[~np.isfinite(ts)][0]} is not finite")
     return ts
 
 

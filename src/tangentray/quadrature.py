@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
@@ -122,9 +123,9 @@ class QuadratureError(RuntimeError):
 class QuadOptions:
     """Tolerances and the work cap of the adaptive driver.
 
-    ``max_subdivisions`` caps the number of panels: no refinement round
-    starts once the path holds that many (the last round may overshoot the
-    cap by the panels it splits).
+    ``max_subdivisions``, an integer of at least 1, caps the number of
+    panels: no refinement round starts once the path holds that many (the
+    last round may overshoot the cap by the panels it splits).
     """
 
     rel_tol: float = 1e-9
@@ -136,8 +137,9 @@ class QuadOptions:
         if not all(math.isfinite(tol) and tol > 0 for tol in
                    (self.rel_tol, self.abs_tol, self.truncation_tail_tol)):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        cap = self.max_subdivisions
+        if not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,8 @@ def _initial_panels(path: ContourPath, width: float = 2.0):
     part of its starting width, as ``_evaluate_exp`` requires.  The arrays
     of one panel count per segment are built once (``_panel_layout``).
     """
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValueError(f"starting panel width must be finite and positive, got {width!r}")
     return _panel_layout(tuple([min(max(2, math.ceil(abs(s.end - s.start) / width)), 64)
                                 for s in path.segments]))
 

@@ -188,24 +188,23 @@ OTHER_PATHS = [fock.FockPoint(*p) for p in ((0.5, 1.0), (2.0, 1.0), (-0.5, 2.0),
 ROBIN = fock.ProblemConfig(pk.robin(1 + 1j))
 
 
-def test_field_value_does_not_depend_on_the_field_memo(monkeypatch):
-    # cold, after a neighbour on the same snapped path, after eviction past
-    # the cap and from four threads: the same bytes
-    fock._FIELD_MEMO.clear()
+def _memo_size():
+    return fock._field_caret.cache_info().currsize
+
+
+def test_field_value_does_not_depend_on_the_field_memo():
+    # cold, after a neighbour on the same snapped path, on a hit and from
+    # four threads: the same bytes
+    fock._field_caret.cache_clear()
     cold = fock.scattered_new(MEMO_POINT, ROBIN)
-    fock._FIELD_MEMO.clear()
+    fock._field_caret.cache_clear()
     neighbour = fock.scattered_new(MEMO_NEIGHBOUR, ROBIN)
-    assert len(fock._FIELD_MEMO) == 1 and neighbour.amplitude != cold.amplitude
+    assert _memo_size() == 1 and neighbour.amplitude != cold.amplitude
     runs = [fock.scattered_new(MEMO_POINT, ROBIN)]
-    assert len(fock._FIELD_MEMO) == 1                    # a hit
-    monkeypatch.setattr(fock, "FIELD_MEMO_CAP", 2)
-    for pt in OTHER_PATHS:
-        fock.scattered_new(pt, ROBIN)
-    assert len(fock._FIELD_MEMO) == 2                    # the last two others
-    runs.append(fock.scattered_new(MEMO_POINT, ROBIN))
-    # more threads than cores, switching often, on a memo that evicts as
-    # they go: a lost or torn update would show as another value or size
-    fock._FIELD_MEMO.clear()
+    assert _memo_size() == 1 and fock._field_caret.cache_info().hits == 1
+    # more threads than cores, switching often: a lost or torn update would
+    # show as another value
+    fock._field_caret.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -215,20 +214,34 @@ def test_field_value_does_not_depend_on_the_field_memo(monkeypatch):
             threaded = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(fock._FIELD_MEMO) <= 2
     assert threaded[1] == threaded[7] == neighbour
     for run in runs + [threaded[0], threaded[6]]:
         assert run.amplitude == cold.amplitude
         assert run.error_estimate == cold.error_estimate
 
 
-def test_field_memo_holds_at_most_its_cap(monkeypatch):
-    monkeypatch.setattr(fock, "FIELD_MEMO_CAP", 3)
-    fock._FIELD_MEMO.clear()
-    for pt in [MEMO_POINT, *OTHER_PATHS]:
-        fock.scattered_new(pt, ROBIN)
-        assert len(fock._FIELD_MEMO) <= 3
-    assert len(fock._FIELD_MEMO) == 3
+def test_field_memo_evicts_past_its_cap():
+    # FIELD_MEMO_CAP small node arrays (a lit-model node and a computed one
+    # each) push a field point's round-0 entry out of the memo, which then
+    # holds its cap; every entry, and the field point computed again, are
+    # the bytes of a fresh evaluation
+    opts = dataclasses.replace(fock.DEFAULT_OPTS, rel_tol=1e-9, abs_tol=3e-11)
+    fock._field_caret.cache_clear()
+    cold = fock.scattered_new(MEMO_POINT, ROBIN)
+    nodes = [np.array([-10.0 - 0.01 * k, 1.0 + 0.01j * k]) for k in range(fock.FIELD_MEMO_CAP)]
+    for ts in nodes:
+        fock._field_caret(ROBIN.bc, opts, None, ts.tobytes())
+    assert _memo_size() == fock.FIELD_MEMO_CAP
+    misses = fock._field_caret.cache_info().misses
+    again = fock.scattered_new(MEMO_POINT, ROBIN)
+    assert fock._field_caret.cache_info().misses == misses + 1
+    assert _memo_size() == fock.FIELD_MEMO_CAP
+    assert (again.amplitude, again.error_estimate) == (cold.amplitude, cold.error_estimate)
+    for ts in nodes[1::51]:
+        log_caret, rel = fock._field_caret(ROBIN.bc, opts, None, ts.tobytes())
+        fresh = fock._field_caret.__wrapped__(ROBIN.bc, opts, None, ts.tobytes())
+        assert not log_caret.flags.writeable
+        assert log_caret.tobytes() == fresh[0].tobytes() and rel == fresh[1]
 
 
 @pytest.mark.parametrize("x", [-0.2, 0.0, 1.0])
@@ -255,7 +268,7 @@ FIELD_ROUND_CAPS = {(-4.0, 1.0): 3, (-4.0, 1.5): 3, (-4.0, 2.0): 3, (0.0, 0.25):
 @pytest.mark.parametrize("point", sorted(FIELD_ROUND_CAPS), ids=lambda p: f"{p[0]:g},{p[1]:g}")
 def test_field_caret_batches_capped(monkeypatch, point):
     many = pk.caret_log_many
-    fock._FIELD_MEMO.clear()
+    fock._field_caret.cache_clear()
     calls = []
 
     def counted(ts, bc, opts):
@@ -317,7 +330,7 @@ def test_saddle_route_inside_a_field_integral(monkeypatch, bc):
     # bound is the comparison
     plan = pk._plan
     counts = []
-    fock._FIELD_MEMO.clear()
+    fock._field_caret.cache_clear()
 
     def counted(*args, **kwargs):
         route, template = plan(*args, **kwargs)
@@ -349,7 +362,7 @@ def test_caret_failure_is_not_a_field_stall(monkeypatch):
     def stalled(*args, **kwargs):
         raise QuadratureError("x", "stalled", QuadResult(123.0, 0.0, 15))
 
-    fock._FIELD_MEMO.clear()
+    fock._field_caret.cache_clear()
     monkeypatch.setattr(pk, "caret_log_many", stalled)
     with pytest.raises(QuadratureError) as info:
         fock.scattered_new(fock.FockPoint(-1.0, 0.5), D)
@@ -610,7 +623,7 @@ def test_lockstep_legs_of_unequal_depth_equal_per_leg_runs(monkeypatch):
 # finished: the legs the per-leg loop completes before the stall it raises
 @pytest.mark.parametrize("max_subdivisions, rel_tol, finished", [
     (35, 1e-9, 2),       # l1 and l2 converge; l3 stalls after 6 rounds
-    (32, 1e-12, 0),      # l1 stalls after 1 round, l3 after 3; l2 converges
+    (10, 1e-12, 0),      # l1 stalls after 1 round, l2 and l3 in round 0 before it
 ])
 def test_lockstep_stall_is_the_per_leg_loops(monkeypatch, max_subdivisions, rel_tol, finished):
     opts = dataclasses.replace(fock.DEFAULT_OPTS, max_subdivisions=max_subdivisions,
@@ -680,6 +693,63 @@ def test_i_sigma_one_airy_call_bit_identical(monkeypatch):
         got = mt.i_sigma(t, 4.0)
     assert per_eval and {len(calls) for _, calls in per_eval} == {1}
     assert got == ref
+
+
+# (x_hat, n_hat): far-lit, lit, penumbra, shadow and far-shadow points of the
+# 225-point cut-tail grid (x_hat in [-6, 6], n_hat in [0, 8])
+CUT_POINTS = [(-4.5, 8.0), (-6.0, 0.5), (-3.0, 2.0), (0.0, 0.5), (3.0, 5.0), (6.0, 0.0)]
+
+
+@pytest.mark.parametrize("bc", [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j), pk.robin(2)],
+                         ids=lambda bc: bc.label())
+def test_every_leg_cut_tail_holds(monkeypatch, bc):
+    # each forked and gamma leg, cut at tail tolerance tol and 40 e-folds
+    # further, gives integrals within their two estimates, each of which
+    # carries one tol for its cut ray: every leg is cut from its own
+    # ratio's tail scale, Airy envelope and phase rate (``pk._tail_model``)
+    runs = []
+    lockstep = fock.integrate_lockstep
+
+    def recorded(fjoint, paths, opts, width):
+        runs.append(lockstep(fjoint, paths, opts, width))
+        return runs[-1]
+
+    monkeypatch.setattr(fock, "integrate_lockstep", recorded)
+    cfg = fock.ProblemConfig(bc)
+    for tol in (1e-9, 1e-3):
+        loose, deep = (dataclasses.replace(fock.DEFAULT_OPTS, truncation_tail_tol=x)
+                       for x in (tol, tol * math.exp(-40)))
+        for x_hat, n_hat in CUT_POINTS:
+            pt = fock.FockPoint(x_hat, n_hat - x_hat ** 2 / 4.0)
+            for field in (fock.scattered_forked, fock.total_gamma):
+                runs.clear()
+                field(pt, cfg, loose)
+                field(pt, cfg, deep)
+                for k, (cut, far) in enumerate(zip(*runs)):
+                    assert far.truncation_radius > cut.truncation_radius
+                    gap = abs(far.value - cut.value)
+                    assert gap <= cut.error_estimate + far.error_estimate, \
+                        (field.__name__, k, x_hat, n_hat, tol, gap)
+
+
+def test_i_sigma_cut_tail_holds(monkeypatch):
+    # I_Sigma's outgoing ray takes the same rule, from r3's tail scale on it
+    runs = []
+
+    def recorded(f, path, opts, width):
+        runs.append(integrate(f, path, opts, width))
+        return runs[-1]
+
+    monkeypatch.setattr(mt, "integrate", recorded)
+    for tol in (1e-9, 1e-3):
+        for t, sigma in ((1.0, 25.0), (-0.3, 4.0), (2.0, 50.0), (-3.0, 25.0)):
+            runs.clear()
+            for x in (tol, tol * math.exp(-40)):
+                mt.i_sigma(t, sigma, QuadOptions(rel_tol=1e-10, abs_tol=1e-12,
+                                                 max_subdivisions=20000, truncation_tail_tol=x))
+            cut, far = runs
+            assert far.truncation_radius > cut.truncation_radius
+            assert abs(far.value - cut.value) <= cut.error_estimate + far.error_estimate, (t, sigma)
 
 
 def test_forked_on_the_boundary_of_any_kappa():

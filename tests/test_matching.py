@@ -8,6 +8,7 @@ from scipy import special
 from tangentray import fock
 from tangentray import matching as mt
 from tangentray import pekeris as pk
+from tangentray.contours import named_contour
 
 from _oracles import GAUSS_FRESNEL
 
@@ -185,3 +186,20 @@ def test_i_sigma_rejects_non_finite_arguments(t, Sigma, name):
     for f in (mt.i_sigma, mt.i_sigma_remainder):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             f(t, Sigma)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: mt.fresnel(math.nan), "z"),
+    (lambda: mt.fresnel(math.inf), "z"),
+    (lambda: mt.pole_gaussian_identity(complex(math.nan, 1.0)), "tau_star"),
+    (lambda: pk.caret_lit_asymptotic(-math.inf, pk.DIRICHLET), "t"),
+    (lambda: pk.pekeris_entire(0.5, beta2=math.nan), "beta2"),
+    (lambda: pk.pekeris_entire(0.5, beta3=math.inf), "beta3"),
+    (lambda: named_contour("L", math.nan), "clearance"),
+], ids=["fresnel-nan", "fresnel-inf", "pole-gaussian-nan", "lit-asymptotic-inf",
+        "entire-beta2-nan", "entire-beta3-inf", "contour-clearance-nan"])
+def test_entry_points_name_a_non_finite_argument(call, name):
+    # a typed error naming the argument, before any quadrature, Airy call
+    # or numpy warning (ContourError is a ValueError)
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*(not finite|must be finite)"):
+        call()

@@ -105,6 +105,20 @@ def test_nonfinite_tolerances_rejected(rel_tol):
         QuadOptions(truncation_tail_tol=rel_tol)
 
 
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 2.5, 0])
+def test_panel_cap_must_be_a_positive_integer(cap):
+    # a cap of nan or inf never stops refinement: only the construction is run
+    with pytest.raises(ValueError, match=rf"max_subdivisions must be an integer >= 1, got {cap!r}"):
+        QuadOptions(max_subdivisions=cap)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+def test_starting_width_must_be_finite_and_positive(width):
+    path = ContourPath((Line(0.0, 3.0),))
+    with pytest.raises(ValueError, match=rf"width must be finite and positive, got {width!r}"):
+        _initial_panels(path, width)
+
+
 def test_untruncated_path_rejected():
     with pytest.raises(QuadratureError) as exc:
         integrate(lambda t: t, named_contour("l3"), TIGHT)
