@@ -39,7 +39,9 @@ root with its own steps.  One lock-guarded table per pair caches them.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -565,14 +567,17 @@ def impedance_roots(count: int, alpha: complex, beta: complex) -> np.ndarray:
     Robin roots of mu_hat for (mu_hat, 1), continued from the zeros of Ai'.
 
     One lock-guarded table per pair, extended on demand; a root's value does
-    not depend on how many roots were asked for.  A negative ``count`` raises
-    ``ValueError`` (a slice of the table would hand back its first roots).
+    not depend on how many roots were asked for.  A ``count`` that is not a
+    non-negative integer, or an alpha or beta that is not finite, raises
+    ``ValueError`` before any Airy call.
     """
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"root count must be an integer >= 0, got {count!r}")
     key = (complex(alpha), complex(beta))
+    if not (cmath.isfinite(key[0]) and cmath.isfinite(key[1])):
+        raise ValueError(f"impedance pair ({alpha}, {beta}) is not finite")
     if key == (0, 0):
         raise ValueError("alpha and beta must not both vanish")
-    if count < 0:
-        raise ValueError(f"root count must be >= 0, got {count}")
     with _ROOTS_LOCK:
         roots = _ROOTS.get(key, np.empty(0, dtype=complex))
         if roots.size < count:

@@ -138,7 +138,9 @@ def _truncation_model(x: float, y: float, path: ContourPath, bc: pk.BoundaryKind
     distance d from -p, E(r) = Re[i(t^3/4 - x t^2/2 - y t)] = a0 + a1 r +
     a2 r^2 - r^3/4.  Past R, the largest of that exit, 1 and the root of
     3r^2/8 - 2 a2+ r - a1+ - m, h(r) = r^3/8 - a2 r^2 - a1 r - m ln(|v| + r)
-    increases: |f| <= e^{a0 - h(R)} |b| e^{-r^3/8}/sqrt(pi); the two rays' max serves."""
+    increases: |f| <= e^{a0 - h(R)} |b| e^{-r^3/8}/sqrt(pi); the two rays' max
+    serves, its log clamped at -700 (a larger scale is still a bound) so it
+    does not underflow to 0."""
     m = 1.5 if extra_it else 0.5
     alpha, beta = bc.impedance
     p = 2j * alpha / beta if beta else 0.0
@@ -156,7 +158,8 @@ def _truncation_model(x: float, y: float, path: ContourPath, bc: pk.BoundaryKind
         h = r ** 3 / 8.0 - a2 * r * r - a1 * r - m * math.log(abs(v) + r)
         radius = max(radius, r)
         log_scale = max(log_scale, a0 - h + math.log(b / math.sqrt(math.pi)))
-    return DecayModel("cubic_exp", 1.0 / 8.0, scale=math.exp(log_scale), min_radius=radius)
+    return DecayModel("cubic_exp", 1.0 / 8.0, scale=math.exp(max(log_scale, -700.0)),
+                      min_radius=radius)
 
 
 def _vee(vertex: complex) -> ContourPath:
@@ -280,7 +283,8 @@ def _run_field(x: float, y: float, bc: pk.BoundaryKind, path: ContourPath,
         log_caret, rel = caret(bc, caret_opts, saddle, ts.tobytes())
         caret = _field_caret.__wrapped__        # the rounds after round 0: fresh
         caret_rel = max(caret_rel, rel)
-        g = np.exp(1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0) + log_caret)
+        with np.errstate(over="ignore"):    # an overflow is a nonfinite sample
+            g = np.exp(1j * (-y * ts - x * ts * ts / 2.0 + ts ** 3 / 3.0) + log_caret)
         return g * (-1j * ts) if extra_it else g
 
     fin = truncate(path, _truncation_model(x, y, path, bc, extra_it), opts.truncation_tail_tol)
@@ -348,15 +352,15 @@ def _leg_sum(x: float, y: float, bc: pk.BoundaryKind, legs, opts: QuadOptions) -
     caret rays' rule: the ratio's tail scale on the ray, the Airy envelope
     of ``args`` and the plane phase e^{i x s/2} at its rate -x sin(angle)/2.
 
-    The ratio comes from the caret node tables (``pk._NODE_TABLES``), under
-    the key of a caret arm on the same ray, (parts name, impedance pair,
-    angle, rung): points whose leg is cut at the same rung, and a caret arm
-    there, share one table.  The legs run in lockstep
-    (``integrate_lockstep``): each round evaluates the Airy arguments of
-    every unfinished leg, with those of its ratio on the panels the table
-    lacks, in one ``airy._scaled_each`` call.  An Airy value does not depend
-    on its batch, and a table hit is the bytes of a fresh ratio, so each
-    leg's result is that of its own ``integrate`` run at the same width.
+    The ratio comes from the caret node-factor memo (``pk._NODE_TABLES``),
+    keyed by request: the key of a caret arm on the same ray, (parts name,
+    impedance pair, angle, rung), and the node bytes.  The legs run in
+    lockstep (``integrate_lockstep``): each round evaluates the Airy
+    arguments of every unfinished leg, with those of its ratio where the
+    memo lacks the request, in one ``airy._scaled_each`` call.  An Airy
+    value does not depend on its batch, and a memo hit is the bytes of a
+    fresh ratio, so each leg's result is that of its own ``integrate`` run
+    at the same width.
 
     The legs start on LEG_PANEL-unit panels, a measured constant: a round
     costs one Airy call, whose fixed cost outweighs the extra points of a
@@ -376,18 +380,18 @@ def _leg_sum(x: float, y: float, bc: pk.BoundaryKind, legs, opts: QuadOptions) -
     forms = [parts and pk.RATIO_AIRY[parts.__name__] for _, _, parts, _, _ in legs]
 
     def joint(ks, nodes):
-        # per leg: its table rows, its own Airy arguments and those of its
-        # ratio on the panels the table lacks
+        # per leg: its memoised ratio, its own Airy arguments and, on a
+        # miss, those of its ratio
         asks = []
         for k, s in zip(ks, nodes):
-            found = keys[k] and pk._NODE_TABLES.find(keys[k], s)
-            missed = found and found[2]
-            asks.append((found, legs[k][3](s), missed and forms[k][0](missed[1]) or ()))
+            ratio = keys[k] and pk._NODE_TABLES.get(keys[k], s)
+            asks.append((ratio, legs[k][3](s), forms[k][0](s) if keys[k] and ratio is None else ()))
         values = iter(airy._scaled_each(*(z for _, own, more in asks for z in own + more)))
         out = []
-        for k, s, (found, own, more) in zip(ks, nodes, asks):
+        for k, s, (ratio, own, more) in zip(ks, nodes, asks):
             own, more = [next(values) for _ in own], [next(values) for _ in more]
-            ratio = found and pk._NODE_TABLES.fill(keys[k], found, more and forms[k][1](*more, bc))
+            if more:
+                ratio = pk._NODE_TABLES.put(keys[k], s, forms[k][1](*more, bc))
             out.append(legs[k][4](s, ratio, *own))
         return out
 

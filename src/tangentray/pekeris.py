@@ -56,7 +56,7 @@ import numpy as np
 from . import airy
 from .contours import (ContourPath, DecayModel, Line, Ray, named_contour,
                        path_point_distance, truncate)
-from .quadrature import QuadOptions, integrate_exp_batch
+from .quadrature import QuadOptions, QuadratureError, integrate_exp_batch
 
 TWO_PI = 2.0 * math.pi
 EIP3 = complex(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))      # e^{i pi/3}
@@ -71,7 +71,7 @@ RESIDUE_CAP = 300            # residue terms before the series counts as unconve
 L_CLEARANCE = 0.5            # vertex offset of the reciprocal-Airy contour
 COND_L = 16.0                # cancellation exponent up to which L is taken outright
 COND_SAFE = 33.0             # max tolerated cancellation exponent of a fixed contour
-NODE_TABLE_CAP = 1 << 14     # GK15 panels stored over all node tables (~10 MB)
+NODE_TABLE_CAP = 1 << 14     # GK15 panels the node-factor memo stores (~10 MB)
 FAMILY_PHASE = 4.0           # radians of e^{a z} per starting panel of a ray family
 SADDLE_POINTS = 16           # tau points per branch of the closed-form saddle path
 SADDLE_LATTICE = 0.25        # spacing of the a-lattice of the template saddle paths
@@ -283,107 +283,52 @@ def reflection_factor(t, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
-# Shared node tables of the canonical caret paths
+# Shared node-factor memo of the canonical caret paths
 # ---------------------------------------------------------------------------
-
-def _find_panels(table, z: np.ndarray):
-    """(found mask, table rows) of the midpoints of the panels with nodes
-    ``z`` (P, 15) in a table."""
-    rows = np.minimum(np.searchsorted(table[0], z[:, 7]), table[0].size - 1)
-    return table[0][rows] == z[:, 7], rows
-
 
 class _NodeTables:
     """Process-wide memo of the member-independent node factors (w, expo) of
-    canonical caret paths, per GK15 panel: the L weight and the arm ratios
-    of the caret batches, and the ratios of the sigma-plane legs of
-    ``fock``, which run on the arms' rays.
-
-    One table per path key holds its panels sorted by midpoint (node 7 of a
-    panel's 15; the panels of one path have distinct midpoints, being dyadic
-    sub-panels of disjoint segments), with its 15 nodes, which a hit must
-    match bit for bit (one panel reached from two starting widths can differ
-    in an inner node by an ulp).  A hit returns the bytes a fresh evaluation
-    gives, since every Airy value depends only on its own point: no result
-    depends on what ran before or on how threads interleave.  Tables are
-    replaced, never mutated, under the lock.  An insert that would pass
-    ``NODE_TABLE_CAP`` stored panels clears every table first.
-
-    ``lookup`` evaluates the panels a table lacks itself.  A caller that
-    merges that evaluation with its own Airy call (the legs) splits it:
-    ``find`` returns the stored rows, and the nodes of the missed panels,
-    and ``fill`` completes and stores them.
-    """
+    canonical caret paths (the L weight, the arm ratios, and the ratios of
+    the sigma-plane legs of ``fock``), keyed by request: (path key, node
+    bytes) -> the read-only (w, expo) a fresh evaluation of those nodes gave.
+    Every Airy value depends only on its own point, so no result depends on
+    what ran before or on how threads interleave.  ``panels`` counts the
+    GK15 panels stored: a request of more than ``NODE_TABLE_CAP`` is not
+    stored, and one that would pass it clears every entry first.  ``lookup``
+    evaluates a miss itself; the legs, which merge that evaluation with
+    their own Airy call, use ``get`` and ``put``."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._tables: dict = {}
+        self._entries: dict = {}
         self.panels = 0
 
     def clear(self):
         with self._lock:
-            self._tables.clear()
+            self._entries.clear()
             self.panels = 0
 
+    def get(self, key, nodes: np.ndarray):
+        with self._lock:    # the stored (w, expo) on ``nodes``, or None
+            return self._entries.get((key, nodes.tobytes()))
+
+    def put(self, key, nodes: np.ndarray, values):
+        """Store ``values`` = (w, expo) on ``nodes``, read-only; return the entry."""
+        for v in values:
+            v.flags.writeable = False
+        request, size = (key, nodes.tobytes()), nodes.size // 15
+        with self._lock:
+            if request not in self._entries and size <= NODE_TABLE_CAP:
+                if self.panels + size > NODE_TABLE_CAP:
+                    self._entries.clear()
+                    self.panels = 0
+                self._entries[request] = values
+                self.panels += size
+            return self._entries.get(request, values)
+
     def lookup(self, key, nodes: np.ndarray, evaluate):
-        """``evaluate(nodes)`` = (w, expo), from the table of ``key`` where
-        it holds the panel and from one call on the other panels."""
-        found = self.find(key, nodes)
-        if found[2] is None:
-            return found[:2]
-        return self.fill(key, found, evaluate(found[2][1]))
-
-    def find(self, key, nodes: np.ndarray):
-        """(w, expo, missed) of the panels with ``nodes`` (15 P,): the factor
-        rows (P, 15) the table of ``key`` holds, and ``missed`` = (mask,
-        nodes) of the panels it does not hold, the nodes flat, which ``fill``
-        completes.  When every panel hits, (w, expo) are the stored rows,
-        flat, and ``missed`` is None."""
-        z = nodes.reshape(-1, 15)
-        with self._lock:
-            table = self._tables.get(key)
-        hit = np.zeros(len(z), dtype=bool)
-        if table is not None:
-            found, rows = _find_panels(table, z)
-            hit = found & (table[1][rows] == z).all(axis=1)
-            if hit.all():
-                return table[2][rows].ravel(), table[3][rows].ravel(), None
-        w = np.empty(z.shape, dtype=complex)
-        expo = np.empty(z.shape)
-        if hit.any():
-            w[hit], expo[hit] = table[2][rows[hit]], table[3][rows[hit]]
-        return w, expo, (~hit, z[~hit].ravel())
-
-    def fill(self, key, found, values):
-        """The flat (w, expo) of ``find``'s result ``found``, its missed
-        panels taken from ``values`` = (w, expo) on their nodes and stored."""
-        w, expo, missed = found
-        if missed is None:
-            return w, expo
-        miss, z = missed
-        w[miss], expo[miss] = (v.reshape(-1, 15) for v in values)
-        self._store(key, z.reshape(-1, 15), w[miss], expo[miss])
-        return w.ravel(), expo.ravel()
-
-    def _store(self, key, z, w, expo):
-        with self._lock:
-            table = self._tables.get(key)
-            if table is not None:   # another thread may have stored some
-                new = ~_find_panels(table, z)[0]
-                z, w, expo = z[new], w[new], expo[new]
-            if not len(z) or len(z) > NODE_TABLE_CAP:
-                return
-            if self.panels + len(z) > NODE_TABLE_CAP:
-                self._tables.clear()
-                self.panels = 0
-                table = None
-            order = np.argsort(z[:, 7], kind="stable")
-            rows = (z[order, 7], z[order], w[order], expo[order])
-            if table is not None:
-                at = np.searchsorted(table[0], rows[0])
-                rows = tuple(np.insert(old, at, add, axis=0) for old, add in zip(table, rows))
-            self._tables[key] = rows
-            self.panels += len(z)
+        """``evaluate(nodes)`` = (w, expo), memoised under ``key``."""
+        return self.get(key, nodes) or self.put(key, nodes, evaluate(nodes))
 
 
 # used by ``caret_log_many`` and by the sigma-plane legs of ``fock``; the
@@ -460,7 +405,8 @@ def _tail_model(parts, bc: BoundaryKind, rays, rate: float, lift: float = 0.0,
     |Ai(w)| <= K (1 + |w|)^{-1/4} e^{-Re zeta(w)}/(2 sqrt(pi)) decays at a_j =
     (2/3) Re d_j^{3/2}, d_j the direction of w_j: c is the slowest term's
     decay, and the scale takes twice the term count times the largest term
-    times e^{c s^{3/2} - TAIL_RATE s} on ``_LEG_S``.  No Airy function is
+    times e^{c s^{3/2} - TAIL_RATE s} on ``_LEG_S``, as a log: past the float
+    range it raises ``QuadratureError`` ("untruncated").  No Airy function is
     called.  A ray without decay raises ``SectorError`` before any sample."""
     B, angle = min((4.0 / 3.0 * abs(math.cos(1.5 * ray.angle)), ray.angle) for ray in rays)
     c, origin, unit = B, rays[0].origin, complex(math.cos(angle), math.sin(angle))
@@ -476,7 +422,12 @@ def _tail_model(parts, bc: BoundaryKind, rays, rate: float, lift: float = 0.0,
         logs = -0.25 * np.log1p(np.abs(w)) - (2.0 / 3.0) * (np.sqrt(w) * w).real
         if parts is not None:
             logs[0] += _LEG_SR - B * _LEG_S32
-        scale *= 2.0 * len(w) * math.exp((logs + (c * _LEG_S32 - _LEG_SR)).max() + _LOG_AIRY_BOUND)
+        log_scale = (math.log(2.0 * len(w) * scale) + _LOG_AIRY_BOUND
+                     + (logs + (c * _LEG_S32 - _LEG_SR)).max())
+        if log_scale > np.log(np.finfo(float).max):
+            raise QuadratureError(f"tail scale e^{log_scale:.1f} on the ray at angle {angle} "
+                                  f"from {origin} is past the float range", "untruncated")
+        scale = math.exp(log_scale)
     return DecayModel("power_three_halves", c, scale=scale, rate=max(rate + TAIL_RATE, 0.0))
 
 
@@ -489,23 +440,30 @@ def _ray_family(parts, bc: BoundaryKind, tables: _NodeTables | None, key,
     by the members' largest |e^{a v + b}| (at least 1) at the rays' origin v.
     A caret path is thus fixed by a small key (route, impedance pair, arm
     angle, rung k): ``tables`` (None: evaluated directly) memoises the node
-    factor (w, expo) = parts(z, bc) under ``_node_key(parts, bc, key,
-    path)``.  A member the quadrature does not accept raises
-    ``QuadratureError`` ("stalled").  ``_family_width`` sizes the panels."""
+    factor (w, expo) = parts(z, bc) under the path key ``_node_key(parts,
+    bc, key, path)`` (``_node_factor``).  A member the quadrature does not
+    accept raises ``QuadratureError`` ("stalled").  ``_family_width`` sizes
+    the panels."""
     lift = max(0.0, float(np.max(np.real(a * path.segments[0].origin + b))))
     model = _tail_model(parts, bc, path.segments, float(np.max(rates)), lift)
     path = truncate(path, model, opts.truncation_tail_tol)
-    factor = functools.partial(parts, bc=bc)
-    if tables is not None:
-        factor = functools.partial(tables.lookup, _node_key(parts, bc, key, path), evaluate=factor)
+    factor = _node_factor(parts, bc, tables, _node_key(parts, bc, key, path))
     return integrate_exp_batch(factor, a, b, path, opts, width=_family_width(a))[:2]
 
 
+def _node_factor(parts, bc: BoundaryKind, tables: _NodeTables | None, key):
+    """z -> parts(z, bc) = (w, expo), memoised per request in ``tables``
+    under the path key ``key`` (``tables`` None: evaluated directly)."""
+    factor = functools.partial(parts, bc=bc)
+    return factor if tables is None else functools.partial(tables.lookup, key, evaluate=factor)
+
+
 def _node_key(parts, bc: BoundaryKind, key: tuple, path: ContourPath) -> tuple:
-    """The node-table key of the factor ``parts`` on the cut ``path``: (parts
-    name, impedance pair) + ``key`` (the arm angle; () on L) + (rung k of
-    the cut radius 2^(k/4),).  A ray from 0 at one angle and rung is one
-    path, so a sigma-plane leg of ``fock`` and a caret arm on it share a table."""
+    """The path key in ``_NodeTables`` of the factor ``parts`` on the cut
+    ``path``: (parts name, impedance pair) + ``key`` (the arm angle; () on
+    L) + (rung k of the cut radius 2^(k/4),).  A ray from 0 at one angle and
+    rung is one path, a caret arm's or a sigma-plane leg's of ``fock``; a
+    memo entry is one request on it, keyed by the path key and node bytes."""
     return (parts.__name__, bc.impedance) + key + (round(4 * math.log2(path.truncation_radius)),)
 
 
@@ -513,7 +471,7 @@ def _family_width(a) -> float:
     """Starting panel width of a ray family: about FAMILY_PHASE radians of
     e^{a z} per panel at the members' largest |a|, rounded down to a power of
     2 and at most 1, so batches of similar |a| start on the same panels (and
-    share their node-table entries).
+    repeat each other's node-factor requests).
 
     A family of one keeps the default 2-unit start: every member of the
     scalar ``pekeris_caret`` runs alone, so its values (oracles of the
@@ -710,10 +668,8 @@ def _run_reciprocal(ts, bc: BoundaryKind, opts: QuadOptions, tables=None, templa
     tol = opts.truncation_tail_tol
     for c in np.unique(cells[~on_l]):
         sel = np.nonzero(~on_l & (cells == c))[0]
-        factor = functools.partial(_reciprocal_weight, bc=bc)
-        if tables is not None:
-            key = (_reciprocal_weight.__name__, bc.impedance, complex(c), tol)
-            factor = functools.partial(tables.lookup, key, evaluate=factor)
+        key = (_reciprocal_weight.__name__, bc.impedance, complex(c), tol)
+        factor = _node_factor(_reciprocal_weight, bc, tables, key)
         h = a[sel] ** 3 / 12.0
         v, e, _ = integrate_exp_batch(factor, a[sel], -h, _saddle_path(c, tol), opts)
         scale = pref[sel] * np.exp(h)
@@ -869,9 +825,10 @@ def caret_log_many(ts, bc: BoundaryKind = DIRICHLET,
     """log of the caret function, vectorised and overflow-safe.
 
     Runs the same planner and executors as ``pekeris_caret`` on the whole
-    batch, with the node factors of the L and arm paths memoised in the
-    process-wide node tables; a memoised factor is the bytes a fresh
-    evaluation gives.  Returns (log_values, rel_errors).
+    batch, with the node factors of the L, arm and template paths memoised
+    per request (path key, node bytes) in the process-wide ``_NodeTables``;
+    a memoised factor is the bytes a fresh evaluation gives.  Returns
+    (log_values, rel_errors).
     """
     _, vals, errs, shifts = _caret_batch(_finite(ts), bc, opts or QuadOptions(), _NODE_TABLES)
     with np.errstate(divide="ignore"):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -311,6 +312,28 @@ def test_negative_root_count_rejected():
         with pytest.raises(ValueError):
             roots(-2)
         assert roots(0).size == 0
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("robin_root", (0, math.nan), "not finite"),
+    ("robin_root", (0, math.inf), "not finite"),
+    ("impedance_roots", (3, 1.0, math.nan), "not finite"),
+    ("impedance_roots", (2.5, 1.0, 0.0), "integer >= 0, got 2.5"),
+    ("ai_zeros", (2.5,), "integer >= 0, got 2.5"),
+    ("ai_zero", (2.5,), "integer"),
+])
+def test_unusable_root_requests_rejected(monkeypatch, name, args, message):
+    # a non-finite impedance stalled Newton after RuntimeWarnings, and a
+    # fractional count solved and stored roots before a slice raised
+    # TypeError: each is a ValueError naming the value, before any Airy call
+    def no_airy(z):
+        raise AssertionError(f"Airy call at {z}")
+
+    monkeypatch.setattr(ta, "_ROOTS", {})
+    monkeypatch.setattr(ta, "airy_scaled_vec", no_airy)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(ta, name)(*args)
+    assert ta._ROOTS == {}
 
 
 def test_root_table_threads_match_serial(monkeypatch):

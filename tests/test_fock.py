@@ -83,6 +83,29 @@ def test_overflowing_height_is_a_domain_error():
                 field(pt, D)
 
 
+def test_far_sigma_legs_fail_as_untruncated():
+    # at n_hat = 400 the tail scale of the l2 leg is about e^811, past the
+    # float range: both sigma-plane fields raise a typed failure naming the
+    # ray (a NaN row of the CLI), not an OverflowError
+    for field in (fock.scattered_forked, fock.total_gamma):
+        with pytest.raises(QuadratureError, match="ray at angle 2.094") as info:
+            field(fock.FockPoint(40.0, 0.0), D)
+        assert info.value.reason == "untruncated"
+
+
+def test_deep_field_tail_scale_does_not_underflow():
+    # at (100, -2400) the log scale of the cubic tail model is below the
+    # float range: clamped, it stays a positive bound (no ContourError), and
+    # the integrand overflowing on the channel's vertical ray is a typed
+    # failure, without a RuntimeWarning
+    x, y = fock._scaled_coords(fock.FockPoint(100.0, -2400.0), D)
+    path, _ = fock._scattered_path(x, y)
+    assert fock._truncation_model(x, y, path, pk.DIRICHLET, False).scale > 0.0
+    with pytest.raises(QuadratureError) as info:
+        fock.scattered_new(fock.FockPoint(100.0, -2400.0), D)
+    assert info.value.reason == "nonfinite"
+
+
 def test_kappa_rescaling_covariance():
     pt = fock.FockPoint(0.6, 0.9)
     cfg1 = fock.ProblemConfig(pk.DIRICHLET, kappa=1.0)
@@ -393,7 +416,7 @@ def test_noisy_caret_does_not_excuse_a_field_stall(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # sigma-plane legs: stepped in lockstep, one Airy call per round for all of
-# them, their ratios read from the caret node tables, bit for bit per-leg
+# them, their ratios read from the caret node-factor memo, bit for bit per-leg
 # runs of the formulas that evaluate each Airy argument on its own
 # ---------------------------------------------------------------------------
 
@@ -402,8 +425,8 @@ SIGMA_POINTS = [(-3.0, 1.0), (0.5, 0.2), (2.0, -0.5)]    # lit, penumbra, shadow
 SIGMA_BCS = [pk.DIRICHLET, pk.NEUMANN, pk.robin(1 + 1j)]
 # per leg in order (l1, l2, l3; gamma in, out), its point-dependent Airy
 # points per node (f_in's A1(s - n) serves both its A1 factor and the
-# Dirichlet r2(s - n)), and whether it reads a ratio from the node tables,
-# which costs 2 Airy points per node of a panel the table lacks
+# Dirichlet r2(s - n)), and whether it reads a ratio from the node-factor
+# memo, which costs 2 Airy points per node of a request the memo lacks
 SIGMA_AIRY_POINTS = {"scattered_forked": (1, 1, 1), "total_gamma": (2, 2)}
 SIGMA_RATIO_LEGS = {"scattered_forked": (False, True, True), "total_gamma": (True, True)}
 

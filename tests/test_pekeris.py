@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangentray import airy as _airy_mod
+from tangentray import fock
 from tangentray import pekeris as pk
 from tangentray.contours import ContourPath, Ray
 from tangentray.quadrature import QuadOptions, integrate_exp_batch
@@ -476,7 +477,7 @@ def test_residue_series_sums_at_most_max_terms():
 def test_sigma_ratios_same_bits_at_every_call_size(bc):
     # past 16,384 elements numpy multiplies a temporary in place, which
     # rounds differently: one 40,000-node call must give the bytes of forty
-    # 1,000-node calls, so a node table filled by a large call holds what a
+    # 1,000-node calls, so a memo entry stored by a large call holds what a
     # fresh evaluation gives
     rng = np.random.default_rng(3)
     z = rng.uniform(-6.0, 6.0, 40_000) + 1j * rng.uniform(-6.0, 6.0, 40_000)
@@ -593,13 +594,14 @@ def test_node_tables_repeat_bit_identical(monkeypatch):
     assert pk._NODE_TABLES.panels == stored
 
 
-def test_node_table_hit_needs_the_whole_panel():
-    # two panels with one midpoint but different widths (float collisions of
-    # deeply refined panels), and one whose inner node is an ulp off (one
-    # panel reached from two starting widths): neither may get the first
-    # one's factors
+def test_node_table_hit_needs_the_whole_panel(monkeypatch):
+    # requests on one path key: two panels with one midpoint but different
+    # widths (float collisions of deeply refined panels), and one whose inner
+    # node is an ulp off (one panel reached from two starting widths): each
+    # is its own entry, and none gets another's factors; a repeat returns the
+    # stored factors, read-only
     tables = pk._NodeTables()
-    evaluate = lambda z: (2.0 * z, z.real)
+    evaluate = lambda z: (2.0 * z, z.real.copy())
     wide = np.linspace(0.0, 1.0, 15) + 0.5j
     narrow = wide[7] + (wide - wide[7]) / 2
     nudged = wide.copy()
@@ -608,7 +610,16 @@ def test_node_table_hit_needs_the_whole_panel():
     for z in (wide, narrow, nudged, wide, narrow, nudged):
         w, expo = tables.lookup("path", z, evaluate)
         assert np.array_equal(w, 2.0 * z) and np.array_equal(expo, z.real)
-    assert tables.panels == 1
+        assert not (w.flags.writeable or expo.flags.writeable)
+    assert tables.panels == 3
+    assert tables.get("path", wide) is not None and tables.get("other", wide) is None
+    # a request of more panels than the cap is evaluated but not stored
+    monkeypatch.setattr(pk, "NODE_TABLE_CAP", 2)
+    tables.clear()
+    big = np.concatenate((wide, narrow, nudged))
+    w, expo = tables.lookup("path", big, evaluate)
+    assert np.array_equal(w, 2.0 * big) and np.array_equal(expo, big.real)
+    assert tables.get("path", big) is None and tables.panels == 0
 
 
 def test_node_tables_threads_match_serial():
@@ -639,24 +650,27 @@ def test_node_tables_threads_match_serial():
 
 
 def test_node_tables_stay_under_their_cap(monkeypatch):
+    # caret batches and sigma-plane legs on a memo whose cap clears it as it
+    # fills: the same bytes, and ``panels`` within the cap after every put
+    pt, cfg = fock.FockPoint(1.0, 1.0), fock.ProblemConfig(pk.robin(1 + 1j))
     ref = [pk.caret_log_many(ts, bc) for ts, bc in TABLE_BATCHES]
-    cap = 64
+    ref_leg = fock.scattered_forked(pt, cfg)
+    cap, sizes = 64, []
+
+    class Counted(pk._NodeTables):
+        def put(self, *args):
+            entry = super().put(*args)
+            sizes.append(self.panels)
+            return entry
+
     monkeypatch.setattr(pk, "NODE_TABLE_CAP", cap)
-    pk._NODE_TABLES.clear()
-    store = pk._NodeTables._store
-    sizes = []
-
-    def checked(self, *args):
-        store(self, *args)
-        sizes.append(self.panels)
-
-    monkeypatch.setattr(pk._NodeTables, "_store", checked)
+    monkeypatch.setattr(pk, "_NODE_TABLES", Counted())
     for _ in range(2):
         for (ts, bc), (lv, lr) in zip(TABLE_BATCHES, ref):
             got = pk.caret_log_many(ts, bc)
             assert np.array_equal(got[0], lv) and np.array_equal(got[1], lr)
+        assert fock.scattered_forked(pt, cfg) == ref_leg
     assert sizes and max(sizes) <= cap
-    pk._NODE_TABLES.clear()
 
 
 # seeded points |t| <= 8 over the whole plane, for each boundary kind; the
